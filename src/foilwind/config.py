@@ -8,7 +8,6 @@ starts a comment.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -18,9 +17,7 @@ from .formulations import Excitation
 from .solver import SolverConfig
 from .variants import FormulationVariant, parse_variant
 
-log = logging.getLogger(__name__)
-
-PRESET_VERSION = 1
+PRESET_VERSION = 2
 
 
 class ConfigError(ValueError):
@@ -90,7 +87,6 @@ _SCHEMA: dict[tuple[str, str], tuple] = {
     ("materials", "jc0"): (_to_float, False, 1e10),
     ("materials", "kim_b0"): (_to_float, False, None),
     ("materials", "rho_spurious_air"): (_to_float, False, 1e-3),
-    ("materials", "rho_spurious_alpha"): (_to_float, False, 1e-3),
     ("formulation", "variant"): (_to_str, True, None),
     ("formulation", "voltage_order"): (_to_int, False, 3),
     ("excitation", "amplitude"): (_to_float, True, None),
@@ -180,7 +176,6 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
             n_exponent=v("materials", "n_exponent"),
             lambda_fill=v("materials", "lambda_fill"),
             rho_spurious_air=v("materials", "rho_spurious_air"),
-            rho_spurious_alpha=v("materials", "rho_spurious_alpha"),
             jc_model=jc_model,
         )
         variant = parse_variant(v("formulation", "variant"))
@@ -213,22 +208,14 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         solver=solver,
         output_dir=v("output", "directory"),
     )
-    _validate_cross(cfg, source, explicit={k for k in entries})
+    _validate_cross(cfg, source)
     return cfg
 
 
-def _validate_cross(cfg: RunConfig, source: str, explicit: set[tuple[str, str]]) -> None:
+def _validate_cross(cfg: RunConfig, source: str) -> None:
     if cfg.variant is FormulationVariant.REF_H_PHI and cfg.geometry.homogenized:
         raise ConfigError(
             f"{source}: the detailed reference needs geometry.homogenized = false"
-        )
-    if (
-        cfg.variant is FormulationVariant.FCM_T_OMEGA
-        and ("materials", "rho_spurious_alpha") in explicit
-        and cfg.materials.rho_spurious_alpha != _SCHEMA["materials", "rho_spurious_alpha"][2]
-    ):
-        log.warning(
-            "materials.rho_spurious_alpha has no effect for the t-omega variant; ignored"
         )
     if cfg.voltage_order < 0:
         raise ConfigError(f"{source}: formulation.voltage_order must be >= 0")
@@ -270,7 +257,6 @@ def serialize_config(cfg: RunConfig) -> str:
         f"lambda_fill = {cfg.materials.lambda_fill!r}",
         *jc_lines,
         f"rho_spurious_air = {cfg.materials.rho_spurious_air!r}",
-        f"rho_spurious_alpha = {cfg.materials.rho_spurious_alpha!r}",
         "",
         "[formulation]",
         f"variant = {cfg.variant.value}",
@@ -313,7 +299,6 @@ def _pancake_materials() -> MaterialParams:
         n_exponent=25.0,
         lambda_fill=0.01,
         rho_spurious_air=1e-3,
-        rho_spurious_alpha=1e-3,
         jc_model=JcConstant(1e10),
     )
 
@@ -375,14 +360,13 @@ def apply_sweep_value(cfg: RunConfig, parameter: str, value: float) -> RunConfig
     if parameter == "voltage_order":
         return replace(cfg, voltage_order=int(value))
     if parameter == "rho0":
-        return replace(
-            cfg,
-            materials=replace(
-                cfg.materials,
-                rho_spurious_air=float(value),
-                rho_spurious_alpha=float(value),
-            ),
-        )
+        if cfg.variant is not FormulationVariant.FCM_H_FULL:
+            raise ConfigError(
+                f"rho0 sets the spurious air resistivity, which only "
+                f"{FormulationVariant.FCM_H_FULL.value} has; a {cfg.variant.value} "
+                "sweep would run the same simulation at every value"
+            )
+        return replace(cfg, materials=replace(cfg.materials, rho_spurious_air=float(value)))
     raise ConfigError(
         f"unknown sweep parameter {parameter!r}; "
         "choose from n_turns, n_alpha, voltage_order, rho0"

@@ -124,7 +124,6 @@ class AssemblyContext:
             self.air_matrix = None
 
         self.coupling = self._build_coupling()
-        self._jc_cache: np.ndarray | None = None
 
     def block_slices(self) -> dict[str, slice]:
         """Row blocks of the assembled residual, voltage rows last."""
@@ -153,9 +152,24 @@ class AssemblyContext:
         phi_cells[self.coil] = means[mesh.alpha_index[self.coil]]
         return (self.cbt @ sp.csr_matrix(phi_cells)).tocsr()
 
-    # -- material state --------------------------------------------------------
+    # -- cell quantities ---------------------------------------------------------
+    #
+    # Every per-cell quantity of a state is evaluated here and nowhere else:
+    # the circulation, the flux density, and the power-law resistivity.
 
-    def jc_effective(self, u_prev: np.ndarray) -> np.ndarray:
+    def _circulation(self, w: np.ndarray) -> np.ndarray:
+        """Net azimuthal current j_phi * area of every cell, half model [A]."""
+        return self.cb @ w[: self.layout.n_field_dofs]
+
+    def flux_density(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Cell-centre flux density (b_r, b_z) of every cell [T]."""
+        x = self.layout.basis @ w[: self.layout.n_field_dofs]
+        e = self.mesh.cell_edges
+        h_r = (x[e[:, 0]] + x[e[:, 1]]) / (2.0 * self.mesh.dr)
+        h_z = (x[e[:, 2]] + x[e[:, 3]]) / (2.0 * self.mesh.dz)
+        return MU0 * h_r, MU0 * h_z
+
+    def jc_effective(self, w_prev: np.ndarray) -> np.ndarray:
         """Engineering critical current density per winding cell.
 
         Field-dependent models are evaluated with the flux density of the
@@ -165,30 +179,33 @@ class AssemblyContext:
         model = self.materials.jc_model
         if not isinstance(model, JcKim):
             return np.full(self.coil.size, self.materials.jc_engineering())
-        x = self.layout.basis @ u_prev[: self.layout.n_field_dofs]
-        e = self.mesh.cell_edges[self.coil]
-        h_r = (x[e[:, 0]] + x[e[:, 1]]) / (2.0 * self.mesh.dr[self.coil])
-        h_z = (x[e[:, 2]] + x[e[:, 3]]) / (2.0 * self.mesh.dz[self.coil])
-        jc = jc_eval(model, MU0 * h_r, MU0 * h_z)
+        b_r, b_z = self.flux_density(w_prev)
+        jc = jc_eval(model, b_r[self.coil], b_z[self.coil])
         return self.materials.lambda_fill * jc
 
-    def cell_currents(self, u: np.ndarray) -> np.ndarray:
+    def cell_currents(self, w: np.ndarray) -> np.ndarray:
         """Azimuthal current density per winding cell."""
-        return (self.cb @ u[: self.layout.n_field_dofs])[self.coil] / self.coil_area
+        return self._circulation(w)[self.coil] / self.coil_area
 
-    def slice_currents(self, u: np.ndarray) -> np.ndarray:
+    def slice_currents(self, w: np.ndarray) -> np.ndarray:
         """Net current per slice, scaled to the full device [A].
 
         Slices are turns for the detailed reference and radial mesh columns
         for the homogenized variants.
         """
         mesh = self.mesh
-        amps = (self.cb @ u[: self.layout.n_field_dofs])[self.coil]
+        amps = self._circulation(w)[self.coil]
         if self.layout.variant is FormulationVariant.REF_H_PHI:
             key = mesh.region[self.coil]
         else:
             key = mesh.alpha_index[self.coil]
         return mesh.symmetry_factor * np.bincount(key, weights=amps)
+
+    def _resistive(self, w: np.ndarray, w_prev: np.ndarray):
+        """Cell circulation, winding |j| and power-law resistivity at the lagged jc."""
+        x = self._circulation(w)
+        j = np.abs(x[self.coil]) / self.coil_area
+        return x, j, power_law(j, self.jc_effective(w_prev), self.materials)
 
     # -- assembly ---------------------------------------------------------------
 
@@ -202,10 +219,7 @@ class AssemblyContext:
         u, v = w[:nf], w[nf:]
         u_prev = w_prev[:nf]
 
-        x = self.cb @ u
-        j = np.abs(x[self.coil]) / self.coil_area
-        jc = self.jc_effective(w_prev)
-        re = power_law(j, jc, self.materials)
+        x, j, re = self._resistive(w, w_prev)
         d_res = np.zeros(self.mesh.n_cells)
         d_res[self.coil] = re.rho * self.coil_dweight
         d_tan = np.zeros(self.mesh.n_cells)
@@ -245,11 +259,7 @@ class AssemblyContext:
 
     def dissipation(self, w: np.ndarray, w_prev: np.ndarray) -> float:
         """Instantaneous resistive power of the half model [W]."""
-        u = w[: self.layout.n_field_dofs]
-        x = self.cb @ u
-        j = np.abs(x[self.coil]) / self.coil_area
-        jc = self.jc_effective(w_prev)
-        re = power_law(j, jc, self.materials)
+        x, _, re = self._resistive(w, w_prev)
         return float(np.sum(re.rho * self.coil_dweight * x[self.coil] ** 2))
 
     def power_balance(self, w: np.ndarray, w_prev: np.ndarray, dt: float) -> dict[str, float]:
@@ -273,44 +283,3 @@ class AssemblyContext:
             "coupling_power": coupling,
             "imbalance": d_dt + diss + coupling,
         }
-
-
-def assemble_reference(
-    state, dt: float, mesh: Mesh, layout: DofLayout, materials: MaterialParams, excitation: Excitation
-) -> AssembledSystem:
-    """Assemble the detailed per-turn reference system at ``state``."""
-    if layout.variant is not FormulationVariant.REF_H_PHI:
-        raise ValueError("layout was not built for the reference variant")
-    ctx = _context_for(layout, materials)
-    return ctx.assemble(state.u, state.u_prev, dt, state.t, excitation)
-
-
-def assemble_fcm(
-    state,
-    dt: float,
-    mesh: Mesh,
-    layout: DofLayout,
-    materials: MaterialParams,
-    excitation: Excitation,
-    voltage_basis: VoltageBasis | None = None,
-) -> AssembledSystem:
-    """Assemble a homogenized-variant system at ``state``."""
-    if layout.variant is FormulationVariant.REF_H_PHI:
-        raise ValueError("layout was not built for a homogenized variant")
-    if voltage_basis is None and layout.voltage_basis is None:
-        raise ValueError("homogenized assembly needs a voltage basis")
-    ctx = _context_for(layout, materials)
-    return ctx.assemble(state.u, state.u_prev, dt, state.t, excitation)
-
-
-_CTX_CACHE: dict[tuple[int, int], AssemblyContext] = {}
-
-
-def _context_for(layout, materials) -> AssemblyContext:
-    key = (id(layout), id(materials))
-    ctx = _CTX_CACHE.get(key)
-    if ctx is None:
-        ctx = AssemblyContext(layout, materials)
-        _CTX_CACHE.clear()
-        _CTX_CACHE[key] = ctx
-    return ctx

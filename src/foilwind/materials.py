@@ -11,8 +11,6 @@ from typing import Union
 
 import numpy as np
 
-from .variants import FormulationVariant
-
 
 @dataclass(frozen=True)
 class JcConstant:
@@ -51,18 +49,12 @@ def jc_eval(model: JcModel, b_parallel=0.0, b_perp=0.0):
     return model.j_c0 * model.b_0 / (model.b_0 + b)
 
 
-def engineering_jc(j_c, lambda_fill: float):
-    """Critical current density averaged over the full conductor cross-section."""
-    return lambda_fill * j_c
-
-
 @dataclass(frozen=True)
 class MaterialParams:
     e_c: float = 1e-4
     n_exponent: float = 25.0
     lambda_fill: float = 0.01
     rho_spurious_air: float = 1e-3
-    rho_spurious_alpha: float = 1e-3
     jc_model: JcModel = field(default_factory=lambda: JcConstant(1e10))
 
     def __post_init__(self) -> None:
@@ -72,11 +64,12 @@ class MaterialParams:
             raise ValueError("n_exponent must be >= 1")
         if not 0 < self.lambda_fill <= 1:
             raise ValueError("lambda_fill must be in (0, 1]")
-        if self.rho_spurious_air <= 0 or self.rho_spurious_alpha <= 0:
-            raise ValueError("spurious resistivities must be positive")
+        if self.rho_spurious_air <= 0:
+            raise ValueError("rho_spurious_air must be positive")
 
     def jc_engineering(self, b_parallel=0.0, b_perp=0.0):
-        return engineering_jc(jc_eval(self.jc_model, b_parallel, b_perp), self.lambda_fill)
+        """Critical current density averaged over the full conductor cross-section."""
+        return self.lambda_fill * jc_eval(self.jc_model, b_parallel, b_perp)
 
 
 @dataclass(frozen=True)
@@ -106,22 +99,6 @@ def power_law(j_norm, jc_eff, params: MaterialParams) -> ResistivityEval:
     floor = 1e-6 * jc
     drho = rho * (n - 1.0) / (2.0 * np.maximum(j, floor) ** 2)
     return ResistivityEval(rho=rho, drho_dj2=drho)
-
-
-def coil_resistivity_tensor(rho_hts, frame, variant: FormulationVariant, rho_alpha: float = 1e-3):
-    """Winding resistivity in the (r, z) plane per the variant's rule.
-
-    Anisotropic variants get diag(rho_alpha, rho_hts) in the winding frame
-    (alpha = radial for a pancake, so already diagonal in (r, z)); the
-    isotropic variants return the scalar power-law value. In the meridian
-    reduction the current is azimuthal, so only the HTS entry ever enters the
-    resistive term; the alpha entry documents the 3D tensor it stands for.
-    """
-    if variant.anisotropic:
-        a = np.asarray(frame.alpha_dir, dtype=float)
-        b = np.asarray(frame.beta_dir, dtype=float)
-        return rho_alpha * np.outer(a, a) + np.asarray(rho_hts) * np.outer(b, b)
-    return np.asarray(rho_hts)
 
 
 def critical_current(params: MaterialParams, cc_thickness: float, cc_width: float) -> float:

@@ -333,10 +333,6 @@ class Mesh:
         return self.r0 + 0.5 * self.dr
 
     @cached_property
-    def zbar(self) -> np.ndarray:
-        return self.z_lines[self._cell_grid[1]] + 0.5 * self.dz
-
-    @cached_property
     def area(self) -> np.ndarray:
         return self.dr * self.dz
 
@@ -502,21 +498,3 @@ class Mesh:
     def winding_loop(self):
         """Loop lying exactly on the winding-block boundary."""
         return self.loop_edges(self.coil_col0, self.coil_col0 + self.n_alpha, 0, self.n_beta)
-
-    def local_frame(self, quad_id: int) -> "LocalFrame":
-        if not 0 <= quad_id < self.n_cells:
-            raise ValueError(f"cell {quad_id} out of range")
-        if not self.coil_mask[quad_id]:
-            raise ValueError(f"cell {quad_id} is not in the winding")
-        g = self.geom
-        coord = (self.rbar[quad_id] - g.inner_radius) / g.radial_build
-        return LocalFrame(alpha_coord=float(coord))
-
-
-@dataclass(frozen=True)
-class LocalFrame:
-    """Winding-local axes: alpha across the radial build, beta along the tape width."""
-
-    alpha_coord: float
-    alpha_dir: tuple[float, float] = (1.0, 0.0)
-    beta_dir: tuple[float, float] = (0.0, 1.0)

@@ -1,7 +1,6 @@
-"""Loss metrics, slice-current diagnostics, and time-series export.
+"""Loss metrics, slice bookkeeping, and time-series export.
 
-All reported powers and currents refer to the full device; the symmetric
-half model is scaled up here and nowhere else downstream.
+All powers and currents handled here refer to the full device.
 """
 
 from __future__ import annotations
@@ -13,8 +12,7 @@ from pathlib import Path
 import numpy as np
 from scipy.signal import find_peaks
 
-from .materials import MaterialParams, JcKim, jc_eval, power_law
-from .mesh import MU0, Mesh
+from .mesh import Mesh
 from .spaces import DofLayout
 from .variants import FormulationVariant
 
@@ -63,50 +61,6 @@ class ComparisonReport:
     def __post_init__(self) -> None:
         if self.r_squared > 1.0 + 1e-12:
             raise ValueError("r_squared cannot exceed 1")
-
-
-def _hts_resistivity(
-    u: np.ndarray, mesh: Mesh, layout: DofLayout, materials: MaterialParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-coil-cell power-law resistivity and circulation at state ``u``.
-
-    Field-dependent critical currents use the flux density of ``u`` itself;
-    the transient solver lags that dependence by one step, which coincides
-    with this evaluation for the constant-jc model.
-    """
-    x = layout.curl_basis @ u[: layout.n_field_dofs]
-    coil = mesh.coil_cells
-    j = np.abs(x[coil]) / mesh.area[coil]
-    model = materials.jc_model
-    if isinstance(model, JcKim):
-        xe = layout.basis @ u[: layout.n_field_dofs]
-        e = mesh.cell_edges[coil]
-        h_r = (xe[e[:, 0]] + xe[e[:, 1]]) / (2.0 * mesh.dr[coil])
-        h_z = (xe[e[:, 2]] + xe[e[:, 3]]) / (2.0 * mesh.dz[coil])
-        jc = materials.lambda_fill * jc_eval(model, MU0 * h_r, MU0 * h_z)
-    else:
-        jc = materials.jc_engineering()
-    return power_law(j, jc, materials).rho, x[coil]
-
-
-def instantaneous_losses(
-    u: np.ndarray,
-    mesh: Mesh,
-    layout: DofLayout,
-    materials: MaterialParams,
-    variant: FormulationVariant | None = None,
-) -> float:
-    """Full-device resistive power [W] of the superconductor alone.
-
-    Only the power-law resistivity enters; the spurious penalty
-    resistivities (air, across-stack) are modeling artifacts and excluded.
-    """
-    if variant is not None and variant is not layout.variant:
-        raise ValueError("variant does not match the layout")
-    rho, x = _hts_resistivity(u, mesh, layout, materials)
-    coil = mesh.coil_cells
-    p_half = float(np.sum(rho * 2.0 * np.pi * mesh.rbar[coil] / mesh.area[coil] * x**2))
-    return mesh.symmetry_factor * p_half
 
 
 def mean_losses(series: LossSeries) -> float:
@@ -165,28 +119,6 @@ def rel_err_mean(P: float, P_ref: float) -> float:
     if P_ref <= 0:
         raise ValueError("reference mean losses must be positive")
     return abs(P - P_ref) / P_ref
-
-
-def slice_currents(u: np.ndarray, mesh: Mesh, layout: DofLayout) -> np.ndarray:
-    """Net current of every slice, full device [A].
-
-    A slice is one turn for the detailed model, else one radial column of
-    the homogenized winding.
-    """
-    x = (layout.curl_basis @ u[: layout.n_field_dofs])[mesh.coil_cells]
-    if layout.variant is FormulationVariant.REF_H_PHI:
-        key = mesh.region[mesh.coil_cells]
-    else:
-        key = mesh.alpha_index[mesh.coil_cells]
-    return mesh.symmetry_factor * np.bincount(key, weights=x)
-
-
-def slice_current(u: np.ndarray, mesh: Mesh, layout: DofLayout, alpha_slice: int) -> float:
-    """Net current of one slice, full device [A]."""
-    all_slices = slice_currents(u, mesh, layout)
-    if not 0 <= alpha_slice < all_slices.size:
-        raise ValueError(f"slice {alpha_slice} out of range (0..{all_slices.size - 1})")
-    return float(all_slices[alpha_slice])
 
 
 def turns_per_slice(mesh: Mesh, layout: DofLayout) -> float:

@@ -85,8 +85,8 @@ def execute_run(
     (out / "config.txt").write_text(serialize_config(cfg))
     postprocess.write_trace_csv(out / TRACE_NAME, trace)
     postprocess.write_slice_csv(out / SLICE_NAME, trace)
-    snap_times = _write_snapshots(out, trace, mesh, layout, cfg)
-    max_j_norm = _max_normalized_j(trace, mesh, layout, cfg)
+    snap_times = _write_snapshots(out, trace, ctx, cfg)
+    max_j_norm = _max_normalized_j(trace, ctx)
 
     blocks = {name: sl.stop - sl.start for name, sl in layout.blocks.items()}
     blocks["voltage"] = layout.n_voltage_dofs
@@ -122,7 +122,7 @@ def execute_run(
     return trace, summary
 
 
-def _write_snapshots(out, trace, mesh, layout, cfg) -> list[float]:
+def _write_snapshots(out, trace, ctx, cfg) -> list[float]:
     """Field exports at peak drive of the last period and at the final time."""
     if trace.states is None or not len(trace.times):
         return []
@@ -131,10 +131,10 @@ def _write_snapshots(out, trace, mesh, layout, cfg) -> list[float]:
     picks = {int(np.argmin(np.abs(trace.times - t_peak))), len(trace.times) - 1}
     times = []
     for rank, idx in enumerate(sorted(picks)):
-        fields = snapshot_fields(trace.states[idx], mesh, layout, cfg.materials)
+        fields = snapshot_fields(ctx, trace.states[idx])
         write_vtk(
             out / f"fields_{rank}.vtk",
-            mesh,
+            ctx.mesh,
             fields,
             title=f"foilwind {cfg.variant.value} t={trace.times[idx]:.8e} s",
         )
@@ -142,16 +142,13 @@ def _write_snapshots(out, trace, mesh, layout, cfg) -> list[float]:
     return times
 
 
-def _max_normalized_j(trace, mesh, layout, cfg) -> float:
+def _max_normalized_j(trace, ctx) -> float:
     if trace.states is None:
         return float("nan")
-    jc_eng = cfg.materials.jc_engineering()
-    coil = mesh.coil_cells
-    area = mesh.area[coil]
+    jc_eng = ctx.materials.jc_engineering()
     peak = 0.0
     for w in trace.states:
-        x = (layout.curl_basis @ w[: layout.n_field_dofs])[coil]
-        peak = max(peak, float(np.max(np.abs(x) / area)) / jc_eng)
+        peak = max(peak, float(np.max(np.abs(ctx.cell_currents(w)))) / jc_eng)
     return peak
 
 
@@ -221,13 +218,20 @@ def run_sweep(
     if not values:
         raise ConfigError("sweep needs a non-empty value list")
     out_root = Path(out_root)
-    out_root.mkdir(parents=True, exist_ok=True)
-
-    tasks = []
+    names: dict[str, float] = {}
     for value in values:
-        sub = out_root / f"{parameter}_{value:g}"
-        point = apply_sweep_value(cfg, parameter, value)
-        tasks.append((serialize_config(point), str(sub)))
+        name = f"{parameter}_{value:g}"
+        if name in names:
+            raise ConfigError(
+                f"sweep values {names[name]!r} and {value!r} would share "
+                f"the run directory {name}"
+            )
+        names[name] = value
+    tasks = [
+        (serialize_config(apply_sweep_value(cfg, parameter, value)), str(out_root / name))
+        for name, value in zip(names, values)
+    ]
+    out_root.mkdir(parents=True, exist_ok=True)
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

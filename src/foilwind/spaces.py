@@ -94,10 +94,6 @@ class VoltageBasis:
         return float(np.linalg.cond(self.gram()))
 
 
-def build_voltage_basis(order: int) -> VoltageBasis:
-    return VoltageBasis(order)
-
-
 # --------------------------------------------------------------------------
 # cut functions
 # --------------------------------------------------------------------------
@@ -186,8 +182,6 @@ class DofLayout:
     constrained_edges: np.ndarray
     cut_basis: CutBasis | None
     voltage_basis: VoltageBasis | None
-    edge_dof_of: dict[int, int]
-    node_dof_of: dict[int, int]
 
     @property
     def n_edge_dofs(self) -> int:
@@ -317,7 +311,7 @@ def build_dof_layout(
     is_constrained[constrained] = True
 
     lo, hi, NONE = _incident_cells_of_edges(mesh)
-    vb = build_voltage_basis(voltage_order)
+    vb = VoltageBasis(voltage_order)
     if variant.is_fcm and mesh.n_alpha < vb.n_funcs:
         # fewer radial columns than voltage functions -> rank-deficient coupling
         raise ValueError(
@@ -338,8 +332,6 @@ def build_dof_layout(
 
     columns: list[sp.csr_matrix] = []
     blocks: dict[str, slice] = {}
-    edge_dof_of: dict[int, int] = {}
-    node_dof_of: dict[int, int] = {}
     pos = 0
 
     def add_block(name: str, mat: sp.csr_matrix):
@@ -356,14 +348,12 @@ def build_dof_layout(
     if variant is FormulationVariant.FCM_H_FULL:
         free_edges = np.nonzero(~is_constrained)[0]
         add_block("edge", _unit_columns(n_edges, free_edges))
-        edge_dof_of = dict(zip(free_edges.tolist(), range(free_edges.size)))
         n_voltage = vb.n_funcs
 
     elif variant in (FormulationVariant.REF_H_PHI, FormulationVariant.FCM_H_PHI):
         ref = variant is FormulationVariant.REF_H_PHI
         free_edges = conductor_interior_edges(same_turn=ref)
         add_block("edge", _unit_columns(n_edges, free_edges))
-        edge_dof_of = dict(zip(free_edges.tolist(), range(free_edges.size)))
 
         # nodal space: everywhere the edge space does not own the field
         interior = np.zeros(mesh.n_nodes, dtype=bool)
@@ -382,7 +372,6 @@ def build_dof_layout(
         keep &= ~interior
         free_nodes = np.nonzero(keep)[0]
         add_block("nodal", _gradient_columns(mesh, free_nodes))
-        node_dof_of = dict(zip(free_nodes.tolist(), range(free_nodes.size)))
         if free_nodes.size and dirichlet.size == 0:
             raise ValueError("scalar potential gauge not fixed: no constrained boundary nodes")
 
@@ -396,13 +385,11 @@ def build_dof_layout(
         all_inside = conductor_interior_edges(same_turn=False)
         t_edges = all_inside[all_inside < mesh.n_hedges]  # radial (alpha) edges only
         add_block("edge", _unit_columns(n_edges, t_edges))
-        edge_dof_of = dict(zip(t_edges.tolist(), range(t_edges.size)))
 
         keep = np.ones(mesh.n_nodes, dtype=bool)
         keep[dirichlet] = False
         free_nodes = np.nonzero(keep)[0]
         add_block("nodal", _gradient_columns(mesh, free_nodes))
-        node_dof_of = dict(zip(free_nodes.tolist(), range(free_nodes.size)))
         if dirichlet.size == 0:
             raise ValueError("scalar potential gauge not fixed: no constrained boundary nodes")
 
@@ -437,8 +424,6 @@ def build_dof_layout(
         constrained_edges=constrained,
         cut_basis=cut_basis,
         voltage_basis=vb,
-        edge_dof_of=edge_dof_of,
-        node_dof_of=node_dof_of,
     )
 
 

@@ -31,24 +31,6 @@ class FormulationVariant(str, enum.Enum):
         """True for the homogenized (winding-level constraint) variants."""
         return self is not FormulationVariant.REF_H_PHI
 
-    @property
-    def uses_scalar_potential(self) -> bool:
-        return self is not FormulationVariant.FCM_H_FULL
-
-    @property
-    def anisotropic(self) -> bool:
-        """True when the winding resistivity is a (r, z)-diagonal tensor.
-
-        The detailed reference and the current-potential variant model the
-        winding with the scalar power-law resistivity only.
-        """
-        return self in (FormulationVariant.FCM_H_FULL, FormulationVariant.FCM_H_PHI)
-
-    @property
-    def homogenized_mesh(self) -> bool:
-        """FCM variants mesh the winding as one block, not per turn."""
-        return self.is_fcm
-
 
 def parse_variant(name: str) -> FormulationVariant:
     """Accept both enum values and a few forgiving aliases."""

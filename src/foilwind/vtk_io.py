@@ -6,9 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .materials import MaterialParams
-from .mesh import MU0, Mesh
-from .spaces import DofLayout
+from .mesh import Mesh
 
 
 def write_vtk(
@@ -44,24 +42,13 @@ def write_vtk(
     return path
 
 
-def snapshot_fields(
-    u: np.ndarray, mesh: Mesh, layout: DofLayout, materials: MaterialParams
-) -> dict[str, np.ndarray]:
-    """Cell scalars for export: normalized current density and flux magnitude.
+def snapshot_fields(ctx, w: np.ndarray) -> dict[str, np.ndarray]:
+    """Cell scalars of state ``w`` of the run with AssemblyContext ``ctx``.
 
     ``j_norm`` is the azimuthal current density over the engineering critical
     current density (zero outside the winding); ``b_mag`` is |b| from the
-    cell-center field.
+    cell-centre field.
     """
-    uf = u[: layout.n_field_dofs]
-    x = layout.curl_basis @ uf
-    j_norm = np.zeros(mesh.n_cells)
-    coil = mesh.coil_cells
-    j_norm[coil] = np.abs(x[coil]) / mesh.area[coil] / materials.jc_engineering()
-
-    xe = layout.basis @ uf
-    e = mesh.cell_edges
-    h_r = (xe[e[:, 0]] + xe[e[:, 1]]) / (2.0 * mesh.dr)
-    h_z = (xe[e[:, 2]] + xe[e[:, 3]]) / (2.0 * mesh.dz)
-    b_mag = MU0 * np.hypot(h_r, h_z)
-    return {"j_norm": j_norm, "b_mag": b_mag}
+    j_norm = np.zeros(ctx.mesh.n_cells)
+    j_norm[ctx.coil] = np.abs(ctx.cell_currents(w)) / ctx.materials.jc_engineering()
+    return {"j_norm": j_norm, "b_mag": np.hypot(*ctx.flux_density(w))}

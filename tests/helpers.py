@@ -33,7 +33,6 @@ def pancake_materials(**kw) -> MaterialParams:
         n_exponent=25.0,
         lambda_fill=0.01,
         rho_spurious_air=1e-3,
-        rho_spurious_alpha=1e-3,
         jc_model=JcConstant(1e10),
     )
     base.update(kw)
@@ -47,7 +46,7 @@ def small_mesh(
     n_beta: int = 8,
     grading: float = 1.3,
 ) -> Mesh:
-    geom = build_geometry(pancake_geometry(n_turns, homogenized=variant.homogenized_mesh))
+    geom = build_geometry(pancake_geometry(n_turns, homogenized=variant.is_fcm))
     return mesh_structured(geom, n_alpha=n_alpha, n_beta=n_beta, air_grading=grading)
 
 
@@ -77,7 +76,7 @@ def small_config(
     **solver_kw,
 ) -> RunConfig:
     return RunConfig(
-        geometry=pancake_geometry(n_turns, homogenized=variant.homogenized_mesh),
+        geometry=pancake_geometry(n_turns, homogenized=variant.is_fcm),
         mesh=MeshConfig(n_alpha=n_alpha, n_beta=n_beta),
         materials=pancake_materials(),
         variant=variant,

@@ -254,7 +254,9 @@ def test_09_turn_count_scaling(preset_runs, hundred_turn_run):
         )
         layout = build_dof_layout(mesh, ref_cfg.variant, ref_cfg.voltage_order)
         coil_edges = np.unique(mesh.cell_edges[mesh.coil_cells])
-        winding = sum(1 for e in coil_edges if int(e) in layout.edge_dof_of)
+        # the edge block is made of unit columns, one per edge unknown
+        edge_unknowns = layout.basis[:, layout.blocks["edge"]].tocsc().indices
+        winding = int(np.isin(coil_edges, edge_unknowns).sum())
         winding += len(layout.cut_basis)
         detailed[n_turns] = (layout.n_dofs, winding)
 

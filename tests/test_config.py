@@ -1,7 +1,5 @@
 """Config parsing: strict schema, presets, round trips, sweep points."""
 
-import logging
-
 import pytest
 
 from foilwind.config import (
@@ -67,6 +65,10 @@ def test_unknown_key_reports_line():
     text = MINIMAL.replace("n_beta = 8", "n_beta = 8\nn_gamma = 3")
     with pytest.raises(ConfigError, match=r"cfg:11: unknown key mesh.n_gamma"):
         parse_config_text(text, source="cfg")
+    # removed in config format version 2
+    text = MINIMAL + "\n[materials]\nrho_spurious_alpha = 5e-2\n"
+    with pytest.raises(ConfigError, match="unknown key materials.rho_spurious_alpha"):
+        parse_config_text(text)
 
 
 def test_duplicate_key_rejected():
@@ -200,29 +202,18 @@ def test_sweep_points():
     assert apply_sweep_value(cfg, "n_turns", 50).geometry.n_turns == 50
     assert apply_sweep_value(cfg, "n_alpha", 10).mesh.n_alpha == 10
     assert apply_sweep_value(cfg, "voltage_order", 1).voltage_order == 1
-    swept = apply_sweep_value(cfg, "rho0", 1e-2)
+    hfull = small_config(FormulationVariant.FCM_H_FULL)
+    swept = apply_sweep_value(hfull, "rho0", 1e-2)
     assert swept.materials.rho_spurious_air == 1e-2
-    assert swept.materials.rho_spurious_alpha == 1e-2
     # the original is untouched
-    assert cfg.materials.rho_spurious_air == 1e-3
+    assert hfull.materials.rho_spurious_air == 1e-3
+    # only the all-edge variant has a spurious air resistivity
+    for variant in FormulationVariant:
+        if variant is not FormulationVariant.FCM_H_FULL:
+            with pytest.raises(ConfigError, match="rho0"):
+                apply_sweep_value(small_config(variant), "rho0", 1e-2)
     with pytest.raises(ConfigError, match="unknown sweep parameter"):
         apply_sweep_value(cfg, "frequency", 60.0)
-
-
-def test_ineffective_across_stack_resistivity_warns(caplog):
-    text = MINIMAL.replace("variant = fcm-h-phi", "variant = fcm-t-omega")
-    text += "\n[materials]\nrho_spurious_alpha = 5e-2\n"
-    with caplog.at_level(logging.WARNING, logger="foilwind.config"):
-        parse_config_text(text)
-    assert any("no effect" in rec.message for rec in caplog.records)
-
-
-def test_round_tripped_default_does_not_warn(caplog):
-    # serialization writes every key; the default value must stay silent
-    cfg = small_config(FormulationVariant.FCM_T_OMEGA)
-    with caplog.at_level(logging.WARNING, logger="foilwind.config"):
-        parse_config_text(serialize_config(cfg))
-    assert not [rec for rec in caplog.records if "no effect" in rec.message]
 
 
 def test_load_config_missing_file(tmp_path):

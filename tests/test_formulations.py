@@ -2,18 +2,13 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
-from foilwind.formulations import (
-    AssemblyContext,
-    Excitation,
-    assemble_fcm,
-    assemble_reference,
-    impose_excitation,
-    spurious_air_term,
-)
-from foilwind.solver import SolverConfig, TransientState, run_transient
+from foilwind.formulations import Excitation, impose_excitation, spurious_air_term
+from foilwind.mesh import MU0
+from foilwind.solver import SolverConfig, run_transient
+from foilwind.spaces import eval_field
 from foilwind.variants import FormulationVariant
+from foilwind.vtk_io import snapshot_fields
 
 from helpers import (
     pancake_materials,
@@ -209,17 +204,28 @@ def test_jc_effective_field_dependent_model():
     assert np.all(jc > 0)
 
 
-def test_unit_cut_slice_currents():
-    from foilwind.postprocess import slice_currents
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_flux_density_matches_eval_field_oracle(variant):
+    ctx = small_context(variant, n_turns=2)
+    w = _random_state(ctx, np.random.default_rng(47))
+    b_r, b_z = ctx.flux_density(w)
+    oracle = np.array([MU0 * eval_field(ctx.layout, w, c)[0] for c in range(ctx.mesh.n_cells)])
+    # eval_field blends the two opposite edges with weights 0.5: not bit-equal
+    tol = 1e-12 * np.abs(oracle).max()
+    assert np.abs(b_r - oracle[:, 0]).max() <= tol
+    assert np.abs(b_z - oracle[:, 1]).max() <= tol
+    assert np.array_equal(snapshot_fields(ctx, w)["b_mag"], np.hypot(b_r, b_z))
 
-    mesh, layout = small_layout(FormulationVariant.REF_H_PHI, n_turns=2)
-    blk = layout.blocks["cut"]
+
+def test_unit_cut_slice_currents():
+    ctx = small_context(FormulationVariant.REF_H_PHI, n_turns=2)
+    blk = ctx.layout.blocks["cut"]
     for i in range(2):
-        u = np.zeros(layout.n_dofs)
+        u = np.zeros(ctx.layout.n_dofs)
         u[blk.start + i] = 1.0
-        got = slice_currents(u, mesh, layout)
+        got = ctx.slice_currents(u)
         want = np.zeros(2)
-        want[i] = mesh.symmetry_factor
+        want[i] = ctx.mesh.symmetry_factor
         assert np.allclose(got, want, atol=1e-14)
 
 
@@ -250,27 +256,3 @@ def test_single_turn_reference_and_homogenized_coincide():
     pb = np.interp(a.times, b.times, b.p)
     assert np.max(np.abs(pb - a.p)) <= 1e-9 * a.p.max()
 
-
-# -- wrappers ---------------------------------------------------------------------
-
-
-def test_assembly_wrappers_check_variant():
-    exc = Excitation(amplitude=9.6, frequency=50.0)
-    mesh_r, layout_r = small_layout(FormulationVariant.REF_H_PHI, n_turns=2)
-    mesh_f, layout_f = small_layout(FormulationVariant.FCM_H_PHI, n_turns=2)
-    mats = pancake_materials()
-    state_r = TransientState(
-        t=1e-4, dt=1e-5, u=np.zeros(layout_r.n_dofs), u_prev=np.zeros(layout_r.n_dofs)
-    )
-    state_f = TransientState(
-        t=1e-4, dt=1e-5, u=np.zeros(layout_f.n_dofs), u_prev=np.zeros(layout_f.n_dofs)
-    )
-    with pytest.raises(ValueError, match="variant"):
-        assemble_reference(state_f, 1e-5, mesh_f, layout_f, mats, exc)
-    with pytest.raises(ValueError, match="variant"):
-        assemble_fcm(state_r, 1e-5, mesh_r, layout_r, mats, exc)
-    sys = assemble_reference(state_r, 1e-5, mesh_r, layout_r, mats, exc)
-    assert sys.residual.shape == (layout_r.n_dofs,)
-    sys = assemble_fcm(state_f, 1e-5, mesh_f, layout_f, mats, exc)
-    assert sys.residual.shape == (layout_f.n_dofs,)
-    assert sp.issparse(sys.jacobian)

@@ -1,4 +1,4 @@
-"""Constitutive models: power law, field-dependent jc, winding tensor."""
+"""Constitutive models: power law and field-dependent jc."""
 
 import numpy as np
 import pytest
@@ -9,13 +9,10 @@ from foilwind.materials import (
     JcConstant,
     JcKim,
     MaterialParams,
-    coil_resistivity_tensor,
     critical_current,
-    engineering_jc,
     jc_eval,
     power_law,
 )
-from foilwind.variants import FormulationVariant
 
 from helpers import pancake_materials
 
@@ -23,7 +20,6 @@ from helpers import pancake_materials
 def test_engineering_density_and_tape_critical_current():
     params = pancake_materials()
     assert params.jc_engineering() == pytest.approx(1e8)
-    assert engineering_jc(1e10, 1.0) == 1e10
     # 100 um x 12 mm tape at 1e8 A/m^2 engineering density
     assert critical_current(params, 1e-4, 12e-3) == pytest.approx(120.0)
     assert 0.8 * critical_current(params, 1e-4, 12e-3) == pytest.approx(96.0)
@@ -138,21 +134,3 @@ def test_fill_factor_scales_engineering_density():
     full = pancake_materials(lambda_fill=1.0)
     assert full.jc_engineering() == pytest.approx(1e10)
 
-
-def test_winding_tensor_by_variant():
-    from foilwind.mesh import LocalFrame
-
-    frame = LocalFrame(alpha_coord=0.5)
-    rho_hts = 2.5e-13
-    for v in (FormulationVariant.FCM_H_FULL, FormulationVariant.FCM_H_PHI):
-        t = coil_resistivity_tensor(rho_hts, frame, v, rho_alpha=1e-3)
-        assert t.shape == (2, 2)
-        assert np.allclose(t, np.diag([1e-3, rho_hts]))
-    for v in (FormulationVariant.REF_H_PHI, FormulationVariant.FCM_T_OMEGA):
-        t = coil_resistivity_tensor(rho_hts, frame, v)
-        assert t.shape == ()
-        assert float(t) == rho_hts
-    # superconducting limit: transport direction loses all resistance,
-    # across-stack penalty stays
-    t0 = coil_resistivity_tensor(0.0, frame, FormulationVariant.FCM_H_PHI)
-    assert np.allclose(t0, np.diag([1e-3, 0.0]))

@@ -222,20 +222,6 @@ def test_region_names():
     assert names == {"TURN_0", "TURN_1"}
 
 
-def test_local_frame():
-    mesh = small_mesh(n_turns=20, n_alpha=5, n_beta=31)
-    frame = mesh.local_frame(mesh.coil_cells[0])
-    assert frame.alpha_dir == (1.0, 0.0)
-    assert frame.beta_dir == (0.0, 1.0)
-    assert frame.alpha_coord == pytest.approx(0.1)  # center of the first of 5 columns
-    # middle column of five is centered
-    mid = mesh.coil_cells[mesh.alpha_index[mesh.coil_cells] == 2][0]
-    assert mesh.local_frame(mid).alpha_coord == pytest.approx(0.5)
-    air = np.setdiff1d(np.arange(mesh.n_cells), mesh.coil_cells)[0]
-    with pytest.raises(ValueError, match="not in the winding"):
-        mesh.local_frame(air)
-
-
 def test_symmetry_factor_and_volume():
     mesh = small_mesh(n_turns=2, n_alpha=4, n_beta=8)
     assert mesh.symmetry_factor == 2.0

@@ -11,13 +11,10 @@ from hypothesis import strategies as st
 from foilwind.postprocess import (
     LossSeries,
     count_loss_peaks,
-    instantaneous_losses,
     mean_losses,
     r_squared,
     read_trace_csv,
     rel_err_mean,
-    slice_current,
-    slice_currents,
     turns_per_slice,
     write_slice_csv,
     write_sweep_csv,
@@ -25,7 +22,7 @@ from foilwind.postprocess import (
 )
 from foilwind.variants import FormulationVariant
 
-from helpers import pancake_materials, small_layout
+from helpers import pancake_materials, small_context, small_layout
 
 F = 50.0
 T = 1.0 / F
@@ -155,47 +152,41 @@ def test_score_invariant_under_scaling_and_time_shift(scale, shift):
 def test_uniform_critical_current_density_loss():
     """A winding carrying j = jc_eng everywhere dissipates e_c*jc_eng per unit
     volume; for the 20-turn pancake that is 3.92071e-2 W."""
-    mesh, layout = small_layout(FormulationVariant.FCM_H_FULL, n_turns=20, n_alpha=5, n_beta=8)
     mats = pancake_materials()
+    ctx = small_context(
+        FormulationVariant.FCM_H_FULL, materials=mats, n_turns=20, n_alpha=5, n_beta=8
+    )
+    mesh, layout = ctx.mesh, ctx.layout
     jc_eng = mats.jc_engineering()
     g = mesh.geom
+    # the edge of each edge unknown: the edge block is made of unit columns
+    blk = layout.blocks["edge"]
+    edges = layout.basis[:, blk].tocsc().indices
+    dof_of = dict(zip(edges.tolist(), range(blk.start, blk.stop)))
     # h_z ramp: H = jc_eng * (r_out - clip(r)) on vertical edges makes every
     # winding cell carry exactly jc_eng and every air column zero net current
-    u = np.zeros(layout.n_field_dofs)
+    w = np.zeros(layout.n_dofs)
     for ir in range(mesh.n_r):
         r = mesh.r_lines[ir]
         h = jc_eng * (g.outer_radius - min(max(r, g.inner_radius), g.outer_radius))
         for iz in range(mesh.n_z - 1):
-            dof = layout.edge_dof_of.get(int(mesh.vedge_id(ir, iz)), -1)
+            dof = dof_of.get(int(mesh.vedge_id(ir, iz)), -1)
             if dof >= 0:
-                u[dof] = h * (mesh.z_lines[iz + 1] - mesh.z_lines[iz])
-    x = layout.curl_basis @ u
-    assert np.allclose(
-        x[mesh.coil_cells] / mesh.area[mesh.coil_cells], jc_eng, rtol=1e-9
-    )
-    p = instantaneous_losses(u, mesh, layout, mats)
+                w[dof] = h * (mesh.z_lines[iz + 1] - mesh.z_lines[iz])
+    assert np.allclose(ctx.cell_currents(w), jc_eng, rtol=1e-9)
+    # constant jc: the lagging state does not matter
+    p = mesh.symmetry_factor * ctx.dissipation(w, w)
     expect = mats.e_c * jc_eng * np.pi * (g.outer_radius**2 - g.inner_radius**2) * g.cc_width
     assert p == pytest.approx(expect, rel=1e-9)
     assert p == pytest.approx(3.92071e-2, rel=1e-4)
 
 
-def test_instantaneous_losses_variant_guard():
-    mesh, layout = small_layout(FormulationVariant.FCM_H_PHI, n_turns=2)
-    with pytest.raises(ValueError, match="variant"):
-        instantaneous_losses(
-            np.zeros(layout.n_dofs), mesh, layout, pancake_materials(),
-            variant=FormulationVariant.REF_H_PHI,
-        )
-
-
 def test_slice_helpers():
-    mesh, layout = small_layout(FormulationVariant.FCM_H_PHI, n_turns=20, n_alpha=5, n_beta=8)
-    assert turns_per_slice(mesh, layout) == pytest.approx(4.0)
-    u = np.zeros(layout.n_dofs)
-    assert slice_currents(u, mesh, layout).shape == (5,)
-    assert slice_current(u, mesh, layout, 0) == 0.0
-    with pytest.raises(ValueError, match="out of range"):
-        slice_current(u, mesh, layout, 5)
+    ctx = small_context(FormulationVariant.FCM_H_PHI, n_turns=20, n_alpha=5, n_beta=8)
+    assert turns_per_slice(ctx.mesh, ctx.layout) == pytest.approx(4.0)
+    slices = ctx.slice_currents(np.zeros(ctx.layout.n_dofs))
+    assert slices.shape == (5,)
+    assert np.all(slices == 0.0)
     mesh_r, layout_r = small_layout(FormulationVariant.REF_H_PHI, n_turns=2)
     assert turns_per_slice(mesh_r, layout_r) == 1.0
 

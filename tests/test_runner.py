@@ -1,12 +1,13 @@
 """Run orchestration: artifact layout, reload, comparison, sweeps."""
 
 import json
+import re
 import shutil
 
 import numpy as np
 import pytest
 
-from foilwind.config import ConfigError, parse_config_text, serialize_config
+from foilwind.config import PRESET_VERSION, ConfigError, parse_config_text, serialize_config
 from foilwind.runner import compare_runs, execute_run, load_run, run_sweep
 from foilwind.variants import FormulationVariant
 
@@ -45,7 +46,7 @@ def test_summary_contents(run_pair):
     _, trace, summary = run_pair[FormulationVariant.FCM_T_OMEGA]
     assert summary["variant"] == "fcm-t-omega"
     assert summary["preset"] is None
-    assert summary["preset_version"] == 1
+    assert summary["preset_version"] == PRESET_VERSION
     assert summary["n_turns"] == 2
     assert summary["accepted_steps"] == len(trace.times) - 1
     assert summary["linsys_count"] == trace.linsys_count
@@ -135,3 +136,19 @@ def test_sweep_rejects_empty_values(tmp_path):
     cfg = _fast(FormulationVariant.FCM_T_OMEGA)
     with pytest.raises(ConfigError, match="non-empty"):
         run_sweep(cfg, "n_alpha", [], tmp_path / "sweep")
+
+
+@pytest.mark.parametrize(
+    "variant, parameter, values, clash",
+    [
+        (FormulationVariant.FCM_T_OMEGA, "n_alpha", [4.0, 4.0, 10.0], "n_alpha_4"),
+        # equal to the six significant digits of the directory name
+        (FormulationVariant.FCM_T_OMEGA, "n_turns", [1234567.0, 1234568.0], "n_turns_1.23457e+06"),
+        (FormulationVariant.FCM_H_FULL, "rho0", [1e-3, 1.0000001e-3], "rho0_0.001"),
+    ],
+)
+def test_sweep_rejects_values_sharing_a_run_directory(tmp_path, variant, parameter, values, clash):
+    with pytest.raises(ConfigError, match=re.escape(clash)):
+        run_sweep(_fast(variant), parameter, values, tmp_path / "sweep")
+    # refused before any run started
+    assert not (tmp_path / "sweep").exists()

@@ -6,7 +6,7 @@ import pytest
 from foilwind.variants import FormulationVariant
 from foilwind.vtk_io import snapshot_fields, write_vtk
 
-from helpers import pancake_materials, small_layout, small_mesh
+from helpers import small_context, small_mesh
 
 
 def _write(tmp_path, mesh, data, **kw):
@@ -72,18 +72,19 @@ def test_wrong_field_length_rejected(tmp_path):
 
 
 def test_snapshot_fields_zero_state():
-    mesh, layout = small_layout(FormulationVariant.FCM_H_PHI, n_turns=2)
-    fields = snapshot_fields(np.zeros(layout.n_dofs), mesh, layout, pancake_materials())
+    ctx = small_context(FormulationVariant.FCM_H_PHI, n_turns=2)
+    fields = snapshot_fields(ctx, np.zeros(ctx.layout.n_dofs))
     assert set(fields) == {"j_norm", "b_mag"}
     assert np.all(fields["j_norm"] == 0.0)
     assert np.all(fields["b_mag"] == 0.0)
 
 
 def test_snapshot_fields_confine_current_to_winding():
-    mesh, layout = small_layout(FormulationVariant.FCM_H_PHI, n_turns=2)
+    ctx = small_context(FormulationVariant.FCM_H_PHI, n_turns=2)
+    mesh = ctx.mesh
     rng = np.random.default_rng(23)
-    u = rng.standard_normal(layout.n_dofs)
-    fields = snapshot_fields(u, mesh, layout, pancake_materials())
+    u = rng.standard_normal(ctx.layout.n_dofs)
+    fields = snapshot_fields(ctx, u)
     air = np.setdiff1d(np.arange(mesh.n_cells), mesh.coil_cells)
     assert np.all(fields["j_norm"][air] == 0.0)
     assert np.all(fields["b_mag"] >= 0.0)

@@ -13,7 +13,8 @@ import os
 import sys
 from pathlib import Path
 
-from .config import ConfigError, PRESETS, RunConfig, config_from_preset, load_config
+from .config import ConfigError, PRESETS, SWEEP_PARAMETERS, RunConfig
+from .config import config_from_preset, load_config
 from .runner import build_mesh, compare_runs, execute_run, run_sweep
 from .solver import NonConvergenceError, SingularMatrixError
 from .spaces import build_dof_layout
@@ -141,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--param",
         required=True,
-        choices=["n_turns", "n_alpha", "voltage_order", "rho0"],
+        choices=SWEEP_PARAMETERS,
     )
     p_sweep.add_argument(
         "--values", required=True, help="comma-separated list, last value is the reference"

@@ -8,7 +8,9 @@ starts a comment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import defaultdict
+from dataclasses import MISSING, dataclass, fields, replace
+from enum import Enum
 from pathlib import Path
 
 from .materials import JcConstant, JcKim, MaterialParams
@@ -17,7 +19,9 @@ from .formulations import Excitation
 from .solver import SolverConfig
 from .variants import FormulationVariant, parse_variant
 
-PRESET_VERSION = 2
+PRESET_VERSION = 3
+
+SWEEP_PARAMETERS = ("n_turns", "n_alpha", "voltage_order", "rho0")
 
 
 class ConfigError(ValueError):
@@ -37,75 +41,95 @@ class MeshConfig:
             raise ValueError("grading ratio must be >= 1")
 
 
-@dataclass
+@dataclass(kw_only=True)
 class RunConfig:
     geometry: CoilGeometry
     mesh: MeshConfig
     materials: MaterialParams
     variant: FormulationVariant
-    voltage_order: int
+    voltage_order: int = 3
     excitation: Excitation
     solver: SolverConfig
     output_dir: str = "out"
 
-
-def _to_int(raw: str) -> int:
-    return int(raw)
-
-
-def _to_float(raw: str) -> float:
-    return float(raw)
+    def __post_init__(self) -> None:
+        if self.voltage_order < 0:
+            raise ValueError("formulation.voltage_order must be >= 0")
 
 
-def _to_bool(raw: str) -> bool:
-    if raw == "true":
-        return True
-    if raw == "false":
-        return False
-    raise ValueError(f"expected true or false, got {raw!r}")
+_JC_MODELS = {"constant": JcConstant, "kim": JcKim}
 
 
-def _to_str(raw: str) -> str:
-    return raw
+def _jc_model_class(raw: str) -> type:
+    try:
+        return _JC_MODELS[raw]
+    except KeyError:
+        raise ValueError(f"must be {' or '.join(_JC_MODELS)}, got {raw!r}") from None
 
 
-# (section, key) -> (converter, required, default)
-_SCHEMA: dict[tuple[str, str], tuple] = {
-    ("geometry", "inner_radius"): (_to_float, True, None),
-    ("geometry", "n_turns"): (_to_int, True, None),
-    ("geometry", "cc_thickness"): (_to_float, True, None),
-    ("geometry", "cc_width"): (_to_float, True, None),
-    ("geometry", "homogenized"): (_to_bool, False, False),
-    ("geometry", "air_radius_factor"): (_to_float, False, 5.0),
-    ("mesh", "n_alpha"): (_to_int, True, None),
-    ("mesh", "n_beta"): (_to_int, True, None),
-    ("mesh", "grading"): (_to_float, False, 1.3),
-    ("materials", "e_c"): (_to_float, False, 1e-4),
-    ("materials", "n_exponent"): (_to_float, False, 25.0),
-    ("materials", "lambda_fill"): (_to_float, False, 0.01),
-    ("materials", "jc_model"): (_to_str, False, "constant"),
-    ("materials", "jc0"): (_to_float, False, 1e10),
-    ("materials", "kim_b0"): (_to_float, False, None),
-    ("materials", "rho_spurious_air"): (_to_float, False, 1e-3),
-    ("formulation", "variant"): (_to_str, True, None),
-    ("formulation", "voltage_order"): (_to_int, False, 3),
-    ("excitation", "amplitude"): (_to_float, True, None),
-    ("excitation", "frequency"): (_to_float, True, None),
-    ("solver", "newton_tol_rel"): (_to_float, False, SolverConfig.newton_tol_rel),
-    ("solver", "newton_tol_abs"): (_to_float, False, SolverConfig.newton_tol_abs),
-    ("solver", "max_newton_iters"): (_to_int, False, SolverConfig.max_newton_iters),
-    ("solver", "dt_init"): (_to_float, False, SolverConfig.dt_init),
-    ("solver", "dt_min"): (_to_float, False, SolverConfig.dt_min),
-    ("solver", "dt_max"): (_to_float, False, SolverConfig.dt_max),
-    ("solver", "periods"): (_to_float, False, SolverConfig.periods),
-    ("solver", "damping"): (_to_float, False, SolverConfig.damping),
-    ("output", "directory"): (_to_str, False, "out"),
+# Every key of the file format, in file order: [section] -> (owner dataclass,
+# {key: converter}). A key sets the owner's field of the same name, or the
+# field _FIELDS names. The owner's default for that field is the key's
+# default, and a field without a default makes the key required.
+_SECTIONS = {
+    "geometry": (CoilGeometry, {
+        "inner_radius": float,
+        "n_turns": int,
+        "cc_thickness": float,
+        "cc_width": float,
+        "air_radius_factor": float,
+    }),
+    "mesh": (MeshConfig, {
+        "n_alpha": int,
+        "n_beta": int,
+        "grading": float,
+    }),
+    "materials": (MaterialParams, {
+        "e_c": float,
+        "n_exponent": float,
+        "lambda_fill": float,
+        "jc_model": _jc_model_class,
+        "jc0": float,
+        "kim_b0": float,
+        "rho_spurious_air": float,
+    }),
+    "formulation": (RunConfig, {
+        "variant": parse_variant,
+        "voltage_order": int,
+    }),
+    "excitation": (Excitation, {
+        "amplitude": float,
+        "frequency": float,
+    }),
+    "solver": (SolverConfig, {
+        "newton_tol_rel": float,
+        "newton_tol_abs": float,
+        "max_newton_iters": int,
+        "dt_init": float,
+        "dt_min": float,
+        "dt_max": float,
+        "periods": float,
+        "damping": float,
+    }),
+    "output": (RunConfig, {
+        "directory": str,
+    }),
 }
-_SECTIONS = {section for section, _ in _SCHEMA}
+# keys stored under another field name; owner "jc" is the critical current
+# density model that materials.jc_model selects
+_FIELDS = {"jc0": ("jc", "j_c0"), "kim_b0": ("jc", "b_0"), "directory": (RunConfig, "output_dir")}
+
+
+def _keys():
+    """(section, key, owner, field) of every key, in file order."""
+    for section, (owner, keys) in _SECTIONS.items():
+        for key in keys:
+            yield (section, key, *_FIELDS.get(key, (owner, key)))
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
-    entries: dict[tuple[str, str], tuple[str, int]] = {}
+    targets = {(section, key): (owner, name) for section, key, owner, name in _keys()}
+    kwargs: dict[object, dict[str, object]] = defaultdict(dict)  # owner -> field -> value
     section: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -122,103 +146,40 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
             raise ConfigError(f"{source}:{lineno}: key outside any [section]")
         key, _, value = line.partition("=")
         key = key.strip()
-        if (section, key) not in _SCHEMA:
+        if (section, key) not in targets:
             raise ConfigError(f"{source}:{lineno}: unknown key {section}.{key}")
-        if (section, key) in entries:
+        owner, name = targets[section, key]
+        if name in kwargs[owner]:
             raise ConfigError(f"{source}:{lineno}: duplicate key {section}.{key}")
-        entries[(section, key)] = (value.strip(), lineno)
+        try:
+            kwargs[owner][name] = _SECTIONS[section][1][key](value.strip())
+        except ValueError as exc:
+            raise ConfigError(f"{source}:{lineno}: bad value for {section}.{key}: {exc}") from exc
 
-    values: dict[tuple[str, str], object] = {}
-    for (section, key), (conv, required, default) in _SCHEMA.items():
-        if (section, key) in entries:
-            raw, lineno = entries[(section, key)]
-            try:
-                values[(section, key)] = conv(raw)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"{source}:{lineno}: bad value for {section}.{key}: {exc}"
-                ) from exc
-        elif required:
-            raise ConfigError(f"{source}: missing required key {section}.{key}")
-        else:
-            values[(section, key)] = default
-
-    def v(section: str, key: str):
-        return values[(section, key)]
+    default_jc = MaterialParams().jc_model
+    jc_class = kwargs[MaterialParams].pop("jc_model", type(default_jc))
+    # jc0 defaults to the default model's, whichever model is selected
+    kwargs["jc"] = {"j_c0": default_jc.j_c0, **kwargs["jc"]}
+    for section, key, owner, name in _keys():
+        field = {f.name: f for f in fields(jc_class if owner == "jc" else owner)}.get(name)
+        if field is None and name in kwargs[owner]:
+            raise ConfigError(f"{source}: {section}.{key} does not apply to this jc_model")
+        if field is not None and name not in kwargs[owner]:
+            if field.default is MISSING and field.default_factory is MISSING:
+                raise ConfigError(f"{source}: missing required key {section}.{key}")
 
     try:
-        geometry = CoilGeometry(
-            inner_radius=v("geometry", "inner_radius"),
-            n_turns=v("geometry", "n_turns"),
-            cc_thickness=v("geometry", "cc_thickness"),
-            cc_width=v("geometry", "cc_width"),
-            air_radius_factor=v("geometry", "air_radius_factor"),
-            homogenized=v("geometry", "homogenized"),
+        run = kwargs[RunConfig]
+        return RunConfig(
+            geometry=CoilGeometry(**kwargs[CoilGeometry], homogenized=run["variant"].is_fcm),
+            mesh=MeshConfig(**kwargs[MeshConfig]),
+            materials=MaterialParams(jc_model=jc_class(**kwargs["jc"]), **kwargs[MaterialParams]),
+            excitation=Excitation(**kwargs[Excitation]),
+            solver=SolverConfig(**kwargs[SolverConfig]),
+            **run,
         )
-        mesh = MeshConfig(
-            n_alpha=v("mesh", "n_alpha"),
-            n_beta=v("mesh", "n_beta"),
-            grading=v("mesh", "grading"),
-        )
-        jc_kind = v("materials", "jc_model")
-        if jc_kind == "constant":
-            jc_model = JcConstant(v("materials", "jc0"))
-        elif jc_kind == "kim":
-            if v("materials", "kim_b0") is None:
-                raise ConfigError(f"{source}: missing required key materials.kim_b0")
-            jc_model = JcKim(v("materials", "jc0"), v("materials", "kim_b0"))
-        else:
-            raise ConfigError(
-                f"{source}: materials.jc_model must be constant or kim, got {jc_kind!r}"
-            )
-        materials = MaterialParams(
-            e_c=v("materials", "e_c"),
-            n_exponent=v("materials", "n_exponent"),
-            lambda_fill=v("materials", "lambda_fill"),
-            rho_spurious_air=v("materials", "rho_spurious_air"),
-            jc_model=jc_model,
-        )
-        variant = parse_variant(v("formulation", "variant"))
-        excitation = Excitation(
-            amplitude=v("excitation", "amplitude"),
-            frequency=v("excitation", "frequency"),
-        )
-        solver = SolverConfig(
-            newton_tol_rel=v("solver", "newton_tol_rel"),
-            newton_tol_abs=v("solver", "newton_tol_abs"),
-            max_newton_iters=v("solver", "max_newton_iters"),
-            dt_init=v("solver", "dt_init"),
-            dt_min=v("solver", "dt_min"),
-            dt_max=v("solver", "dt_max"),
-            periods=v("solver", "periods"),
-            damping=v("solver", "damping"),
-        )
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"{source}: {exc}") from exc
-
-    cfg = RunConfig(
-        geometry=geometry,
-        mesh=mesh,
-        materials=materials,
-        variant=variant,
-        voltage_order=v("formulation", "voltage_order"),
-        excitation=excitation,
-        solver=solver,
-        output_dir=v("output", "directory"),
-    )
-    _validate_cross(cfg, source)
-    return cfg
-
-
-def _validate_cross(cfg: RunConfig, source: str) -> None:
-    if cfg.variant is FormulationVariant.REF_H_PHI and cfg.geometry.homogenized:
-        raise ConfigError(
-            f"{source}: the detailed reference needs geometry.homogenized = false"
-        )
-    if cfg.voltage_order < 0:
-        raise ConfigError(f"{source}: formulation.voltage_order must be >= 0")
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -230,107 +191,61 @@ def load_config(path: str | Path) -> RunConfig:
     return parse_config_text(text, source=str(path))
 
 
+def _text(value) -> str:
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, (JcConstant, JcKim)):
+        return next(name for name, cls in _JC_MODELS.items() if type(value) is cls)
+    return value if isinstance(value, str) else repr(value)
+
+
 def serialize_config(cfg: RunConfig) -> str:
     """Full config text; parsing it back yields an equal RunConfig."""
-    jc = cfg.materials.jc_model
-    if isinstance(jc, JcKim):
-        jc_lines = [f"jc_model = kim", f"jc0 = {jc.j_c0!r}", f"kim_b0 = {jc.b_0!r}"]
-    else:
-        jc_lines = [f"jc_model = constant", f"jc0 = {jc.j_c0!r}"]
-    lines = [
-        "[geometry]",
-        f"inner_radius = {cfg.geometry.inner_radius!r}",
-        f"n_turns = {cfg.geometry.n_turns}",
-        f"cc_thickness = {cfg.geometry.cc_thickness!r}",
-        f"cc_width = {cfg.geometry.cc_width!r}",
-        f"homogenized = {'true' if cfg.geometry.homogenized else 'false'}",
-        f"air_radius_factor = {cfg.geometry.air_radius_factor!r}",
-        "",
-        "[mesh]",
-        f"n_alpha = {cfg.mesh.n_alpha}",
-        f"n_beta = {cfg.mesh.n_beta}",
-        f"grading = {cfg.mesh.grading!r}",
-        "",
-        "[materials]",
-        f"e_c = {cfg.materials.e_c!r}",
-        f"n_exponent = {cfg.materials.n_exponent!r}",
-        f"lambda_fill = {cfg.materials.lambda_fill!r}",
-        *jc_lines,
-        f"rho_spurious_air = {cfg.materials.rho_spurious_air!r}",
-        "",
-        "[formulation]",
-        f"variant = {cfg.variant.value}",
-        f"voltage_order = {cfg.voltage_order}",
-        "",
-        "[excitation]",
-        f"amplitude = {cfg.excitation.amplitude!r}",
-        f"frequency = {cfg.excitation.frequency!r}",
-        "",
-        "[solver]",
-        f"newton_tol_rel = {cfg.solver.newton_tol_rel!r}",
-        f"newton_tol_abs = {cfg.solver.newton_tol_abs!r}",
-        f"max_newton_iters = {cfg.solver.max_newton_iters}",
-        f"dt_init = {cfg.solver.dt_init!r}",
-        f"dt_min = {cfg.solver.dt_min!r}",
-        f"dt_max = {cfg.solver.dt_max!r}",
-        f"periods = {cfg.solver.periods!r}",
-        f"damping = {cfg.solver.damping!r}",
-        "",
-        "[output]",
-        f"directory = {cfg.output_dir}",
-    ]
-    return "\n".join(lines) + "\n"
+    parts = (cfg, cfg.geometry, cfg.mesh, cfg.materials, cfg.excitation, cfg.solver)
+    objects = {type(part): part for part in parts} | {"jc": cfg.materials.jc_model}
+    lines: list[str] = []
+    for section, key, owner, name in _keys():
+        if f"[{section}]" not in lines:
+            lines += ["", f"[{section}]"]
+        obj = objects[owner]
+        if hasattr(obj, name):
+            lines.append(f"{key} = {_text(getattr(obj, name))}")
+    return "\n".join(lines[1:]) + "\n"
 
 
-def _pancake_geometry(homogenized: bool) -> CoilGeometry:
-    return CoilGeometry(
-        inner_radius=25e-3,
-        n_turns=20,
-        cc_thickness=1e-4,
-        cc_width=12e-3,
-        air_radius_factor=5.0,
-        homogenized=homogenized,
-    )
-
-
-def _pancake_materials() -> MaterialParams:
-    return MaterialParams(
-        e_c=1e-4,
-        n_exponent=25.0,
-        lambda_fill=0.01,
-        rho_spurious_air=1e-3,
-        jc_model=JcConstant(1e10),
-    )
-
-
-def _pancake_base(variant: FormulationVariant, n_alpha: int, n_beta: int) -> RunConfig:
+def _pancake(variant: FormulationVariant, n_alpha: int, n_beta: int) -> RunConfig:
+    """20-turn pancake driven at 96 A (80 % of the 120 A tape) and 50 Hz."""
     return RunConfig(
-        geometry=_pancake_geometry(homogenized=variant.is_fcm),
-        mesh=MeshConfig(n_alpha=n_alpha, n_beta=n_beta, grading=1.3),
-        materials=_pancake_materials(),
+        geometry=CoilGeometry(
+            inner_radius=25e-3,
+            n_turns=20,
+            cc_thickness=1e-4,
+            cc_width=12e-3,
+            homogenized=variant.is_fcm,
+        ),
+        mesh=MeshConfig(n_alpha=n_alpha, n_beta=n_beta),
+        materials=MaterialParams(),
         variant=variant,
-        voltage_order=3,
         excitation=Excitation(amplitude=96.0, frequency=50.0),
         solver=SolverConfig(),
-        output_dir="out",
     )
 
 
 def preset_pancake2d_ref() -> RunConfig:
     """Detailed 20-turn pancake, per-turn reference formulation."""
-    return _pancake_base(FormulationVariant.REF_H_PHI, n_alpha=40, n_beta=48)
+    return _pancake(FormulationVariant.REF_H_PHI, n_alpha=40, n_beta=48)
 
 
 def preset_pancake2d_fcm_hphi() -> RunConfig:
-    return _pancake_base(FormulationVariant.FCM_H_PHI, n_alpha=5, n_beta=31)
+    return _pancake(FormulationVariant.FCM_H_PHI, n_alpha=5, n_beta=31)
 
 
 def preset_pancake2d_fcm_hfull() -> RunConfig:
-    return _pancake_base(FormulationVariant.FCM_H_FULL, n_alpha=5, n_beta=31)
+    return _pancake(FormulationVariant.FCM_H_FULL, n_alpha=5, n_beta=31)
 
 
 def preset_pancake2d_fcm_tw() -> RunConfig:
-    return _pancake_base(FormulationVariant.FCM_T_OMEGA, n_alpha=5, n_beta=31)
+    return _pancake(FormulationVariant.FCM_T_OMEGA, n_alpha=5, n_beta=31)
 
 
 PRESETS = {
@@ -352,12 +267,22 @@ def config_from_preset(name: str) -> RunConfig:
 
 
 def apply_sweep_value(cfg: RunConfig, parameter: str, value: float) -> RunConfig:
-    """One sweep point: a copy of ``cfg`` with ``parameter`` set to ``value``."""
+    """One sweep point: a copy of ``cfg`` with ``parameter`` set to ``value``.
+
+    A parameter that the variant of ``cfg`` ignores is rejected, since the
+    sweep would run the same simulation at every value.
+    """
     if parameter == "n_turns":
         return replace(cfg, geometry=replace(cfg.geometry, n_turns=int(value)))
     if parameter == "n_alpha":
         return replace(cfg, mesh=replace(cfg.mesh, n_alpha=int(value)))
     if parameter == "voltage_order":
+        if not cfg.variant.is_fcm:
+            raise ConfigError(
+                f"voltage_order sets the voltage modes across a homogenized winding, "
+                f"which {cfg.variant.value} does not have; a {cfg.variant.value} sweep "
+                "would run the same simulation at every value"
+            )
         return replace(cfg, voltage_order=int(value))
     if parameter == "rho0":
         if cfg.variant is not FormulationVariant.FCM_H_FULL:
@@ -368,6 +293,5 @@ def apply_sweep_value(cfg: RunConfig, parameter: str, value: float) -> RunConfig
             )
         return replace(cfg, materials=replace(cfg.materials, rho_spurious_air=float(value)))
     raise ConfigError(
-        f"unknown sweep parameter {parameter!r}; "
-        "choose from n_turns, n_alpha, voltage_order, rho0"
+        f"unknown sweep parameter {parameter!r}; choose from {', '.join(SWEEP_PARAMETERS)}"
     )

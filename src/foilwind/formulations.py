@@ -59,10 +59,9 @@ class Excitation:
 class AssembledSystem:
     residual: np.ndarray
     jacobian: sp.csc_matrix
-    blocks: dict[str, slice]
     # per-row sum of absolute term magnitudes; dominates |residual| entrywise
     # and provides the natural normalization for the solver's stopping test
-    row_scale: np.ndarray | None = None
+    row_scale: np.ndarray
 
 
 def impose_excitation(layout: DofLayout, excitation: Excitation, t: float) -> np.ndarray:
@@ -125,13 +124,6 @@ class AssemblyContext:
 
         self.coupling = self._build_coupling()
 
-    def block_slices(self) -> dict[str, slice]:
-        """Row blocks of the assembled residual, voltage rows last."""
-        nf = self.layout.n_field_dofs
-        blocks = dict(self.layout.blocks)
-        blocks["voltage"] = slice(nf, nf + self.layout.n_voltage_dofs)
-        return blocks
-
     # -- coupling ------------------------------------------------------------
 
     def _build_coupling(self) -> sp.csr_matrix:
@@ -169,17 +161,17 @@ class AssemblyContext:
         h_z = (x[e[:, 2]] + x[e[:, 3]]) / (2.0 * self.mesh.dz)
         return MU0 * h_r, MU0 * h_z
 
-    def jc_effective(self, w_prev: np.ndarray) -> np.ndarray:
-        """Engineering critical current density per winding cell.
+    def jc_effective(self, w: np.ndarray) -> np.ndarray:
+        """Engineering critical current density per winding cell at the field of ``w``.
 
-        Field-dependent models are evaluated with the flux density of the
-        previous converged step (lagged), which keeps the Newton tangent the
-        plain power-law tangent.
+        Any state may be passed. The solver passes the previous converged
+        state (a lagged jc), which keeps the Newton tangent the plain
+        power-law tangent; the reported |j|/jc figures pass the state itself.
         """
         model = self.materials.jc_model
         if not isinstance(model, JcKim):
             return np.full(self.coil.size, self.materials.jc_engineering())
-        b_r, b_z = self.flux_density(w_prev)
+        b_r, b_z = self.flux_density(w)
         jc = jc_eval(model, b_r[self.coil], b_z[self.coil])
         return self.materials.lambda_fill * jc
 
@@ -253,7 +245,6 @@ class AssemblyContext:
         return AssembledSystem(
             residual=np.concatenate([r_u, r_v]),
             jacobian=jac,
-            blocks=self.block_slices(),
             row_scale=np.concatenate([scale_u, scale_v]),
         )
 

@@ -143,12 +143,12 @@ def _write_snapshots(out, trace, ctx, cfg) -> list[float]:
 
 
 def _max_normalized_j(trace, ctx) -> float:
+    """Largest |j|/jc(b) over the stored states, jc at each state's own field."""
     if trace.states is None:
         return float("nan")
-    jc_eng = ctx.materials.jc_engineering()
     peak = 0.0
     for w in trace.states:
-        peak = max(peak, float(np.max(np.abs(ctx.cell_currents(w)))) / jc_eng)
+        peak = max(peak, float(np.max(np.abs(ctx.cell_currents(w)) / ctx.jc_effective(w))))
     return peak
 
 

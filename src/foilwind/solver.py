@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse.linalg import splu
@@ -80,22 +80,6 @@ class NewtonStats:
         return self.residual_norms[-1] if self.residual_norms else float("nan")
 
 
-@dataclass
-class TransientState:
-    t: float
-    dt: float
-    u: np.ndarray
-    u_prev: np.ndarray
-    newton_stats: NewtonStats | None = None
-    linsys_count: int = 0
-
-    def __post_init__(self) -> None:
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.u.shape != self.u_prev.shape:
-            raise ValueError("u and u_prev layouts differ")
-
-
 class BlockScales:
     """Residual normalization for the two unit families of the system.
 
@@ -110,10 +94,9 @@ class BlockScales:
     trial point cannot loosen the stopping test.
     """
 
-    def __init__(self, blocks: dict[str, slice]):
-        n = max(sl.stop for sl in blocks.values())
-        voltage = blocks.get("voltage", slice(n, n))
-        self.slices = [sl for sl in (slice(0, voltage.start), voltage) if sl.stop > sl.start]
+    def __init__(self, n_field: int):
+        # field rows come first, current-constraint (voltage) rows after them
+        self.slices = (slice(0, n_field), slice(n_field, None))
         self.scale = np.zeros(len(self.slices))
 
     def absorb(self, row_scale: np.ndarray) -> None:
@@ -136,7 +119,7 @@ def newton_solve(
     system_fn,
     u0: np.ndarray,
     config: SolverConfig,
-    scales: BlockScales | None = None,
+    scales: BlockScales,
 ) -> tuple[np.ndarray, NewtonStats]:
     """Damped Newton on ``system_fn``'s residual, starting at ``u0``.
 
@@ -148,8 +131,6 @@ def newton_solve(
     stats = NewtonStats()
     u = np.asarray(u0, dtype=float).copy()
     system = system_fn(u)
-    if scales is None:
-        scales = BlockScales(system.blocks)
     scales.absorb(system.row_scale)
     r_norm = scales.norm(system.residual)
     stats.residual_norms.append(r_norm)
@@ -194,33 +175,35 @@ def newton_solve(
 
 
 def step(
-    state: TransientState,
     formulation: AssemblyContext,
+    w: np.ndarray,
+    t: float,
+    dt: float,
     excitation: Excitation,
     config: SolverConfig,
-    scales: BlockScales | None = None,
-) -> TransientState:
-    """Advance one backward-Euler step with adaptive dt.
+    scales: BlockScales,
+) -> tuple[np.ndarray, float, NewtonStats, int]:
+    """One backward-Euler step from state ``w`` at time ``t``.
 
-    Halves dt (not below dt_min) on Newton failure; grows it by 1.2 after
-    fast convergence. Linear solves of rejected attempts still count.
+    Halves dt (not below dt_min) on Newton failure until an attempt
+    converges. Returns the new state, the dt taken, its Newton stats and the
+    linear solves of all attempts, rejected ones included.
     """
-    dt = state.dt
-    linsys = state.linsys_count
+    solves = 0
     while True:
-        t_new = state.t + dt
+        t_new = t + dt
 
         def system_fn(u, _t=t_new, _dt=dt):
-            return formulation.assemble(u, state.u, _dt, _t, excitation)
+            return formulation.assemble(u, w, _dt, _t, excitation)
 
         try:
-            u_new, stats = newton_solve(system_fn, state.u, config, scales)
+            w_new, stats = newton_solve(system_fn, w, config, scales)
         except NonConvergenceError as exc:
             if exc.stats is not None:
-                linsys += exc.stats.iterations
+                solves += exc.stats.iterations
             if dt <= config.dt_min * (1 + 1e-12):
                 raise NonConvergenceError(
-                    f"dt underflow at t={state.t:.6e}: already at dt_min="
+                    f"dt underflow at t={t:.6e}: already at dt_min="
                     f"{config.dt_min:.3e}; residual history "
                     f"{[f'{r:.3e}' for r in (exc.stats.residual_norms if exc.stats else [])]}",
                     exc.stats,
@@ -228,19 +211,7 @@ def step(
             dt = max(0.5 * dt, config.dt_min)
             log.info("newton failed at t=%.6e, retrying with dt=%.3e", t_new, dt)
             continue
-
-        linsys += stats.iterations
-        dt_next = dt
-        if stats.iterations <= FAST_STEP_ITERS:
-            dt_next = min(dt * DT_GROWTH, config.dt_max)
-        return TransientState(
-            t=t_new,
-            dt=dt_next,
-            u=u_new,
-            u_prev=state.u,
-            newton_stats=stats,
-            linsys_count=linsys,
-        )
+        return w_new, dt, stats, solves + stats.iterations
 
 
 @dataclass
@@ -276,56 +247,58 @@ def run_transient(
     t_end = config.periods * excitation.period
     t0 = time.perf_counter()
 
-    u = np.zeros(layout.n_dofs)
-    state = TransientState(t=0.0, dt=config.dt_init, u=u, u_prev=u.copy())
-    scales = BlockScales(formulation.block_slices())
+    w = np.zeros(layout.n_dofs)
+    t = 0.0
+    scales = BlockScales(layout.n_field_dofs)
 
     times = [0.0]
     p = [0.0]
     i_target = [excitation.current(0.0)]
-    slices = [formulation.slice_currents(u)]
+    slices = [formulation.slice_currents(w)]
     iters = [0]
     dts = [config.dt_init]
-    states = [u.copy()] if store_states else None
-    n_steps = 0
+    states = [w.copy()] if store_states else None
+    linsys = 0
+    # dt control: grow by DT_GROWTH after a step of at most FAST_STEP_ITERS
+    # Newton iterations, up to dt_max; after a halving, restart from the dt
+    # that converged. The landing clip on t_end does not touch the controller.
     dt_ctrl = config.dt_init
 
-    while state.t < t_end * (1.0 - 1e-12):
-        t_prev = state.t
-        expected = min(dt_ctrl, t_end - t_prev)
-        state = step(replace(state, dt=expected), formulation, excitation, config, scales)
-        applied = state.t - t_prev
-        if applied >= expected * (1.0 - 1e-12):
-            # landing clip only; grow the controller, not the clipped value
-            if state.newton_stats.iterations <= FAST_STEP_ITERS:
-                dt_ctrl = min(dt_ctrl * DT_GROWTH, config.dt_max)
-        else:
-            dt_ctrl = state.dt  # step halved dt; adopt its recovery value
-        state.dt = dt_ctrl
-        n_steps += 1
+    while t < t_end * (1.0 - 1e-12):
+        dt = min(dt_ctrl, t_end - t)
+        w_new, dt_taken, stats, solves = step(
+            formulation, w, t, dt, excitation, config, scales
+        )
+        linsys += solves
+        if dt_taken < dt:
+            dt_ctrl = dt_taken
+        if stats.iterations <= FAST_STEP_ITERS:
+            dt_ctrl = min(dt_ctrl * DT_GROWTH, config.dt_max)
+        t_new = t + dt_taken
 
-        times.append(state.t)
-        p.append(formulation.mesh.symmetry_factor * formulation.dissipation(state.u, state.u_prev))
-        i_target.append(excitation.current(state.t))
-        slices.append(formulation.slice_currents(state.u))
-        iters.append(state.newton_stats.iterations)
-        dts.append(applied)
+        times.append(t_new)
+        p.append(formulation.mesh.symmetry_factor * formulation.dissipation(w_new, w))
+        i_target.append(excitation.current(t_new))
+        slices.append(formulation.slice_currents(w_new))
+        iters.append(stats.iterations)
+        dts.append(t_new - t)
         if store_states:
-            states.append(state.u.copy())
+            states.append(w_new.copy())
         log.info(
             "step %d: t=%.6e dt=%.3e newton=%d residual=%.3e",
-            n_steps,
-            state.t,
-            applied,
-            state.newton_stats.iterations,
-            state.newton_stats.final_residual,
+            len(times) - 1,
+            t_new,
+            t_new - t,
+            stats.iterations,
+            stats.final_residual,
         )
+        w, t = w_new, t_new
 
     wall = time.perf_counter() - t0
     log.info(
         "run complete: %d steps, %d linear solves, %.2f s wall",
-        n_steps,
-        state.linsys_count,
+        len(times) - 1,
+        linsys,
         wall,
     )
     return SolutionTrace(
@@ -336,7 +309,7 @@ def run_transient(
         newton_iters=np.array(iters),
         dt=np.array(dts),
         states=states,
-        linsys_count=state.linsys_count,
+        linsys_count=linsys,
         wall_time=wall,
         excitation=excitation,
         variant=layout.variant.value,

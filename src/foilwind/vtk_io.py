@@ -45,10 +45,10 @@ def write_vtk(
 def snapshot_fields(ctx, w: np.ndarray) -> dict[str, np.ndarray]:
     """Cell scalars of state ``w`` of the run with AssemblyContext ``ctx``.
 
-    ``j_norm`` is the azimuthal current density over the engineering critical
-    current density (zero outside the winding); ``b_mag`` is |b| from the
-    cell-centre field.
+    ``j_norm`` is |j|/jc(b): the azimuthal current density over the
+    engineering critical current density at the field of ``w`` (zero outside
+    the winding); ``b_mag`` is |b| from the cell-centre field.
     """
     j_norm = np.zeros(ctx.mesh.n_cells)
-    j_norm[ctx.coil] = np.abs(ctx.cell_currents(w)) / ctx.materials.jc_engineering()
+    j_norm[ctx.coil] = np.abs(ctx.cell_currents(w)) / ctx.jc_effective(w)
     return {"j_norm": j_norm, "b_mag": np.hypot(*ctx.flux_density(w))}

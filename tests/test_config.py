@@ -22,7 +22,6 @@ inner_radius = 25e-3
 n_turns = 2
 cc_thickness = 1e-4
 cc_width = 12e-3
-homogenized = true
 
 [mesh]
 n_alpha = 4
@@ -57,18 +56,22 @@ def test_comments_and_blank_lines_ignored():
 
 def test_unknown_section_reports_line():
     text = MINIMAL + "\n[turbo]\nboost = 1\n"
-    with pytest.raises(ConfigError, match=r"cfg:19: unknown section \[turbo\]"):
+    with pytest.raises(ConfigError, match=r"cfg:18: unknown section \[turbo\]"):
         parse_config_text(text, source="cfg")
 
 
 def test_unknown_key_reports_line():
     text = MINIMAL.replace("n_beta = 8", "n_beta = 8\nn_gamma = 3")
-    with pytest.raises(ConfigError, match=r"cfg:11: unknown key mesh.n_gamma"):
+    with pytest.raises(ConfigError, match=r"cfg:10: unknown key mesh.n_gamma"):
         parse_config_text(text, source="cfg")
     # removed in config format version 2
     text = MINIMAL + "\n[materials]\nrho_spurious_alpha = 5e-2\n"
     with pytest.raises(ConfigError, match="unknown key materials.rho_spurious_alpha"):
         parse_config_text(text)
+    # removed in config format version 3: the variant decides it
+    text = MINIMAL.replace("cc_width = 12e-3", "cc_width = 12e-3\nhomogenized = true")
+    with pytest.raises(ConfigError, match="cfg:6: unknown key geometry.homogenized"):
+        parse_config_text(text, source="cfg")
 
 
 def test_duplicate_key_rejected():
@@ -106,9 +109,12 @@ def test_physical_validation_wrapped_as_config_error():
 
 
 def test_reference_variant_rejects_homogenized_geometry():
+    # the variant alone decides whether the winding is one homogenized annulus
     text = MINIMAL.replace("variant = fcm-h-phi", "variant = ref-h-phi")
-    with pytest.raises(ConfigError, match="homogenized"):
-        parse_config_text(text)
+    assert not parse_config_text(text).geometry.homogenized
+    assert parse_config_text(MINIMAL).geometry.homogenized
+    with pytest.raises(ConfigError, match="unknown key geometry.homogenized"):
+        parse_config_text(text + "\n[geometry]\nhomogenized = true\n")
 
 
 def test_kim_model_requires_field_scale():
@@ -192,8 +198,6 @@ def test_variant_aliases():
         ("fcm_t_omega", FormulationVariant.FCM_T_OMEGA),
     ]:
         text = MINIMAL.replace("variant = fcm-h-phi", f"variant = {alias}")
-        if variant is FormulationVariant.REF_H_PHI:
-            text = text.replace("homogenized = true", "homogenized = false")
         assert parse_config_text(text).variant is variant
 
 
@@ -202,6 +206,9 @@ def test_sweep_points():
     assert apply_sweep_value(cfg, "n_turns", 50).geometry.n_turns == 50
     assert apply_sweep_value(cfg, "n_alpha", 10).mesh.n_alpha == 10
     assert apply_sweep_value(cfg, "voltage_order", 1).voltage_order == 1
+    # the reference has no voltage modes across the stack
+    with pytest.raises(ConfigError, match="voltage_order"):
+        apply_sweep_value(small_config(FormulationVariant.REF_H_PHI), "voltage_order", 1)
     hfull = small_config(FormulationVariant.FCM_H_FULL)
     swept = apply_sweep_value(hfull, "rho0", 1e-2)
     assert swept.materials.rho_spurious_air == 1e-2

@@ -80,16 +80,6 @@ def test_row_scale_dominates_residual(variant):
     assert np.all(np.abs(sys.residual) <= sys.row_scale * (1 + 1e-12) + 1e-300)
 
 
-@pytest.mark.parametrize("variant", ALL_VARIANTS)
-def test_block_slices_cover_state_vector(variant):
-    ctx = small_context(variant, n_turns=2)
-    blocks = ctx.block_slices()
-    assert blocks["voltage"].stop == ctx.layout.n_dofs
-    assert blocks["voltage"].start == ctx.layout.n_field_dofs
-    covered = sum(sl.stop - sl.start for sl in blocks.values())
-    assert covered == ctx.layout.n_dofs
-
-
 def test_state_shape_mismatch_rejected():
     ctx = small_context(FormulationVariant.FCM_T_OMEGA, n_turns=2)
     exc = Excitation(amplitude=9.6, frequency=50.0)

@@ -8,10 +8,14 @@ import numpy as np
 import pytest
 
 from foilwind.config import PRESET_VERSION, ConfigError, parse_config_text, serialize_config
-from foilwind.runner import compare_runs, execute_run, load_run, run_sweep
+from foilwind.formulations import AssemblyContext
+from foilwind.materials import JcKim
+from foilwind.runner import build_mesh, compare_runs, execute_run, load_run, run_sweep
+from foilwind.spaces import build_dof_layout
 from foilwind.variants import FormulationVariant
+from foilwind.vtk_io import snapshot_fields
 
-from helpers import small_config
+from helpers import small_config, with_materials
 
 
 def _fast(variant, **kw):
@@ -58,6 +62,20 @@ def test_summary_contents(run_pair):
     assert summary["n_dofs"] == sum(summary["dof_blocks"].values())
     # the drive never pushes far beyond the critical current
     assert 0 < summary["max_j_over_jc_eng"] < 2.0
+
+
+def test_kim_over_jc_figures_use_the_field_dependent_jc(tmp_path):
+    cfg = small_config(FormulationVariant.FCM_T_OMEGA, amplitude=96.0, dt_max=2e-4)
+    cfg = with_materials(cfg, jc_model=JcKim(1e10, 0.02))
+    trace, summary = execute_run(cfg, tmp_path)
+    layout = build_dof_layout(build_mesh(cfg), cfg.variant, cfg.voltage_order)
+    ctx = AssemblyContext(layout, cfg.materials)
+    ratios = [np.abs(ctx.cell_currents(w)) / ctx.jc_effective(w) for w in trace.states]
+    assert summary["max_j_over_jc_eng"] == max(r.max() for r in ratios)
+    assert np.array_equal(snapshot_fields(ctx, trace.states[-1])["j_norm"][ctx.coil], ratios[-1])
+    # jc(b) < jc(0) wherever there is field, so the figure exceeds the zero-field one
+    peak_j = max(np.abs(ctx.cell_currents(w)).max() for w in trace.states)
+    assert summary["max_j_over_jc_eng"] > peak_j / cfg.materials.jc_engineering()
 
 
 def test_config_echo_parses_back(run_pair):

@@ -11,7 +11,6 @@ from foilwind.solver import (
     NonConvergenceError,
     SolutionTrace,
     SolverConfig,
-    TransientState,
     newton_solve,
     run_transient,
     step,
@@ -36,13 +35,6 @@ def test_config_validation():
         SolverConfig(damping=1.0)
     with pytest.raises(ValueError):
         SolverConfig(periods=0.0)
-
-
-def test_transient_state_validation():
-    with pytest.raises(ValueError):
-        TransientState(t=0.0, dt=0.0, u=np.zeros(3), u_prev=np.zeros(3))
-    with pytest.raises(ValueError):
-        TransientState(t=0.0, dt=1e-5, u=np.zeros(3), u_prev=np.zeros(4))
 
 
 def test_trace_requires_increasing_times():
@@ -74,7 +66,8 @@ def test_already_converged_state_takes_no_iterations():
     def system_fn(u):
         return ctx.assemble(u, w0, 1e-5, 0.0, exc)
 
-    u, stats = newton_solve(system_fn, w0, SolverConfig())
+    scales = BlockScales(ctx.layout.n_field_dofs)
+    u, stats = newton_solve(system_fn, w0, SolverConfig(), scales)
     assert stats.converged
     assert stats.iterations == 0
     assert np.all(u == w0)
@@ -91,7 +84,8 @@ def test_restarting_from_a_converged_step_is_cheap():
     def system_fn(u):
         return ctx.assemble(u, w_prev, dt, t, exc)
 
-    u, stats = newton_solve(system_fn, trace.states[-1], SolverConfig())
+    scales = BlockScales(ctx.layout.n_field_dofs)
+    u, stats = newton_solve(system_fn, trace.states[-1], SolverConfig(), scales)
     assert stats.converged
     assert stats.iterations <= 1
 
@@ -107,7 +101,8 @@ def test_newton_residual_history_is_monotone():
     def system_fn(u):
         return ctx.assemble(u, w_prev, dt, trace.times[-1], exc)
 
-    u, stats = newton_solve(system_fn, w_prev, SolverConfig())
+    scales = BlockScales(ctx.layout.n_field_dofs)
+    u, stats = newton_solve(system_fn, w_prev, SolverConfig(), scales)
     assert stats.converged
     r = stats.residual_norms
     assert all(b < a for a, b in zip(r, r[1:]))
@@ -123,7 +118,6 @@ def _stuck_system(n=4):
         return AssembledSystem(
             residual=r.copy(),
             jacobian=jac,
-            blocks={"edge": slice(0, n)},
             row_scale=np.ones(n),
         )
 
@@ -133,7 +127,7 @@ def _stuck_system(n=4):
 def test_nonconvergence_raises_with_stats():
     cfg = SolverConfig(max_newton_iters=3)
     with pytest.raises(NonConvergenceError) as err:
-        newton_solve(_stuck_system(), np.zeros(4), cfg)
+        newton_solve(_stuck_system(), np.zeros(4), cfg, BlockScales(4))
     assert err.value.stats is not None
     assert err.value.stats.iterations == 3
     assert not err.value.stats.converged
@@ -142,23 +136,24 @@ def test_nonconvergence_raises_with_stats():
 
 
 def test_step_halves_dt_then_gives_up_at_dt_min():
+    attempted = []
+
     class StuckFormulation:
         def assemble(self, u, u_prev, dt, t, excitation):
+            attempted.append(dt)
             return _stuck_system(u.size)(u)
 
-    state = TransientState(t=0.0, dt=8e-5, u=np.zeros(4), u_prev=np.zeros(4))
     cfg = SolverConfig(max_newton_iters=2, dt_init=1e-5, dt_min=1e-5, dt_max=8e-5)
+    w = np.zeros(4)
     with pytest.raises(NonConvergenceError, match="dt underflow"):
-        step(state, StuckFormulation(), Excitation(1.0, 50.0), cfg)
+        step(StuckFormulation(), w, 0.0, 8e-5, Excitation(1.0, 50.0), cfg, BlockScales(4))
+    assert sorted(set(attempted), reverse=True) == [8e-5, 4e-5, 2e-5, 1e-5]
 
 
 def test_block_scales_two_unit_families():
-    blocks = {"edge": slice(0, 3), "nodal": slice(3, 8), "voltage": slice(8, 10)}
-    scales = BlockScales(blocks)
-    # field blocks merge into one family, voltage rows form the other
-    assert len(scales.slices) == 2
-    assert scales.slices[0] == slice(0, 8)
-    assert scales.slices[1] == slice(8, 10)
+    scales = BlockScales(8)
+    # field rows form one family, voltage rows the other
+    assert scales.slices == (slice(0, 8), slice(8, None))
     scales.absorb(np.concatenate([np.full(8, 3.0), np.full(2, 7.0)]))
     r = np.concatenate([np.full(8, 3.0), np.full(2, 7.0)])
     n1 = scales.norm(r)
@@ -204,6 +199,44 @@ def test_fast_steps_grow_dt_to_the_cap():
     # growth is capped at 20% per step
     applied = trace.dt[1:]
     assert np.all(applied[1:] <= applied[:-1] * 1.2 * (1 + 1e-9))
+
+
+def test_dt_controller_restarts_from_the_converged_dt_after_a_halving():
+    ctx = small_context(FormulationVariant.FCM_T_OMEGA, n_turns=2)
+    exc = Excitation(amplitude=9.6, frequency=50.0)
+    cfg = SolverConfig(periods=0.25, dt_init=1e-5, dt_max=1e-4)
+    assemble = ctx.assemble
+    attempts = []  # (w_prev, dt) of every Newton attempt, in order
+
+    def flaky_assemble(w, w_prev, dt, t, excitation):
+        system = assemble(w, w_prev, dt, t, excitation)
+        if np.array_equal(w, w_prev):
+            attempts.append((w_prev, dt))
+        elif 1e-3 <= t <= 2e-3 and dt > 2e-5:
+            # every trial point is non-finite: the attempt fails after one
+            # Newton iteration, and the step retries with half the dt
+            system.residual = np.full_like(system.residual, np.nan)
+        return system
+
+    ctx.assemble = flaky_assemble
+    trace = run_transient(cfg, ctx, exc, store_states=False)
+
+    # an attempt was rejected when the next one starts from the same state
+    rejected = [a[0] is b[0] for a, b in zip(attempts, attempts[1:])] + [False]
+    accepted = [i for i, r in enumerate(rejected) if not r]
+    assert len(accepted) == len(trace.times) - 1
+    t_end = cfg.periods * exc.period
+    halvings = 0
+    for k, i in enumerate(accepted[:-1], start=1):
+        if i == 0 or not rejected[i - 1]:
+            continue
+        halvings += 1
+        dt_ok = attempts[i][1]
+        grown = min(dt_ok * 1.2, cfg.dt_max) if trace.newton_iters[k] <= 3 else dt_ok
+        assert attempts[i + 1][1] == min(grown, t_end - trace.times[k])
+    assert halvings >= 2
+    # each rejected attempt factored once before its trials all failed
+    assert trace.linsys_count == int(trace.newton_iters.sum()) + sum(rejected)
 
 
 def test_linear_solve_audit():

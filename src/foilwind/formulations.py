@@ -20,15 +20,24 @@ resistive weights, and G couples voltages to currents:
 
 Internally all constraints act on the half model, so targets are halved and
 every reported quantity is scaled back to the full device elsewhere.
+
+The Newton tangent is affine in (1/dt, d_tan), so an assembly hands the
+solver those two and builds the full sparse Jacobian only when it is read.
+For the homogenized scalar-potential variants (h-phi, t-omega) the
+gradient unknowns have zero curl: their rows and columns of the tangent are
+the constant mass block M_nn/dt, and they are condensed out of every Newton
+solve (see ``Condensation``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from .materials import MaterialParams, JcKim, jc_eval, power_law
 from .mesh import MU0, Mesh
@@ -55,13 +64,49 @@ class Excitation:
         return self.amplitude * math.sin(2.0 * math.pi * self.frequency * t)
 
 
+# Variants whose curl-free unknowns are condensed out of the Newton solve.
+# fcm-h-full has no curl-free unknowns (its air edges carry rho_air), and
+# ref-h-phi keeps 2880 unknowns with curl, too many for a dense complement.
+CONDENSED_VARIANTS = frozenset({FormulationVariant.FCM_H_PHI, FormulationVariant.FCM_T_OMEGA})
+
+
 @dataclass
 class AssembledSystem:
+    """Residual of one state and the data of its Newton tangent.
+
+    The solver factors ``reduced_jacobian`` and maps a right-hand side b of
+    the full system in with ``reduce(b)`` and the solution back out with
+    ``recover(x, b)``. Without condensation these are the full Jacobian and
+    identities.
+    """
+
     residual: np.ndarray
-    jacobian: sp.csc_matrix
     # per-row sum of absolute term magnitudes; dominates |residual| entrywise
     # and provides the natural normalization for the solver's stopping test
     row_scale: np.ndarray
+    dt: float
+    d_tan: np.ndarray  # tangent resistive weight of each winding cell
+    context: "AssemblyContext"
+
+    @cached_property
+    def jacobian(self) -> sp.csc_matrix:
+        """The full sparse Jacobian, built on first read."""
+        return self.context.jacobian(self.dt, self.d_tan)
+
+    @property
+    def reduced_jacobian(self) -> sp.csc_matrix:
+        cond = self.context.condensation
+        if cond is None:
+            return self.jacobian
+        return cond.matrix(self.dt, self.d_tan)
+
+    def reduce(self, b: np.ndarray) -> np.ndarray:
+        cond = self.context.condensation
+        return b if cond is None else cond.reduce(b)
+
+    def recover(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+        cond = self.context.condensation
+        return x if cond is None else cond.recover(x, b, self.dt)
 
 
 def impose_excitation(layout: DofLayout, excitation: Excitation, t: float) -> np.ndarray:
@@ -214,8 +259,7 @@ class AssemblyContext:
         x, j, re = self._resistive(w, w_prev)
         d_res = np.zeros(self.mesh.n_cells)
         d_res[self.coil] = re.rho * self.coil_dweight
-        d_tan = np.zeros(self.mesh.n_cells)
-        d_tan[self.coil] = (re.rho + 2.0 * j**2 * re.drho_dj2) * self.coil_dweight
+        d_tan = (re.rho + 2.0 * j**2 * re.drho_dj2) * self.coil_dweight
 
         mass_term = self.mass @ ((u - u_prev) / dt)
         res_term = self.cbt @ (d_res * x)
@@ -235,18 +279,29 @@ class AssemblyContext:
         r_v = gtu - target
         scale_v = np.abs(gtu) + np.abs(target)
 
-        a = self.mass / dt + self.cbt @ sp.diags(d_tan) @ self.cb
-        if self.air_matrix is not None:
-            a = a + self.air_matrix
-        jac = sp.bmat(
-            [[a, self.coupling], [self.coupling.T, None]], format="csc"
-        )
-
         return AssembledSystem(
             residual=np.concatenate([r_u, r_v]),
-            jacobian=jac,
             row_scale=np.concatenate([scale_u, scale_v]),
+            dt=dt,
+            d_tan=d_tan,
+            context=self,
         )
+
+    def jacobian(self, dt: float, d_tan: np.ndarray) -> sp.csc_matrix:
+        """Full sparse Jacobian at step ``dt`` and winding tangent weights ``d_tan``."""
+        d = np.zeros(self.mesh.n_cells)
+        d[self.coil] = d_tan
+        a = self.mass / dt + self.cbt @ sp.diags(d) @ self.cb
+        if self.air_matrix is not None:
+            a = a + self.air_matrix
+        return sp.bmat([[a, self.coupling], [self.coupling.T, None]], format="csc")
+
+    @cached_property
+    def condensation(self) -> "Condensation | None":
+        """Condensation of the curl-free unknowns, built on first use."""
+        if self.layout.variant not in CONDENSED_VARIANTS:
+            return None
+        return Condensation(self)
 
     def dissipation(self, w: np.ndarray, w_prev: np.ndarray) -> float:
         """Instantaneous resistive power of the half model [W]."""
@@ -274,3 +329,102 @@ class AssemblyContext:
             "coupling_power": coupling,
             "imbalance": d_dt + diss + coupling,
         }
+
+
+class Condensation:
+    """Static condensation of the curl-free unknowns out of the Newton tangent.
+
+    The field unknowns split into those whose curl-basis column has a
+    nonzero entry (k) and those whose column is empty (n: gradients of the
+    scalar potential). Neither the resistive term nor the coupling
+    G = (CB)^T Phi reaches the n unknowns, so the tangent reads
+
+        [[M_kk/dt + C_k^T D C_k, M_kn/dt, G_k],
+         [M_nk/dt,               M_nn/dt, 0  ],
+         [G_k^T,                 0,       0  ]]
+
+    and eliminating n leaves the bordered matrix
+    [[S0/dt + C_k^T D C_k, G_k], [G_k^T, 0]] with the constant Schur
+    complement S0 = M_kk - M_kn M_nn^-1 M_nk. The sparse LU of M_nn and S0
+    are built once. A Newton iteration fills a fixed CSC pattern of the
+    bordered matrix, and maps a right-hand side in and the update back out
+    with one M_nn solve each.
+    """
+
+    BLOCK = 32  # columns of M_nn^-1 M_nk held at a time while forming S0
+
+    def __init__(self, ctx: AssemblyContext):
+        layout = ctx.layout
+        self.n_field = layout.n_field_dofs
+        self.n_dofs = layout.n_dofs
+        has_curl = np.asarray(abs(ctx.cb).sum(axis=0)).ravel() > 0
+        self.kept = np.flatnonzero(has_curl)
+        self.eliminated = np.flatnonzero(~has_curl)
+        if ctx.coupling[self.eliminated].count_nonzero():
+            raise ValueError("the voltage coupling reaches curl-free unknowns")
+        nk = self.kept.size
+        m = self.size = nk + layout.n_voltage_dofs
+
+        mass_k = ctx.mass[self.kept]
+        mass_n = ctx.mass[self.eliminated]
+        # M_nn is symmetric positive definite: a symmetric ordering without
+        # pivoting is stable and fills in far less than the default
+        self.lu_nn = splu(
+            mass_n[:, self.eliminated].tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+        self.m_kn = mass_k[:, self.eliminated].tocsr()
+        self.m_nk = mass_n[:, self.kept].tocsr()
+        # S0 in column blocks, so that the dense M_nn^-1 M_nk is never whole
+        s0 = mass_k[:, self.kept].toarray()
+        for c in range(0, nk, self.BLOCK):
+            cols = slice(c, c + self.BLOCK)
+            s0[:, cols] -= self.m_kn @ self.lu_nn.solve(self.m_nk[:, cols].toarray())
+
+        # C_k^T diag(d) C_k = sum over winding cells c of d_c C_c^T C_c: each
+        # pair of nonzeros in one row of C_k adds one term
+        ck = ctx.cb[ctx.coil][:, self.kept].tocoo()
+        nz = np.arange(ck.nnz)
+        row_of = sp.csr_matrix((np.ones(ck.nnz), (nz, ck.row)), shape=(ck.nnz, ck.shape[0]))
+        pairs = (row_of @ row_of.T).tocoo()
+        ti, tj = ck.col[pairs.row], ck.col[pairs.col]
+        si, sj = np.nonzero(s0)
+        g = ctx.coupling[self.kept].tocoo()
+        gi, gj = np.concatenate([g.row, nk + g.col]), np.concatenate([nk + g.col, g.row])
+
+        # one fixed CSC pattern (key = column * m + row) holds all three terms
+        keys = np.unique(np.concatenate([tj * m + ti, sj * m + si, gj * m + gi]))
+        self.indices = (keys % m).astype(np.int32)
+        self.indptr = np.searchsorted(keys, np.arange(m + 1) * m).astype(np.int32)
+        self.s0 = np.zeros(keys.size)
+        self.s0[np.searchsorted(keys, sj * m + si)] = s0[si, sj]
+        self.border = np.zeros(keys.size)
+        self.border[np.searchsorted(keys, gj * m + gi)] = np.concatenate([g.data, g.data])
+        self.tangent = sp.csr_matrix(
+            (
+                ck.data[pairs.row] * ck.data[pairs.col],
+                (np.searchsorted(keys, tj * m + ti), ck.row[pairs.row]),
+            ),
+            shape=(keys.size, ctx.coil.size),
+        )
+
+    def matrix(self, dt: float, d_tan: np.ndarray) -> sp.csc_matrix:
+        """Bordered condensed tangent [[S0/dt + C_k^T D C_k, G_k], [G_k^T, 0]]."""
+        data = self.s0 / dt + self.border + self.tangent @ d_tan
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.size, self.size))
+
+    def reduce(self, b: np.ndarray) -> np.ndarray:
+        """Right-hand side of the condensed system for full right-hand side ``b``."""
+        y = self.lu_nn.solve(b[self.eliminated])
+        return np.concatenate([b[self.kept] - self.m_kn @ y, b[self.n_field :]])
+
+    def recover(self, x: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
+        """Full solution from the condensed solution ``x`` of ``reduce(b)``."""
+        nk = self.kept.size
+        du = np.empty(self.n_dofs)
+        du[self.kept] = x[:nk]
+        du[self.n_field :] = x[nk:]
+        du[self.eliminated] = self.lu_nn.solve(dt * b[self.eliminated] - self.m_nk @ x[:nk])
+        return du

@@ -1,8 +1,13 @@
 """Implicit transient driver: backward Euler with damped Newton iterations.
 
-System sizes stay small enough (a few thousand unknowns in 2D) that a sparse
-direct factorization per Newton iteration is both robust against the
-power-law's extreme stiffness and cheap; no iterative solvers are attempted.
+Every Newton iteration factors its linear system directly, which is robust
+against the power-law's extreme stiffness; no iterative solvers are
+attempted. The system that is factored is the assembly's
+``reduced_jacobian``: for the homogenized scalar-potential variants the
+curl-free unknowns are condensed out and only the small bordered matrix of
+the unknowns with curl is factored, for the others it is the full sparse
+Jacobian. Right-hand sides map in through ``reduce`` and updates back out
+through ``recover``.
 
 Convergence is judged on a block-scaled Euclidean residual norm: field rows
 and current-constraint rows carry different units, so each block is
@@ -21,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from .formulations import AssembledSystem, AssemblyContext, Excitation
+from .formulations import AssemblyContext, Excitation
 
 log = logging.getLogger(__name__)
 
@@ -124,13 +129,18 @@ def newton_solve(
     """Damped Newton on ``system_fn``'s residual, starting at ``u0``.
 
     Stops when the scaled residual drops under
-    max(newton_tol_abs, newton_tol_rel * |r0|). A trial point whose residual
-    does not decrease is halved up to MAX_BACKTRACKS times; then the last
-    trial is accepted anyway and the outer iteration continues.
+    max(newton_tol_abs, newton_tol_rel * |r0|); a non-finite r0 raises
+    NonConvergenceError. A trial point whose residual does not decrease is
+    halved up to MAX_BACKTRACKS times; then the last trial is accepted anyway
+    and the outer iteration continues.
     """
     stats = NewtonStats()
     u = np.asarray(u0, dtype=float).copy()
     system = system_fn(u)
+    # checked before the scales absorb it, so a runaway start point can
+    # neither pass as converged nor loosen the stopping test of later attempts
+    if not np.all(np.isfinite(system.residual)):
+        raise NonConvergenceError("residual not finite at the start point", stats)
     scales.absorb(system.row_scale)
     r_norm = scales.norm(system.residual)
     stats.residual_norms.append(r_norm)
@@ -141,10 +151,11 @@ def newton_solve(
 
     for _ in range(config.max_newton_iters):
         try:
-            lu = splu(system.jacobian)
+            lu = splu(system.reduced_jacobian)
         except RuntimeError as exc:
             raise SingularMatrixError(str(exc)) from exc
-        du = lu.solve(-system.residual)
+        rhs = -system.residual
+        du = system.recover(lu.solve(system.reduce(rhs)), rhs)
         stats.iterations += 1
 
         step = 1.0

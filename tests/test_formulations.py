@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from foilwind.formulations import Excitation, impose_excitation, spurious_air_term
 from foilwind.mesh import MU0
@@ -130,6 +131,42 @@ def test_ohmic_limit_jacobian_is_state_independent():
     j1 = ctx.assemble(_random_state(ctx, rng), np.zeros(ctx.layout.n_dofs), 2e-5, 1e-3, exc).jacobian
     j2 = ctx.assemble(_random_state(ctx, rng), np.zeros(ctx.layout.n_dofs), 2e-5, 2e-3, exc).jacobian
     assert abs(j1 - j2).max() <= 1e-12 * abs(j1).max()
+
+
+# -- condensation of the curl-free unknowns ---------------------------------------------
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_condensed_newton_update_equals_the_full_solve(variant):
+    ctx = small_context(variant, n_turns=2)
+    exc = Excitation(amplitude=96.0, frequency=50.0)
+    rng = np.random.default_rng(53)
+    cond = ctx.condensation
+    if variant in (FormulationVariant.FCM_H_FULL, FormulationVariant.REF_H_PHI):
+        # no condensation: the solver factors the full Jacobian
+        assert cond is None
+        sys = ctx.assemble(_random_state(ctx, rng), np.zeros(ctx.layout.n_dofs), 2e-5, 1e-3, exc)
+        b = -sys.residual
+        assert sys.reduced_jacobian is sys.jacobian
+        assert sys.reduce(b) is b and sys.recover(b, b) is b
+        return
+
+    cb = ctx.layout.curl_basis.tocsc(copy=True)
+    cb.eliminate_zeros()
+    curl_free = np.flatnonzero(np.diff(cb.indptr) == 0)
+    assert curl_free.size > 0
+    assert np.array_equal(cond.eliminated, curl_free)
+    assert np.array_equal(np.union1d(cond.kept, cond.eliminated), np.arange(ctx.layout.n_field_dofs))
+    for dt in (1e-5, 2e-4):
+        for _ in range(2):
+            w_prev = _random_state(ctx, rng, current_fraction=0.5)
+            sys = ctx.assemble(_random_state(ctx, rng), w_prev, dt, 1e-3, exc)
+            b = -sys.residual
+            reduced = sys.reduced_jacobian
+            assert reduced.shape == (cond.kept.size + ctx.layout.n_voltage_dofs,) * 2
+            condensed = sys.recover(splu(reduced).solve(sys.reduce(b)), b)
+            full = splu(sys.jacobian).solve(b)
+            assert np.linalg.norm(condensed - full) <= 1e-10 * np.linalg.norm(full)
 
 
 # -- spurious air resistivity --------------------------------------------------------

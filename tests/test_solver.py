@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from foilwind import solver
 from foilwind.formulations import AssembledSystem, Excitation
 from foilwind.postprocess import LossSeries, mean_losses
 from foilwind.solver import (
@@ -109,19 +110,36 @@ def test_newton_residual_history_is_monotone():
     assert np.allclose(u, trace.states[-1], rtol=1e-6, atol=1e-12)
 
 
-def _stuck_system(n=4):
-    """Residual that no Newton step can reduce (constant, nonzero)."""
-    jac = sp.identity(n, format="csc")
-    r = np.ones(n)
+class _IdentityContext:
+    """Assembly context stand-in whose full Jacobian is the identity."""
+
+    condensation = None
+
+    def __init__(self, n):
+        self.n = n
+
+    def jacobian(self, dt, d_tan):
+        return sp.identity(self.n, format="csc")
+
+
+def _constant_system(r):
+    """System whose residual is ``r`` at every point (identity tangent)."""
 
     def system_fn(u):
         return AssembledSystem(
             residual=r.copy(),
-            jacobian=jac,
-            row_scale=np.ones(n),
+            row_scale=np.ones(r.size),
+            dt=1.0,
+            d_tan=np.zeros(0),
+            context=_IdentityContext(r.size),
         )
 
     return system_fn
+
+
+def _stuck_system(n=4):
+    """Residual that no Newton step can reduce (constant, nonzero)."""
+    return _constant_system(np.ones(n))
 
 
 def test_nonconvergence_raises_with_stats():
@@ -133,6 +151,16 @@ def test_nonconvergence_raises_with_stats():
     assert not err.value.stats.converged
     # every backtrack was exhausted, the trial accepted anyway
     assert len(err.value.stats.residual_norms) == 4
+
+
+def test_nonfinite_start_residual_raises_instead_of_converging():
+    scales = BlockScales(4)
+    with pytest.raises(NonConvergenceError) as err:
+        newton_solve(_constant_system(np.full(4, np.nan)), np.zeros(4), SolverConfig(), scales)
+    assert err.value.stats is not None
+    assert not err.value.stats.converged
+    assert err.value.stats.iterations == 0
+    assert np.all(scales.scale == 0.0)  # the stopping test of later attempts is untouched
 
 
 def test_step_halves_dt_then_gives_up_at_dt_min():
@@ -246,6 +274,33 @@ def test_linear_solve_audit():
     # no rejected steps in this benign run: every factorization is accounted
     # for by an accepted Newton iteration
     assert trace.linsys_count == int(trace.newton_iters.sum())
+
+
+@pytest.mark.parametrize(
+    "variant", [FormulationVariant.FCM_T_OMEGA, FormulationVariant.REF_H_PHI]
+)
+def test_one_factorization_per_linear_solve(variant, monkeypatch):
+    # the benchmark reconciles solver.splu calls with linsys_count; the
+    # curl-free unknowns are condensed out for t-omega, so no assembly there
+    # builds the full Jacobian, and on the full path only Newton iterations do
+    ctx = small_context(variant, n_turns=2)
+    calls = {"splu": 0, "jacobian": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(solver, "splu", counted("splu", solver.splu))
+    monkeypatch.setattr(ctx, "jacobian", counted("jacobian", ctx.jacobian))
+    exc = Excitation(amplitude=96.0, frequency=50.0)
+    trace = run_transient(SolverConfig(periods=0.1), ctx, exc, store_states=False)
+    assert trace.linsys_count > 0
+    assert calls["splu"] == trace.linsys_count
+    condensed = variant is FormulationVariant.FCM_T_OMEGA
+    assert calls["jacobian"] == (0 if condensed else trace.linsys_count)
 
 
 def test_runs_are_deterministic():

@@ -22,17 +22,18 @@ Internally all constraints act on the half model, so targets are halved and
 every reported quantity is scaled back to the full device elsewhere.
 
 The Newton tangent is affine in (1/dt, d_tan), so an assembly hands the
-solver those two and builds the full sparse Jacobian only when it is read.
-For the homogenized scalar-potential variants (h-phi, t-omega) the
-gradient unknowns have zero curl: their rows and columns of the tangent are
-the constant mass block M_nn/dt, and they are condensed out of every Newton
-solve (see ``Condensation``).
+solver those two and builds the full sparse Jacobian only when it is read,
+by filling a fixed CSC pattern. For the homogenized scalar-potential
+variants (h-phi, t-omega) the gradient unknowns have zero curl: their rows
+and columns of the tangent are the constant mass block M_nn/dt, and they are
+condensed out of every Newton solve (see ``Condensation``). The other two
+factor the full Jacobian, with the SuperLU options of ``FACTOR_OPTIONS``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -69,15 +70,28 @@ class Excitation:
 # ref-h-phi keeps 2880 unknowns with curl, too many for a dense complement.
 CONDENSED_VARIANTS = frozenset({FormulationVariant.FCM_H_PHI, FormulationVariant.FCM_T_OMEGA})
 
+# SuperLU options for the matrix a variant factors in each Newton iteration;
+# variants not named here use the defaults. The reference Jacobian is
+# structurally symmetric, and a multiple-minimum-degree ordering of A^T + A
+# (Liu, ACM TOMS 11, 1985) halves its LU fill on the tensor grid. fcm-h-full
+# keeps the default ordering: the symmetric one changed its step count and
+# raised its loss by 0.36 %.
+FACTOR_OPTIONS = {
+    FormulationVariant.REF_H_PHI: {
+        "permc_spec": "MMD_AT_PLUS_A",
+        "options": {"SymmetricMode": True},
+    },
+}
+
 
 @dataclass
 class AssembledSystem:
     """Residual of one state and the data of its Newton tangent.
 
-    The solver factors ``reduced_jacobian`` and maps a right-hand side b of
-    the full system in with ``reduce(b)`` and the solution back out with
-    ``recover(x, b)``. Without condensation these are the full Jacobian and
-    identities.
+    The solver factors ``reduced_jacobian`` with ``factor_options`` and maps
+    a right-hand side b of the full system in with ``reduce(b)`` and the
+    solution back out with ``recover(x, b)``. Without condensation these are
+    the full Jacobian and identities.
     """
 
     residual: np.ndarray
@@ -87,6 +101,7 @@ class AssembledSystem:
     dt: float
     d_tan: np.ndarray  # tangent resistive weight of each winding cell
     context: "AssemblyContext"
+    factor_options: dict = field(default_factory=dict)  # keyword arguments of splu
 
     @cached_property
     def jacobian(self) -> sp.csc_matrix:
@@ -140,6 +155,52 @@ def spurious_air_term(mesh: Mesh, layout: DofLayout, rho_air: float = 1e-3) -> s
     return (cb.T @ sp.diags(d) @ cb).tocsr()
 
 
+def _product_terms(c: sp.spmatrix):
+    """Terms of C^T diag(d) C: each row k of C adds c_ki c_kj d_k to entry (i, j).
+
+    Returns the entry rows i, columns j, source rows k and factors c_ki c_kj
+    of every term.
+    """
+    c = c.tocoo()
+    nz = np.arange(c.nnz)
+    row_of = sp.csr_matrix((np.ones(c.nnz), (nz, c.row)), shape=(c.nnz, c.shape[0]))
+    pairs = (row_of @ row_of.T).tocoo()
+    i, j = pairs.row, pairs.col
+    return c.col[i], c.col[j], c.row[i], c.data[i] * c.data[j]
+
+
+def _csc_pattern(m: int, *parts: tuple[np.ndarray, np.ndarray]):
+    """Fixed CSC pattern of an m x m matrix holding the entries of ``parts``.
+
+    Each part is a pair (rows, cols). Returns the pattern's indices and
+    indptr, and for each part the positions of its entries in the data
+    array. A matrix whose entries are affine in a few parameters is then
+    filled by combining data over the pattern, without rebuilding its
+    structure.
+    """
+    keys = [cols.astype(np.int64) * m + rows for rows, cols in parts]
+    pattern = np.unique(np.concatenate(keys))  # CSC order: by column, then row
+    indices = (pattern % m).astype(np.int32)
+    indptr = np.searchsorted(pattern, np.arange(m + 1) * m).astype(np.int32)
+    return indices, indptr, [np.searchsorted(pattern, k).astype(np.int32) for k in keys]
+
+
+class _TangentFill:
+    """Data of C^T diag(d) C over a fixed CSC pattern, from ``_product_terms``.
+
+    Term k adds factors[k] * d[cells[k]] at data position pos[k]; each entry
+    sums its terms from zero in ascending cell order.
+    """
+
+    def __init__(self, pos, cells, factors, nnz: int):
+        order = np.lexsort((cells, pos))
+        self.pos, self.cells, self.factors = pos[order], cells[order], factors[order]
+        self.nnz = nnz
+
+    def __call__(self, d: np.ndarray) -> np.ndarray:
+        return np.bincount(self.pos, weights=self.factors * d[self.cells], minlength=self.nnz)
+
+
 class AssemblyContext:
     """Cached per-layout operators shared across time steps.
 
@@ -168,6 +229,7 @@ class AssemblyContext:
             self.air_matrix = None
 
         self.coupling = self._build_coupling()
+        self._jc_lag: tuple[np.ndarray, np.ndarray] | None = None  # (w_prev, jc)
 
     # -- coupling ------------------------------------------------------------
 
@@ -238,11 +300,23 @@ class AssemblyContext:
             key = mesh.alpha_index[self.coil]
         return mesh.symmetry_factor * np.bincount(key, weights=amps)
 
+    def _lagged_jc(self, w_prev: np.ndarray) -> np.ndarray:
+        """``jc_effective(w_prev)``, evaluated once per previous state.
+
+        All assemblies and the dissipation of a time step share its w_prev, so
+        a field-dependent jc is kept for the last w_prev seen.
+        """
+        if not isinstance(self.materials.jc_model, JcKim):
+            return self.jc_effective(w_prev)
+        if self._jc_lag is None or not np.array_equal(self._jc_lag[0], w_prev):
+            self._jc_lag = (w_prev.copy(), self.jc_effective(w_prev))
+        return self._jc_lag[1]
+
     def _resistive(self, w: np.ndarray, w_prev: np.ndarray):
         """Cell circulation, winding |j| and power-law resistivity at the lagged jc."""
         x = self._circulation(w)
         j = np.abs(x[self.coil]) / self.coil_area
-        return x, j, power_law(j, self.jc_effective(w_prev), self.materials)
+        return x, j, power_law(j, self._lagged_jc(w_prev), self.materials)
 
     # -- assembly ---------------------------------------------------------------
 
@@ -285,16 +359,17 @@ class AssemblyContext:
             dt=dt,
             d_tan=d_tan,
             context=self,
+            factor_options=FACTOR_OPTIONS.get(layout.variant, {}),
         )
+
+    @cached_property
+    def _full_jacobian(self) -> "FullJacobian":
+        """Fill of the full Jacobian, built on the first read."""
+        return FullJacobian(self)
 
     def jacobian(self, dt: float, d_tan: np.ndarray) -> sp.csc_matrix:
         """Full sparse Jacobian at step ``dt`` and winding tangent weights ``d_tan``."""
-        d = np.zeros(self.mesh.n_cells)
-        d[self.coil] = d_tan
-        a = self.mass / dt + self.cbt @ sp.diags(d) @ self.cb
-        if self.air_matrix is not None:
-            a = a + self.air_matrix
-        return sp.bmat([[a, self.coupling], [self.coupling.T, None]], format="csc")
+        return self._full_jacobian.matrix(dt, d_tan)
 
     @cached_property
     def condensation(self) -> "Condensation | None":
@@ -329,6 +404,56 @@ class AssemblyContext:
             "coupling_power": coupling,
             "imbalance": d_dt + diss + coupling,
         }
+
+
+class FullJacobian:
+    """The full Jacobian [[M/dt + C^T D C + A, G], [G^T, 0]] in a fixed CSC pattern.
+
+    Equals ``bmat([[mass/dt + cb^T diag(d) cb + air, G], [G^T, None]])`` bit
+    for bit: the cb entries are +-1, SciPy divides by dt as a product with
+    1/dt and sums (mass/dt + T) + air, and it stores no exact zeros (at the
+    zero start state, none of T). The mass and coupling values are read
+    from the context's matrices through their positions in the pattern.
+    """
+
+    def __init__(self, ctx: AssemblyContext):
+        nf = ctx.layout.n_field_dofs
+        self.size = ctx.layout.n_dofs
+        self.mass = ctx.mass
+        self.coupling = ctx.coupling
+        has_air = ctx.air_matrix is not None
+        air = (ctx.air_matrix if has_air else sp.csr_matrix((nf, nf))).tocoo()
+        mass, g = self.mass.tocoo(), self.coupling.tocoo()
+        ti, tj, cells, factors = _product_terms(ctx.cb[ctx.coil])
+        self.indices, self.indptr, (self.mass_pos, t_pos, air_pos, self.border_pos) = (
+            _csc_pattern(
+                self.size,
+                (mass.row, mass.col),
+                (ti, tj),
+                (air.row, air.col),
+                (np.concatenate([g.row, nf + g.col]), np.concatenate([nf + g.col, g.row])),
+            )
+        )
+        self.tangent = _TangentFill(t_pos, cells, factors, self.indices.size)
+        # the air term is added in full: a scatter-add costs 20x more
+        self.air = None
+        if has_air:
+            self.air = np.zeros(self.indices.size)
+            self.air[air_pos] = air.data
+
+    def matrix(self, dt: float, d_tan: np.ndarray) -> sp.csc_matrix:
+        data = np.zeros(self.indices.size)
+        data[self.mass_pos] = self.mass.data * (1.0 / dt)
+        data += self.tangent(d_tan)
+        if self.air is not None:
+            data += self.air
+        data[self.border_pos] = np.tile(self.coupling.data, 2)
+        # eliminate_zeros works in place, so it gets copies of the shared pattern
+        jac = sp.csc_matrix(
+            (data, self.indices.copy(), self.indptr.copy()), shape=(self.size, self.size)
+        )
+        jac.eliminate_zeros()
+        return jac
 
 
 class Condensation:
@@ -383,36 +508,24 @@ class Condensation:
             cols = slice(c, c + self.BLOCK)
             s0[:, cols] -= self.m_kn @ self.lu_nn.solve(self.m_nk[:, cols].toarray())
 
-        # C_k^T diag(d) C_k = sum over winding cells c of d_c C_c^T C_c: each
-        # pair of nonzeros in one row of C_k adds one term
-        ck = ctx.cb[ctx.coil][:, self.kept].tocoo()
-        nz = np.arange(ck.nnz)
-        row_of = sp.csr_matrix((np.ones(ck.nnz), (nz, ck.row)), shape=(ck.nnz, ck.shape[0]))
-        pairs = (row_of @ row_of.T).tocoo()
-        ti, tj = ck.col[pairs.row], ck.col[pairs.col]
+        ti, tj, cells, factors = _product_terms(ctx.cb[ctx.coil][:, self.kept])
         si, sj = np.nonzero(s0)
         g = ctx.coupling[self.kept].tocoo()
         gi, gj = np.concatenate([g.row, nk + g.col]), np.concatenate([nk + g.col, g.row])
 
-        # one fixed CSC pattern (key = column * m + row) holds all three terms
-        keys = np.unique(np.concatenate([tj * m + ti, sj * m + si, gj * m + gi]))
-        self.indices = (keys % m).astype(np.int32)
-        self.indptr = np.searchsorted(keys, np.arange(m + 1) * m).astype(np.int32)
-        self.s0 = np.zeros(keys.size)
-        self.s0[np.searchsorted(keys, sj * m + si)] = s0[si, sj]
-        self.border = np.zeros(keys.size)
-        self.border[np.searchsorted(keys, gj * m + gi)] = np.concatenate([g.data, g.data])
-        self.tangent = sp.csr_matrix(
-            (
-                ck.data[pairs.row] * ck.data[pairs.col],
-                (np.searchsorted(keys, tj * m + ti), ck.row[pairs.row]),
-            ),
-            shape=(keys.size, ctx.coil.size),
+        # one fixed CSC pattern holds all three terms
+        self.indices, self.indptr, (t_pos, s_pos, g_pos) = _csc_pattern(
+            m, (ti, tj), (si, sj), (gi, gj)
         )
+        self.s0 = np.zeros(self.indices.size)
+        self.s0[s_pos] = s0[si, sj]
+        self.border = np.zeros(self.indices.size)
+        self.border[g_pos] = np.concatenate([g.data, g.data])
+        self.tangent = _TangentFill(t_pos, cells, factors, self.indices.size)
 
     def matrix(self, dt: float, d_tan: np.ndarray) -> sp.csc_matrix:
         """Bordered condensed tangent [[S0/dt + C_k^T D C_k, G_k], [G_k^T, 0]]."""
-        data = self.s0 / dt + self.border + self.tangent @ d_tan
+        data = self.s0 / dt + self.border + self.tangent(d_tan)
         return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.size, self.size))
 
     def reduce(self, b: np.ndarray) -> np.ndarray:

@@ -3,11 +3,14 @@
 Every Newton iteration factors its linear system directly, which is robust
 against the power-law's extreme stiffness; no iterative solvers are
 attempted. The system that is factored is the assembly's
-``reduced_jacobian``: for the homogenized scalar-potential variants the
-curl-free unknowns are condensed out and only the small bordered matrix of
-the unknowns with curl is factored, for the others it is the full sparse
-Jacobian. Right-hand sides map in through ``reduce`` and updates back out
-through ``recover``.
+``reduced_jacobian``, with the SuperLU options of its ``factor_options``:
+for the homogenized scalar-potential variants the curl-free unknowns are
+condensed out and only the small bordered matrix of the unknowns with curl
+is factored; for the others it is the full sparse Jacobian, which the
+reference model orders by minimum degree on A^T + A. Right-hand sides map in
+through ``reduce`` and updates back out through ``recover``. A factorization
+that fails is a Newton failure like any other: the step is retried with half
+the dt.
 
 Convergence is judged on a block-scaled Euclidean residual norm: field rows
 and current-constraint rows carry different units, so each block is
@@ -43,8 +46,12 @@ class NonConvergenceError(RuntimeError):
         self.stats = stats
 
 
-class SingularMatrixError(RuntimeError):
-    """The linearized system factorization failed."""
+class SingularMatrixError(NonConvergenceError):
+    """The linearized system factorization failed.
+
+    The failed factorization counts as a Newton iteration of the attempt, and
+    the stepper retries with a smaller dt as for any other Newton failure.
+    """
 
 
 @dataclass(frozen=True)
@@ -150,13 +157,13 @@ def newton_solve(
         return u, stats
 
     for _ in range(config.max_newton_iters):
+        stats.iterations += 1
         try:
-            lu = splu(system.reduced_jacobian)
+            lu = splu(system.reduced_jacobian, **system.factor_options)
         except RuntimeError as exc:
-            raise SingularMatrixError(str(exc)) from exc
+            raise SingularMatrixError(f"factorization failed: {exc}", stats) from exc
         rhs = -system.residual
         du = system.recover(lu.solve(system.reduce(rhs)), rhs)
-        stats.iterations += 1
 
         step = 1.0
         for _bt in range(MAX_BACKTRACKS + 1):
@@ -196,9 +203,10 @@ def step(
 ) -> tuple[np.ndarray, float, NewtonStats, int]:
     """One backward-Euler step from state ``w`` at time ``t``.
 
-    Halves dt (not below dt_min) on Newton failure until an attempt
-    converges. Returns the new state, the dt taken, its Newton stats and the
-    linear solves of all attempts, rejected ones included.
+    Halves dt (not below dt_min) on Newton failure, a singular factorization
+    included, until an attempt converges. Returns the new state, the dt
+    taken, its Newton stats and the linear solves of all attempts, rejected
+    ones included.
     """
     solves = 0
     while True:
@@ -215,7 +223,7 @@ def step(
             if dt <= config.dt_min * (1 + 1e-12):
                 raise NonConvergenceError(
                     f"dt underflow at t={t:.6e}: already at dt_min="
-                    f"{config.dt_min:.3e}; residual history "
+                    f"{config.dt_min:.3e}; {exc}; residual history "
                     f"{[f'{r:.3e}' for r in (exc.stats.residual_norms if exc.stats else [])]}",
                     exc.stats,
                 ) from exc

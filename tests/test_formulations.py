@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from foilwind.formulations import Excitation, impose_excitation, spurious_air_term
@@ -131,6 +132,54 @@ def test_ohmic_limit_jacobian_is_state_independent():
     j1 = ctx.assemble(_random_state(ctx, rng), np.zeros(ctx.layout.n_dofs), 2e-5, 1e-3, exc).jacobian
     j2 = ctx.assemble(_random_state(ctx, rng), np.zeros(ctx.layout.n_dofs), 2e-5, 2e-3, exc).jacobian
     assert abs(j1 - j2).max() <= 1e-12 * abs(j1).max()
+
+
+FULL_JACOBIAN_VARIANTS = [FormulationVariant.FCM_H_FULL, FormulationVariant.REF_H_PHI]
+
+
+def _sparse_algebra_jacobian(ctx, dt, d_tan):
+    """The full Jacobian written as sparse-matrix algebra (the fill's oracle)."""
+    d = np.zeros(ctx.mesh.n_cells)
+    d[ctx.coil] = d_tan
+    a = ctx.mass / dt + ctx.cbt @ sp.diags(d) @ ctx.cb
+    if ctx.air_matrix is not None:
+        a = a + ctx.air_matrix
+    return sp.bmat([[a, ctx.coupling], [ctx.coupling.T, None]], format="csc")
+
+
+@pytest.mark.parametrize("variant", FULL_JACOBIAN_VARIANTS)
+def test_full_jacobian_fill_equals_the_sparse_algebra_expression(variant):
+    ctx = small_context(variant, n_turns=2)
+    rng = np.random.default_rng(61)
+    n = ctx.coil.size
+    d_tans = {
+        "zero start state": np.zeros(n),
+        "uniform": np.full(n, 3.7),
+        "random 1e-8..1e4": 10.0 ** rng.uniform(-8.0, 4.0, n),
+    }
+    for dt in (1e-5, 2e-4):
+        for name, d_tan in d_tans.items():
+            fill = ctx.jacobian(dt, d_tan)
+            oracle = _sparse_algebra_jacobian(ctx, dt, d_tan)
+            assert np.array_equal(fill.indptr, oracle.indptr), name
+            assert np.array_equal(fill.indices, oracle.indices), name
+            assert np.array_equal(fill.data, oracle.data), name
+    # the zero start state stores none of the tangent entries, like SciPy
+    assert ctx.jacobian(1e-5, d_tans["zero start state"]).nnz < fill.nnz
+
+
+def test_reference_ordering_keeps_the_newton_update():
+    ctx = small_context(FormulationVariant.REF_H_PHI, n_turns=2)
+    exc = Excitation(amplitude=96.0, frequency=50.0)
+    rng = np.random.default_rng(67)
+    for dt in (1e-5, 2e-4):
+        w_prev = _random_state(ctx, rng, current_fraction=0.5)
+        sys = ctx.assemble(_random_state(ctx, rng), w_prev, dt, 1e-3, exc)
+        assert sys.factor_options["permc_spec"] == "MMD_AT_PLUS_A"
+        b = -sys.residual
+        ordered = splu(sys.jacobian, **sys.factor_options).solve(b)
+        default = splu(sys.jacobian).solve(b)
+        assert np.linalg.norm(ordered - default) <= 1e-10 * np.linalg.norm(default)
 
 
 # -- condensation of the curl-free unknowns ---------------------------------------------

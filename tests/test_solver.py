@@ -7,9 +7,12 @@ import scipy.sparse as sp
 from foilwind import solver
 from foilwind.formulations import AssembledSystem, Excitation
 from foilwind.postprocess import LossSeries, mean_losses
+from foilwind.formulations import FACTOR_OPTIONS
+from foilwind.materials import JcKim
 from foilwind.solver import (
     BlockScales,
     NonConvergenceError,
+    SingularMatrixError,
     SolutionTrace,
     SolverConfig,
     newton_solve,
@@ -18,7 +21,7 @@ from foilwind.solver import (
 )
 from foilwind.variants import FormulationVariant
 
-from helpers import small_context
+from helpers import pancake_materials, small_context
 
 
 def test_config_validation():
@@ -111,15 +114,22 @@ def test_newton_residual_history_is_monotone():
 
 
 class _IdentityContext:
-    """Assembly context stand-in whose full Jacobian is the identity."""
+    """Assembly context stand-in whose full Jacobian is the identity.
+
+    Above ``dt_ok`` its last diagonal entry is zero, so that it is singular.
+    """
 
     condensation = None
 
-    def __init__(self, n):
+    def __init__(self, n, dt_ok=np.inf):
         self.n = n
+        self.dt_ok = dt_ok
 
     def jacobian(self, dt, d_tan):
-        return sp.identity(self.n, format="csc")
+        diag = np.ones(self.n)
+        if dt > self.dt_ok:
+            diag[-1] = 0.0
+        return sp.diags(diag, format="csc")
 
 
 def _constant_system(r):
@@ -176,6 +186,61 @@ def test_step_halves_dt_then_gives_up_at_dt_min():
     with pytest.raises(NonConvergenceError, match="dt underflow"):
         step(StuckFormulation(), w, 0.0, 8e-5, Excitation(1.0, 50.0), cfg, BlockScales(4))
     assert sorted(set(attempted), reverse=True) == [8e-5, 4e-5, 2e-5, 1e-5]
+
+
+class _LinearFormulation:
+    """Residual u - 1 with an identity tangent that is singular above ``dt_ok``."""
+
+    def __init__(self, n, dt_ok):
+        self.context = _IdentityContext(n, dt_ok)
+        self.attempted = []
+
+    def assemble(self, u, u_prev, dt, t, excitation):
+        if np.array_equal(u, u_prev):
+            self.attempted.append(dt)
+        return AssembledSystem(
+            residual=u - 1.0,
+            row_scale=np.abs(u) + 1.0,
+            dt=dt,
+            d_tan=np.zeros(0),
+            context=self.context,
+        )
+
+
+def test_singular_factorization_counts_as_an_iteration():
+    form = _LinearFormulation(4, dt_ok=1e-5)
+    w = np.zeros(4)
+    with pytest.raises(SingularMatrixError) as err:
+        newton_solve(
+            lambda u: form.assemble(u, w, 2e-5, 0.0, None), w, SolverConfig(), BlockScales(4)
+        )
+    assert isinstance(err.value, NonConvergenceError)
+    assert err.value.stats.iterations == 1
+    assert not err.value.stats.converged
+
+
+def test_step_retries_a_singular_factorization_with_half_the_dt(monkeypatch):
+    calls = []
+    splu = solver.splu
+    monkeypatch.setattr(solver, "splu", lambda *a, **kw: calls.append(a) or splu(*a, **kw))
+    form = _LinearFormulation(4, dt_ok=2e-5)
+    cfg = SolverConfig(dt_init=1e-5, dt_min=1e-5, dt_max=8e-5)
+    w = np.zeros(4)
+    exc = Excitation(1.0, 50.0)
+    w_new, dt_taken, stats, solves = step(form, w, 0.0, 8e-5, exc, cfg, BlockScales(4))
+    assert form.attempted == [8e-5, 4e-5, 2e-5]
+    assert dt_taken == 2e-5
+    assert stats.converged and stats.iterations == 1
+    assert np.allclose(w_new, 1.0)
+    # one failed factorization per rejected attempt, one for the accepted one
+    assert solves == len(calls) == 3
+
+    # at dt_min the step gives up and names the failed factorization
+    form = _LinearFormulation(4, dt_ok=1e-6)
+    with pytest.raises(NonConvergenceError, match="dt underflow.*factorization failed") as err:
+        step(form, w, 0.0, 2e-5, exc, cfg, BlockScales(4))
+    assert isinstance(err.value.__cause__, SingularMatrixError)
+    assert form.attempted == [2e-5, 1e-5]
 
 
 def test_block_scales_two_unit_families():
@@ -277,18 +342,19 @@ def test_linear_solve_audit():
 
 
 @pytest.mark.parametrize(
-    "variant", [FormulationVariant.FCM_T_OMEGA, FormulationVariant.REF_H_PHI]
+    "variant",
+    [FormulationVariant.FCM_T_OMEGA, FormulationVariant.FCM_H_FULL, FormulationVariant.REF_H_PHI],
 )
 def test_one_factorization_per_linear_solve(variant, monkeypatch):
     # the benchmark reconciles solver.splu calls with linsys_count; the
     # curl-free unknowns are condensed out for t-omega, so no assembly there
     # builds the full Jacobian, and on the full path only Newton iterations do
     ctx = small_context(variant, n_turns=2)
-    calls = {"splu": 0, "jacobian": 0}
+    calls = {"splu": [], "jacobian": []}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[name].append(kwargs)
             return fn(*args, **kwargs)
 
         return wrapper
@@ -298,9 +364,38 @@ def test_one_factorization_per_linear_solve(variant, monkeypatch):
     exc = Excitation(amplitude=96.0, frequency=50.0)
     trace = run_transient(SolverConfig(periods=0.1), ctx, exc, store_states=False)
     assert trace.linsys_count > 0
-    assert calls["splu"] == trace.linsys_count
+    assert len(calls["splu"]) == trace.linsys_count
     condensed = variant is FormulationVariant.FCM_T_OMEGA
-    assert calls["jacobian"] == (0 if condensed else trace.linsys_count)
+    assert len(calls["jacobian"]) == (0 if condensed else trace.linsys_count)
+    # only the reference model orders by minimum degree on A^T + A
+    ordering = {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}}
+    expected = ordering if variant is FormulationVariant.REF_H_PHI else {}
+    assert FACTOR_OPTIONS.get(variant, {}) == expected
+    assert all(kwargs == expected for kwargs in calls["splu"])
+
+
+def test_kim_jc_is_evaluated_once_per_accepted_step(monkeypatch):
+    from foilwind import formulations
+
+    mats = pancake_materials(jc_model=JcKim(1e10, 0.05))
+    exc = Excitation(amplitude=96.0, frequency=50.0)
+    cfg = SolverConfig(periods=0.1)
+    ctx = small_context(FormulationVariant.FCM_T_OMEGA, n_turns=2, materials=mats)
+    evals = []
+    jc_eval = formulations.jc_eval
+    monkeypatch.setattr(formulations, "jc_eval", lambda *a: evals.append(1) or jc_eval(*a))
+    trace = run_transient(cfg, ctx, exc, store_states=False)
+    # every assembly and the dissipation of a step share the step's lagged jc
+    assert len(evals) == len(trace.times) - 1
+    assert int(trace.newton_iters.sum()) > len(evals)
+
+    # the same run with the lagged jc evaluated on every call
+    fresh = small_context(FormulationVariant.FCM_T_OMEGA, n_turns=2, materials=mats)
+    fresh._lagged_jc = fresh.jc_effective
+    ref = run_transient(cfg, fresh, exc, store_states=False)
+    assert np.array_equal(ref.times, trace.times)
+    assert np.array_equal(ref.p, trace.p)
+    assert np.array_equal(ref.slice_currents, trace.slice_currents)
 
 
 def test_runs_are_deterministic():

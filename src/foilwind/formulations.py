@@ -22,12 +22,14 @@ Internally all constraints act on the half model, so targets are halved and
 every reported quantity is scaled back to the full device elsewhere.
 
 The Newton tangent is affine in (1/dt, d_tan), so an assembly hands the
-solver those two and builds the full sparse Jacobian only when it is read,
-by filling a fixed CSC pattern. For the homogenized scalar-potential
-variants (h-phi, t-omega) the gradient unknowns have zero curl: their rows
-and columns of the tangent are the constant mass block M_nn/dt, and they are
-condensed out of every Newton solve (see ``Condensation``). The other two
-factor the full Jacobian, with the SuperLU options of ``FACTOR_OPTIONS``.
+solver those two, and one ``Elimination`` turns them into the matrix that is
+factored: it eliminates a set E of field unknowns that neither the curl
+basis nor the coupling reaches, and fills the bordered tangent of the rest
+into a fixed CSC pattern. For the homogenized scalar-potential variants
+(h-phi, t-omega) E holds the gradient unknowns, whose rows of the tangent
+are the constant mass rows M/dt; for the others E is empty and the matrix
+is the full Jacobian. ``NEWTON_LINEAR_SOLVE`` sets E and the SuperLU options
+of each variant.
 """
 
 from __future__ import annotations
@@ -65,22 +67,22 @@ class Excitation:
         return self.amplitude * math.sin(2.0 * math.pi * self.frequency * t)
 
 
-# Variants whose curl-free unknowns are condensed out of the Newton solve.
-# fcm-h-full has no curl-free unknowns (its air edges carry rho_air), and
-# ref-h-phi keeps 2880 unknowns with curl, too many for a dense complement.
-CONDENSED_VARIANTS = frozenset({FormulationVariant.FCM_H_PHI, FormulationVariant.FCM_T_OMEGA})
-
-# SuperLU options for the matrix a variant factors in each Newton iteration;
-# variants not named here use the defaults. The reference Jacobian is
-# structurally symmetric, and a multiple-minimum-degree ordering of A^T + A
-# (Liu, ACM TOMS 11, 1985) halves its LU fill on the tensor grid. fcm-h-full
-# keeps the default ordering: the symmetric one changed its step count and
-# raised its loss by 0.36 %.
-FACTOR_OPTIONS = {
-    FormulationVariant.REF_H_PHI: {
-        "permc_spec": "MMD_AT_PLUS_A",
-        "options": {"SymmetricMode": True},
-    },
+# Per variant: whether its curl-free unknowns are eliminated from the Newton
+# tangent, and the SuperLU options of the matrix that is left. fcm-h-full has
+# no curl-free unknowns (its air edges carry rho_air), and ref-h-phi keeps
+# 2880 unknowns with curl, too many for a dense complement. The reference
+# Jacobian is structurally symmetric, and a multiple-minimum-degree ordering
+# of A^T + A (Liu, ACM TOMS 11, 1985) halves its LU fill on the tensor grid.
+# fcm-h-full keeps the default ordering: the symmetric one changed its step
+# count and raised its loss by 0.36 %.
+NEWTON_LINEAR_SOLVE = {
+    FormulationVariant.FCM_H_PHI: (True, {}),
+    FormulationVariant.FCM_T_OMEGA: (True, {}),
+    FormulationVariant.FCM_H_FULL: (False, {}),
+    FormulationVariant.REF_H_PHI: (
+        False,
+        {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}},
+    ),
 }
 
 
@@ -90,8 +92,8 @@ class AssembledSystem:
 
     The solver factors ``reduced_jacobian`` with ``factor_options`` and maps
     a right-hand side b of the full system in with ``reduce(b)`` and the
-    solution back out with ``recover(x, b)``. Without condensation these are
-    the full Jacobian and identities.
+    solution back out with ``recover(x, b)``, all three through the
+    context's ``elimination``.
     """
 
     residual: np.ndarray
@@ -110,18 +112,13 @@ class AssembledSystem:
 
     @property
     def reduced_jacobian(self) -> sp.csc_matrix:
-        cond = self.context.condensation
-        if cond is None:
-            return self.jacobian
-        return cond.matrix(self.dt, self.d_tan)
+        return self.context.elimination.matrix(self.dt, self.d_tan)
 
     def reduce(self, b: np.ndarray) -> np.ndarray:
-        cond = self.context.condensation
-        return b if cond is None else cond.reduce(b)
+        return self.context.elimination.reduce(b)
 
     def recover(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-        cond = self.context.condensation
-        return x if cond is None else cond.recover(x, b, self.dt)
+        return self.context.elimination.recover(x, b, self.dt)
 
 
 def impose_excitation(layout: DofLayout, excitation: Excitation, t: float) -> np.ndarray:
@@ -359,24 +356,25 @@ class AssemblyContext:
             dt=dt,
             d_tan=d_tan,
             context=self,
-            factor_options=FACTOR_OPTIONS.get(layout.variant, {}),
+            factor_options=NEWTON_LINEAR_SOLVE[layout.variant][1],
         )
 
     @cached_property
-    def _full_jacobian(self) -> "FullJacobian":
-        """Fill of the full Jacobian, built on the first read."""
-        return FullJacobian(self)
+    def _full(self) -> "Elimination":
+        """The elimination of no unknowns, built on the first full-Jacobian read."""
+        return Elimination(self, np.zeros(0, dtype=int))
 
     def jacobian(self, dt: float, d_tan: np.ndarray) -> sp.csc_matrix:
         """Full sparse Jacobian at step ``dt`` and winding tangent weights ``d_tan``."""
-        return self._full_jacobian.matrix(dt, d_tan)
+        return self._full.matrix(dt, d_tan)
 
     @cached_property
-    def condensation(self) -> "Condensation | None":
-        """Condensation of the curl-free unknowns, built on first use."""
-        if self.layout.variant not in CONDENSED_VARIANTS:
-            return None
-        return Condensation(self)
+    def elimination(self) -> "Elimination":
+        """The elimination behind every Newton solve, built on first use."""
+        if not NEWTON_LINEAR_SOLVE[self.layout.variant][0]:
+            return self._full
+        has_curl = np.asarray(abs(self.cb).sum(axis=0)).ravel() > 0
+        return Elimination(self, np.flatnonzero(~has_curl))
 
     def dissipation(self, w: np.ndarray, w_prev: np.ndarray) -> float:
         """Instantaneous resistive power of the half model [W]."""
@@ -406,138 +404,108 @@ class AssemblyContext:
         }
 
 
-class FullJacobian:
-    """The full Jacobian [[M/dt + C^T D C + A, G], [G^T, 0]] in a fixed CSC pattern.
+class Elimination:
+    """The Newton tangent with a set E of field unknowns eliminated.
 
-    Equals ``bmat([[mass/dt + cb^T diag(d) cb + air, G], [G^T, None]])`` bit
-    for bit: the cb entries are +-1, SciPy divides by dt as a product with
-    1/dt and sums (mass/dt + T) + air, and it stores no exact zeros (at the
-    zero start state, none of T). The mass and coupling values are read
-    from the context's matrices through their positions in the pattern.
+    With K the other field unknowns, and E a set that neither the curl basis
+    (so neither the resistive nor the air term) nor the coupling reaches,
+    the tangent reads
+
+        [[M_kk/dt + C_k^T D C_k + A_kk, M_ke/dt, G_k],
+         [M_ek/dt,                      M_ee/dt, 0  ],
+         [G_k^T,                        0,       0  ]]
+
+    and eliminating E leaves [[S0/dt + C_k^T D C_k + A_kk, G_k], [G_k^T, 0]]
+    with the constant Schur complement S0 = M_kk - M_ke M_ee^-1 M_ek. A
+    Newton iteration fills a fixed CSC pattern of it as (S0 * (1/dt) + T) + A,
+    T the tangent and A the constant air and border terms, without exact
+    zeros, and maps a right-hand side in and the update back out with one
+    M_ee solve each.
+
+    E = the curl-free unknowns (h-phi, t-omega): S0 is dense, formed once.
+    E = {} (h-full, ref, and every variant's full Jacobian): S0 is M itself,
+    reduce and recover copy, and the matrix is the full Jacobian. Where the
+    cb entries are +-1 (all variants but t-omega) it equals
+    ``bmat([[mass/dt + cb^T diag(d) cb + air, G], [G^T, None]])`` bit for
+    bit, because SciPy divides by dt as a product with 1/dt, sums in this
+    order and stores no exact zeros.
     """
 
-    def __init__(self, ctx: AssemblyContext):
-        nf = ctx.layout.n_field_dofs
-        self.size = ctx.layout.n_dofs
-        self.mass = ctx.mass
-        self.coupling = ctx.coupling
-        has_air = ctx.air_matrix is not None
-        air = (ctx.air_matrix if has_air else sp.csr_matrix((nf, nf))).tocoo()
-        mass, g = self.mass.tocoo(), self.coupling.tocoo()
-        ti, tj, cells, factors = _product_terms(ctx.cb[ctx.coil])
-        self.indices, self.indptr, (self.mass_pos, t_pos, air_pos, self.border_pos) = (
-            _csc_pattern(
-                self.size,
-                (mass.row, mass.col),
-                (ti, tj),
-                (air.row, air.col),
-                (np.concatenate([g.row, nf + g.col]), np.concatenate([nf + g.col, g.row])),
-            )
+    BLOCK = 32  # columns of M_ee^-1 M_ek held at a time while forming S0
+
+    def __init__(self, ctx: AssemblyContext, eliminated: np.ndarray):
+        layout = ctx.layout
+        self.n_field = nf = layout.n_field_dofs
+        self.n_dofs = layout.n_dofs
+        self.eliminated = eliminated
+        self.kept = kept = np.setdiff1d(np.arange(nf), eliminated)
+        if ctx.coupling[eliminated].count_nonzero():
+            raise ValueError("the voltage coupling reaches eliminated unknowns")
+        if ctx.cb[:, eliminated].count_nonzero():
+            raise ValueError("the curl basis reaches eliminated unknowns")
+        nk = kept.size
+        m = self.size = nk + layout.n_voltage_dofs
+
+        mass_k, mass_e = ctx.mass[kept], ctx.mass[eliminated]
+        # M_ee is symmetric positive definite: a symmetric ordering without
+        # pivoting is stable and fills in far less than the default
+        self.solve_ee = splu(
+            mass_e[:, eliminated].tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        ).solve
+        self.m_ke = mass_k[:, eliminated].tocsr()
+        self.m_ek = mass_e[:, kept].tocsr()
+        s0 = mass_k[:, kept]
+        if eliminated.size:
+            # S0 in column blocks, so that the dense M_ee^-1 M_ek is never whole
+            s0 = s0.toarray()
+            for c in range(0, nk, self.BLOCK):
+                cols = slice(c, c + self.BLOCK)
+                s0[:, cols] -= self.m_ke @ self.solve_ee(self.m_ek[:, cols].toarray())
+        s0 = sp.coo_matrix(s0)
+
+        air = sp.csr_matrix((nf, nf)) if ctx.air_matrix is None else ctx.air_matrix
+        air = air[kept][:, kept].tocoo()
+        g = ctx.coupling[kept].tocoo()
+        ti, tj, cells, factors = _product_terms(ctx.cb[ctx.coil][:, kept])
+        self.indices, self.indptr, (s_pos, t_pos, air_pos, g_pos) = _csc_pattern(
+            m,
+            (s0.row, s0.col),
+            (ti, tj),
+            (air.row, air.col),
+            (np.concatenate([g.row, nk + g.col]), np.concatenate([nk + g.col, g.row])),
         )
+        self.s0 = np.zeros(self.indices.size)
+        self.s0[s_pos] = s0.data
         self.tangent = _TangentFill(t_pos, cells, factors, self.indices.size)
-        # the air term is added in full: a scatter-add costs 20x more
-        self.air = None
-        if has_air:
-            self.air = np.zeros(self.indices.size)
-            self.air[air_pos] = air.data
+        # the constant terms are added in full: a scatter-add costs 20x more
+        self.const = np.zeros(self.indices.size)
+        self.const[air_pos] = air.data
+        self.const[g_pos] = np.concatenate([g.data, g.data])
 
     def matrix(self, dt: float, d_tan: np.ndarray) -> sp.csc_matrix:
-        data = np.zeros(self.indices.size)
-        data[self.mass_pos] = self.mass.data * (1.0 / dt)
-        data += self.tangent(d_tan)
-        if self.air is not None:
-            data += self.air
-        data[self.border_pos] = np.tile(self.coupling.data, 2)
+        """The tangent left after the elimination, at step ``dt`` and tangent weights ``d_tan``."""
+        data = self.s0 * (1.0 / dt) + self.tangent(d_tan) + self.const
         # eliminate_zeros works in place, so it gets copies of the shared pattern
         jac = sp.csc_matrix(
             (data, self.indices.copy(), self.indptr.copy()), shape=(self.size, self.size)
         )
-        jac.eliminate_zeros()
+        if not data.all():  # a check costs a quarter of the pruning pass it saves
+            jac.eliminate_zeros()
         return jac
 
-
-class Condensation:
-    """Static condensation of the curl-free unknowns out of the Newton tangent.
-
-    The field unknowns split into those whose curl-basis column has a
-    nonzero entry (k) and those whose column is empty (n: gradients of the
-    scalar potential). Neither the resistive term nor the coupling
-    G = (CB)^T Phi reaches the n unknowns, so the tangent reads
-
-        [[M_kk/dt + C_k^T D C_k, M_kn/dt, G_k],
-         [M_nk/dt,               M_nn/dt, 0  ],
-         [G_k^T,                 0,       0  ]]
-
-    and eliminating n leaves the bordered matrix
-    [[S0/dt + C_k^T D C_k, G_k], [G_k^T, 0]] with the constant Schur
-    complement S0 = M_kk - M_kn M_nn^-1 M_nk. The sparse LU of M_nn and S0
-    are built once. A Newton iteration fills a fixed CSC pattern of the
-    bordered matrix, and maps a right-hand side in and the update back out
-    with one M_nn solve each.
-    """
-
-    BLOCK = 32  # columns of M_nn^-1 M_nk held at a time while forming S0
-
-    def __init__(self, ctx: AssemblyContext):
-        layout = ctx.layout
-        self.n_field = layout.n_field_dofs
-        self.n_dofs = layout.n_dofs
-        has_curl = np.asarray(abs(ctx.cb).sum(axis=0)).ravel() > 0
-        self.kept = np.flatnonzero(has_curl)
-        self.eliminated = np.flatnonzero(~has_curl)
-        if ctx.coupling[self.eliminated].count_nonzero():
-            raise ValueError("the voltage coupling reaches curl-free unknowns")
-        nk = self.kept.size
-        m = self.size = nk + layout.n_voltage_dofs
-
-        mass_k = ctx.mass[self.kept]
-        mass_n = ctx.mass[self.eliminated]
-        # M_nn is symmetric positive definite: a symmetric ordering without
-        # pivoting is stable and fills in far less than the default
-        self.lu_nn = splu(
-            mass_n[:, self.eliminated].tocsc(),
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
-        self.m_kn = mass_k[:, self.eliminated].tocsr()
-        self.m_nk = mass_n[:, self.kept].tocsr()
-        # S0 in column blocks, so that the dense M_nn^-1 M_nk is never whole
-        s0 = mass_k[:, self.kept].toarray()
-        for c in range(0, nk, self.BLOCK):
-            cols = slice(c, c + self.BLOCK)
-            s0[:, cols] -= self.m_kn @ self.lu_nn.solve(self.m_nk[:, cols].toarray())
-
-        ti, tj, cells, factors = _product_terms(ctx.cb[ctx.coil][:, self.kept])
-        si, sj = np.nonzero(s0)
-        g = ctx.coupling[self.kept].tocoo()
-        gi, gj = np.concatenate([g.row, nk + g.col]), np.concatenate([nk + g.col, g.row])
-
-        # one fixed CSC pattern holds all three terms
-        self.indices, self.indptr, (t_pos, s_pos, g_pos) = _csc_pattern(
-            m, (ti, tj), (si, sj), (gi, gj)
-        )
-        self.s0 = np.zeros(self.indices.size)
-        self.s0[s_pos] = s0[si, sj]
-        self.border = np.zeros(self.indices.size)
-        self.border[g_pos] = np.concatenate([g.data, g.data])
-        self.tangent = _TangentFill(t_pos, cells, factors, self.indices.size)
-
-    def matrix(self, dt: float, d_tan: np.ndarray) -> sp.csc_matrix:
-        """Bordered condensed tangent [[S0/dt + C_k^T D C_k, G_k], [G_k^T, 0]]."""
-        data = self.s0 / dt + self.border + self.tangent(d_tan)
-        return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.size, self.size))
-
     def reduce(self, b: np.ndarray) -> np.ndarray:
-        """Right-hand side of the condensed system for full right-hand side ``b``."""
-        y = self.lu_nn.solve(b[self.eliminated])
-        return np.concatenate([b[self.kept] - self.m_kn @ y, b[self.n_field :]])
+        """Right-hand side of the eliminated system for full right-hand side ``b``."""
+        y = self.solve_ee(b[self.eliminated])
+        return np.concatenate([b[self.kept] - self.m_ke @ y, b[self.n_field :]])
 
     def recover(self, x: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
-        """Full solution from the condensed solution ``x`` of ``reduce(b)``."""
+        """Full solution from the solution ``x`` of the system of ``reduce(b)``."""
         nk = self.kept.size
         du = np.empty(self.n_dofs)
         du[self.kept] = x[:nk]
         du[self.n_field :] = x[nk:]
-        du[self.eliminated] = self.lu_nn.solve(dt * b[self.eliminated] - self.m_nk @ x[:nk])
+        du[self.eliminated] = self.solve_ee(dt * b[self.eliminated] - self.m_ek @ x[:nk])
         return du

@@ -366,14 +366,6 @@ class Mesh:
         idx[~self.coil_mask] = -1
         return idx
 
-    def region_name(self, cell: int) -> str:
-        tag = self.region[cell]
-        if tag == AIR:
-            return "AIR"
-        if self.geom is not None and self.geom.homogenized:
-            return "COIL"
-        return f"TURN_{tag}"
-
     @cached_property
     def alpha_spans(self) -> np.ndarray:
         """(n_alpha, 2) normalized [0,1] radial span per winding column."""

@@ -4,13 +4,12 @@ Every Newton iteration factors its linear system directly, which is robust
 against the power-law's extreme stiffness; no iterative solvers are
 attempted. The system that is factored is the assembly's
 ``reduced_jacobian``, with the SuperLU options of its ``factor_options``:
-for the homogenized scalar-potential variants the curl-free unknowns are
-condensed out and only the small bordered matrix of the unknowns with curl
-is factored; for the others it is the full sparse Jacobian, which the
-reference model orders by minimum degree on A^T + A. Right-hand sides map in
-through ``reduce`` and updates back out through ``recover``. A factorization
-that fails is a Newton failure like any other: the step is retried with half
-the dt.
+the context's one elimination leaves out a set of field unknowns that only
+the mass matrix reaches (the curl-free unknowns of the homogenized
+scalar-potential variants, none for the others, which factor the full
+sparse Jacobian). Right-hand sides map in through ``reduce`` and updates
+back out through ``recover``. A factorization that fails is a Newton failure
+like any other: the step is retried with half the dt.
 
 Convergence is judged on a block-scaled Euclidean residual norm: field rows
 and current-constraint rows carry different units, so each block is
@@ -283,8 +282,10 @@ def run_transient(
     # that converged. The landing clip on t_end does not touch the controller.
     dt_ctrl = config.dt_init
 
-    while t < t_end * (1.0 - 1e-12):
+    while t < t_end:
         dt = min(dt_ctrl, t_end - t)
+        if t_end * (1.0 - 1e-12) <= t + dt < t_end:
+            dt = t_end - t  # no step ends a roundoff short of t_end
         w_new, dt_taken, stats, solves = step(
             formulation, w, t, dt, excitation, config, scales
         )
@@ -293,7 +294,8 @@ def run_transient(
             dt_ctrl = dt_taken
         if stats.iterations <= FAST_STEP_ITERS:
             dt_ctrl = min(dt_ctrl * DT_GROWTH, config.dt_max)
-        t_new = t + dt_taken
+        # t + (t_end - t) can round off t_end; the landing step ends on it
+        t_new = t_end if dt_taken == t_end - t else t + dt_taken
 
         times.append(t_new)
         p.append(formulation.mesh.symmetry_factor * formulation.dissipation(w_new, w))

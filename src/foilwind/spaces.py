@@ -184,26 +184,6 @@ class DofLayout:
     voltage_basis: VoltageBasis | None
 
     @property
-    def n_edge_dofs(self) -> int:
-        s = self.blocks.get("edge")
-        return (s.stop - s.start) if s else 0
-
-    @property
-    def n_nodal_dofs(self) -> int:
-        s = self.blocks.get("nodal")
-        return (s.stop - s.start) if s else 0
-
-    @property
-    def n_cut_dofs(self) -> int:
-        s = self.blocks.get("cut")
-        return (s.stop - s.start) if s else 0
-
-    @property
-    def n_carrier_dofs(self) -> int:
-        s = self.blocks.get("carrier")
-        return (s.stop - s.start) if s else 0
-
-    @property
     def n_field_dofs(self) -> int:
         return self.basis.shape[1]
 

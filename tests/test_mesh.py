@@ -210,16 +210,18 @@ def test_alpha_spans_cover_unit_interval():
     assert np.allclose(spans[:, 1] - spans[:, 0], 0.2)
 
 
-def test_region_names():
+def test_region_tags():
+    from foilwind.mesh import AIR
     from foilwind.variants import FormulationVariant
 
     hom = small_mesh(n_turns=2, n_alpha=4, n_beta=8)
     det = small_mesh(FormulationVariant.REF_H_PHI, n_turns=2, n_alpha=4, n_beta=8)
-    assert hom.region_name(hom.coil_cells[0]) == "COIL"
-    air = np.setdiff1d(np.arange(hom.n_cells), hom.coil_cells)[0]
-    assert hom.region_name(air) == "AIR"
-    names = {det.region_name(c) for c in det.coil_cells}
-    assert names == {"TURN_0", "TURN_1"}
+    # the homogenized winding is one region 0, the detailed one a region per turn
+    assert set(hom.region[hom.coil_cells]) == {0}
+    assert set(det.region[det.coil_cells]) == {0, 1}
+    for mesh in (hom, det):
+        air = np.setdiff1d(np.arange(mesh.n_cells), mesh.coil_cells)
+        assert air.size > 0 and np.all(mesh.region[air] == AIR)
 
 
 def test_symmetry_factor_and_volume():

@@ -150,6 +150,15 @@ def test_sweep_last_value_is_reference(tmp_path):
         assert row["linsys_count"] > 0
 
 
+def test_parallel_sweep_writes_the_serial_table(tmp_path):
+    cfg = _fast(FormulationVariant.FCM_T_OMEGA)
+    serial = run_sweep(cfg, "n_alpha", [4.0, 6.0], tmp_path / "serial")
+    parallel = run_sweep(cfg, "n_alpha", [4.0, 6.0], tmp_path / "parallel", jobs=2)
+    assert parallel == serial
+    table = (tmp_path / "serial" / "sweep.csv").read_bytes()
+    assert (tmp_path / "parallel" / "sweep.csv").read_bytes() == table
+
+
 def test_sweep_rejects_empty_values(tmp_path):
     cfg = _fast(FormulationVariant.FCM_T_OMEGA)
     with pytest.raises(ConfigError, match="non-empty"):

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from foilwind import solver
-from foilwind.formulations import AssembledSystem, Excitation
+from foilwind import formulations, solver
+from foilwind.formulations import NEWTON_LINEAR_SOLVE, AssembledSystem, Excitation
 from foilwind.postprocess import LossSeries, mean_losses
-from foilwind.formulations import FACTOR_OPTIONS
 from foilwind.materials import JcKim
 from foilwind.solver import (
     BlockScales,
@@ -114,22 +115,28 @@ def test_newton_residual_history_is_monotone():
 
 
 class _IdentityContext:
-    """Assembly context stand-in whose full Jacobian is the identity.
+    """Assembly context stand-in that is its own elimination of no unknowns.
 
-    Above ``dt_ok`` its last diagonal entry is zero, so that it is singular.
+    Its matrix is the identity; above ``dt_ok`` the last diagonal entry is
+    zero, so that it is singular.
     """
-
-    condensation = None
 
     def __init__(self, n, dt_ok=np.inf):
         self.n = n
         self.dt_ok = dt_ok
+        self.elimination = self
 
-    def jacobian(self, dt, d_tan):
+    def matrix(self, dt, d_tan):
         diag = np.ones(self.n)
         if dt > self.dt_ok:
             diag[-1] = 0.0
         return sp.diags(diag, format="csc")
+
+    def reduce(self, b):
+        return b.copy()
+
+    def recover(self, x, b, dt):
+        return x.copy()
 
 
 def _constant_system(r):
@@ -332,6 +339,51 @@ def test_dt_controller_restarts_from_the_converged_dt_after_a_halving():
     assert trace.linsys_count == int(trace.newton_iters.sum()) + sum(rejected)
 
 
+@settings(max_examples=10, deadline=None)
+@given(
+    periods=st.floats(0.005, 0.05),
+    dt_init=st.floats(2e-6, 1e-4),
+    growth=st.floats(1.0, 8.0),
+    halvings=st.integers(0, 4),
+    max_newton_iters=st.integers(3, 25),
+)
+# fixed steps of 2e-6 s sum to 1e-4 s a roundoff short of t_end
+@example(periods=0.005, dt_init=2e-6, growth=1.0, halvings=0, max_newton_iters=3)
+def test_stepper_properties(periods, dt_init, growth, halvings, max_newton_iters):
+    # a low Newton iteration cap makes some attempts fail and halve the dt
+    cfg = SolverConfig(
+        periods=periods,
+        dt_init=dt_init,
+        dt_min=dt_init / 2**halvings,
+        dt_max=dt_init * growth,
+        max_newton_iters=max_newton_iters,
+    )
+    exc = Excitation(amplitude=96.0, frequency=50.0)
+    ctx = small_context(FormulationVariant.FCM_T_OMEGA, n_turns=2)
+    rejected = []  # Newton iterations of every rejected attempt
+    newton_solve = solver.newton_solve
+
+    def counted(*args):
+        try:
+            return newton_solve(*args)
+        except NonConvergenceError as err:
+            rejected.append(err.stats.iterations)
+            raise
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "newton_solve", counted)
+        trace = run_transient(cfg, ctx, exc, store_states=False)
+    t_end = cfg.periods * exc.period
+    assert trace.times[-1] == t_end
+    steps = np.diff(trace.times)
+    assert steps.min() > 1e-12 * t_end  # no step is a roundoff sliver
+    assert np.array_equal(trace.dt[1:], steps)
+    # only the landing step, clipped to t_end, may be shorter than dt_min;
+    # the others may sit below it by the roundoff of t + dt - t
+    assert np.all(steps[:-1] >= cfg.dt_min * (1 - 1e-12))
+    assert trace.linsys_count == int(trace.newton_iters.sum()) + sum(rejected)
+
+
 def test_linear_solve_audit():
     ctx = small_context(FormulationVariant.FCM_H_PHI, n_turns=2)
     exc = Excitation(amplitude=9.6, frequency=50.0)
@@ -346,31 +398,35 @@ def test_linear_solve_audit():
     [FormulationVariant.FCM_T_OMEGA, FormulationVariant.FCM_H_FULL, FormulationVariant.REF_H_PHI],
 )
 def test_one_factorization_per_linear_solve(variant, monkeypatch):
-    # the benchmark reconciles solver.splu calls with linsys_count; the
-    # curl-free unknowns are condensed out for t-omega, so no assembly there
-    # builds the full Jacobian, and on the full path only Newton iterations do
+    # the benchmark reconciles solver.splu calls with linsys_count; each
+    # Newton iteration fills the context's one elimination once, which for
+    # t-omega leaves out the curl-free unknowns, so no full Jacobian is built
     ctx = small_context(variant, n_turns=2)
-    calls = {"splu": [], "jacobian": []}
+    calls = {"splu": [], "matrix": []}
+    splu, matrix = solver.splu, formulations.Elimination.matrix
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name].append(kwargs)
-            return fn(*args, **kwargs)
+    def counted_splu(*args, **kwargs):
+        calls["splu"].append(kwargs)
+        return splu(*args, **kwargs)
 
-        return wrapper
+    def counted_matrix(elimination, dt, d_tan):
+        calls["matrix"].append(elimination)
+        return matrix(elimination, dt, d_tan)
 
-    monkeypatch.setattr(solver, "splu", counted("splu", solver.splu))
-    monkeypatch.setattr(ctx, "jacobian", counted("jacobian", ctx.jacobian))
+    monkeypatch.setattr(solver, "splu", counted_splu)
+    monkeypatch.setattr(formulations.Elimination, "matrix", counted_matrix)
     exc = Excitation(amplitude=96.0, frequency=50.0)
     trace = run_transient(SolverConfig(periods=0.1), ctx, exc, store_states=False)
     assert trace.linsys_count > 0
     assert len(calls["splu"]) == trace.linsys_count
+    assert len(calls["matrix"]) == trace.linsys_count
+    assert all(elimination is ctx.elimination for elimination in calls["matrix"])
     condensed = variant is FormulationVariant.FCM_T_OMEGA
-    assert len(calls["jacobian"]) == (0 if condensed else trace.linsys_count)
+    assert (ctx.elimination.size < ctx.layout.n_dofs) == condensed
     # only the reference model orders by minimum degree on A^T + A
     ordering = {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}}
     expected = ordering if variant is FormulationVariant.REF_H_PHI else {}
-    assert FACTOR_OPTIONS.get(variant, {}) == expected
+    assert NEWTON_LINEAR_SOLVE[variant] == (condensed, expected)
     assert all(kwargs == expected for kwargs in calls["splu"])
 
 

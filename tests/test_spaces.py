@@ -147,18 +147,20 @@ def test_voltage_dof_counts():
 
 def test_all_edge_layout_has_no_potential():
     mesh, layout = small_layout(FormulationVariant.FCM_H_FULL, n_turns=2)
-    assert set(layout.blocks) == {"edge"}
-    assert layout.n_nodal_dofs == 0
-    assert layout.n_cut_dofs == 0
-    # every unconstrained edge is a DoF
-    assert layout.n_edge_dofs == mesh.n_edges - mesh.constrained_edges.size
+    # edge DoFs only, one per unconstrained edge
+    assert layout.blocks == {"edge": slice(0, mesh.n_edges - mesh.constrained_edges.size)}
+    assert layout.n_field_dofs == mesh.n_edges - mesh.constrained_edges.size
 
 
 def test_current_potential_layout_blocks():
     _, layout = small_layout(FormulationVariant.FCM_T_OMEGA, n_turns=2)
     assert set(layout.blocks) == {"edge", "nodal", "carrier"}
-    assert layout.n_carrier_dofs == layout.n_voltage_dofs
-    assert layout.n_cut_dofs == 0
+    carrier = layout.blocks["carrier"]
+    assert carrier.stop - carrier.start == layout.n_voltage_dofs
+    # the blocks tile the field unknowns in order
+    spans = sorted((b.start, b.stop) for b in layout.blocks.values())
+    assert spans[0][0] == 0 and spans[-1][1] == layout.n_field_dofs
+    assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
 
 
 def test_too_few_winding_columns_rejected():

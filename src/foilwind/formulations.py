@@ -25,11 +25,12 @@ The Newton tangent is affine in (1/dt, d_tan), so an assembly hands the
 solver those two, and one ``Elimination`` turns them into the matrix that is
 factored: it eliminates a set E of field unknowns that neither the curl
 basis nor the coupling reaches, and fills the bordered tangent of the rest
-into a fixed CSC pattern. For the homogenized scalar-potential variants
-(h-phi, t-omega) E holds the gradient unknowns, whose rows of the tangent
-are the constant mass rows M/dt; for the others E is empty and the matrix
-is the full Jacobian. ``NEWTON_LINEAR_SOLVE`` sets E and the SuperLU options
-of each variant.
+into a fixed CSC pattern. The rows of E in the tangent are the constant
+mass rows M/dt. For the homogenized scalar-potential variants (h-phi, t-omega) E
+holds every gradient unknown, for the reference model the gradient unknowns
+of the exterior air; for h-full E is empty and the matrix is the full
+Jacobian. ``NEWTON_LINEAR_SOLVE`` sets E, the ordering and the SuperLU
+options of each variant.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -67,21 +69,35 @@ class Excitation:
         return self.amplitude * math.sin(2.0 * math.pi * self.frequency * t)
 
 
-# Per variant: whether its curl-free unknowns are eliminated from the Newton
-# tangent, and the SuperLU options of the matrix that is left. fcm-h-full has
-# no curl-free unknowns (its air edges carry rho_air), and ref-h-phi keeps
-# 2880 unknowns with curl, too many for a dense complement. The reference
-# Jacobian is structurally symmetric, and a multiple-minimum-degree ordering
-# of A^T + A (Liu, ACM TOMS 11, 1985) halves its LU fill on the tensor grid.
-# fcm-h-full keeps the default ordering: the symmetric one changed its step
-# count and raised its loss by 0.36 %.
+class LinearSolve(NamedTuple):
+    """How the Newton tangent of one variant is factored."""
+
+    eliminate: str | None  # "curl-free", "exterior air", or None: the full Jacobian
+    order: dict | None  # splu options of the ordering computed once per elimination
+    factor_options: dict  # splu options of every Newton factorization
+
+
+_SYMMETRIC = {"options": {"SymmetricMode": True}}
+
+# fcm-h-phi and fcm-t-omega eliminate every curl-free unknown, and SuperLU
+# orders each factorization. fcm-h-full eliminates nothing: its air edges
+# carry rho_air, so no row of its tangent is pure M/dt; it keeps the default
+# ordering per call, since the symmetric one changed its step count and raised
+# its loss by 0.36 %. ref-h-phi eliminates only the exterior air, the
+# curl-free unknowns whose basis columns touch no edge of a winding cell; the
+# inter-turn and interface nodes stay, as their complement would couple the
+# turns densely. Its Jacobian is structurally symmetric, and a multiple-minimum-
+# degree ordering of A^T + A (Liu, ACM TOMS 11, 1985) halves its LU fill on
+# the tensor grid. The pattern is fixed, so that order is computed once and
+# each factorization keeps it (NATURAL), preferring diagonal pivots.
 NEWTON_LINEAR_SOLVE = {
-    FormulationVariant.FCM_H_PHI: (True, {}),
-    FormulationVariant.FCM_T_OMEGA: (True, {}),
-    FormulationVariant.FCM_H_FULL: (False, {}),
-    FormulationVariant.REF_H_PHI: (
-        False,
-        {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}},
+    FormulationVariant.FCM_H_PHI: LinearSolve("curl-free", None, {}),
+    FormulationVariant.FCM_T_OMEGA: LinearSolve("curl-free", None, {}),
+    FormulationVariant.FCM_H_FULL: LinearSolve(None, None, {}),
+    FormulationVariant.REF_H_PHI: LinearSolve(
+        "exterior air",
+        {"permc_spec": "MMD_AT_PLUS_A", **_SYMMETRIC},
+        {"permc_spec": "NATURAL", **_SYMMETRIC},
     ),
 }
 
@@ -356,7 +372,7 @@ class AssemblyContext:
             dt=dt,
             d_tan=d_tan,
             context=self,
-            factor_options=NEWTON_LINEAR_SOLVE[layout.variant][1],
+            factor_options=NEWTON_LINEAR_SOLVE[layout.variant].factor_options,
         )
 
     @cached_property
@@ -371,10 +387,16 @@ class AssemblyContext:
     @cached_property
     def elimination(self) -> "Elimination":
         """The elimination behind every Newton solve, built on first use."""
-        if not NEWTON_LINEAR_SOLVE[self.layout.variant][0]:
+        eliminate, order, _ = NEWTON_LINEAR_SOLVE[self.layout.variant]
+        if eliminate is None:
             return self._full
-        has_curl = np.asarray(abs(self.cb).sum(axis=0)).ravel() > 0
-        return Elimination(self, np.flatnonzero(~has_curl))
+        # cb stores no zeros, so its column indices are the unknowns with curl;
+        # abs(cb) would sort the shared layout.curl_basis in place
+        free = np.ones(self.layout.n_field_dofs, dtype=bool)
+        free[self.cb.indices] = False
+        if eliminate == "exterior air":
+            free[self.layout.basis[self.mesh.cell_edges[self.coil].ravel()].indices] = False
+        return Elimination(self, np.flatnonzero(free), order)
 
     def dissipation(self, w: np.ndarray, w_prev: np.ndarray) -> float:
         """Instantaneous resistive power of the half model [W]."""
@@ -416,26 +438,31 @@ class Elimination:
          [G_k^T,                        0,       0  ]]
 
     and eliminating E leaves [[S0/dt + C_k^T D C_k + A_kk, G_k], [G_k^T, 0]]
-    with the constant Schur complement S0 = M_kk - M_ke M_ee^-1 M_ek. A
-    Newton iteration fills a fixed CSC pattern of it as (S0 * (1/dt) + T) + A,
-    T the tangent and A the constant air and border terms, without exact
-    zeros, and maps a right-hand side in and the update back out with one
-    M_ee solve each.
+    with the constant Schur complement S0 = M_kk - M_ke M_ee^-1 M_ek. Its
+    correction is dense, but only on the border, the kept unknowns that M_ke
+    reaches; elsewhere S0 is M_kk. A Newton iteration fills a fixed CSC pattern
+    of the matrix as (S0 * (1/dt) + T) + A, T the tangent and A the constant
+    air and border terms, without exact zeros, and maps a right-hand side in
+    and the update back out with one M_ee solve each.
 
-    E = the curl-free unknowns (h-phi, t-omega): S0 is dense, formed once.
-    E = {} (h-full, ref, and every variant's full Jacobian): S0 is M itself,
-    reduce and recover copy, and the matrix is the full Jacobian. Where the
-    cb entries are +-1 (all variants but t-omega) it equals
-    ``bmat([[mass/dt + cb^T diag(d) cb + air, G], [G^T, None]])`` bit for
-    bit, because SciPy divides by dt as a product with 1/dt, sums in this
+    With ``order`` (splu options), the fill-reducing column order SuperLU
+    computes for the pattern is taken once, and the kept and voltage unknowns
+    are numbered in it: row and column i of the matrix is unknown
+    ``unknowns[i]``, so a factorization in the natural order keeps it.
+
+    E = {} (h-full, and every variant's full Jacobian): the border is empty,
+    S0 is M itself, reduce and recover copy, and the matrix is the full
+    Jacobian. Where the cb entries are +-1 (all variants but t-omega) it
+    equals ``bmat([[mass/dt + cb^T diag(d) cb + air, G], [G^T, None]])`` bit
+    for bit, because SciPy divides by dt as a product with 1/dt, sums in this
     order and stores no exact zeros.
     """
 
     BLOCK = 32  # columns of M_ee^-1 M_ek held at a time while forming S0
 
-    def __init__(self, ctx: AssemblyContext, eliminated: np.ndarray):
+    def __init__(self, ctx: AssemblyContext, eliminated: np.ndarray, order: dict | None = None):
         layout = ctx.layout
-        self.n_field = nf = layout.n_field_dofs
+        nf = layout.n_field_dofs
         self.n_dofs = layout.n_dofs
         self.eliminated = eliminated
         self.kept = kept = np.setdiff1d(np.arange(nf), eliminated)
@@ -445,6 +472,7 @@ class Elimination:
             raise ValueError("the curl basis reaches eliminated unknowns")
         nk = kept.size
         m = self.size = nk + layout.n_voltage_dofs
+        self.unknowns = np.concatenate([kept, np.arange(nf, self.n_dofs)])
 
         mass_k, mass_e = ctx.mass[kept], ctx.mass[eliminated]
         # M_ee is symmetric positive definite: a symmetric ordering without
@@ -457,33 +485,51 @@ class Elimination:
         ).solve
         self.m_ke = mass_k[:, eliminated].tocsr()
         self.m_ek = mass_e[:, kept].tocsr()
-        s0 = mass_k[:, kept]
-        if eliminated.size:
-            # S0 in column blocks, so that the dense M_ee^-1 M_ek is never whole
-            s0 = s0.toarray()
-            for c in range(0, nk, self.BLOCK):
-                cols = slice(c, c + self.BLOCK)
-                s0[:, cols] -= self.m_ke @ self.solve_ee(self.m_ek[:, cols].toarray())
-        s0 = sp.coo_matrix(s0)
+        border = np.union1d(self.m_ke.nonzero()[0], self.m_ek.nonzero()[1])
+        m_be = self.m_ke[border]
+        corr = np.empty((border.size, border.size))
+        # in column blocks, so that the dense M_ee^-1 M_ek is never whole
+        for c in range(0, border.size, self.BLOCK):
+            cols = slice(c, c + self.BLOCK)
+            corr[:, cols] = m_be @ self.solve_ee(self.m_ek[:, border[cols]].toarray())
+        corr = sp.coo_matrix(corr)
+        corr = sp.csr_matrix((corr.data, (border[corr.row], border[corr.col])), shape=(nk, nk))
+        s0 = (mass_k[:, kept] - corr).tocoo()
 
         air = sp.csr_matrix((nf, nf)) if ctx.air_matrix is None else ctx.air_matrix
         air = air[kept][:, kept].tocoo()
         g = ctx.coupling[kept].tocoo()
         ti, tj, cells, factors = _product_terms(ctx.cb[ctx.coil][:, kept])
-        self.indices, self.indptr, (s_pos, t_pos, air_pos, g_pos) = _csc_pattern(
-            m,
+        entries = [
             (s0.row, s0.col),
             (ti, tj),
             (air.row, air.col),
             (np.concatenate([g.row, nk + g.col]), np.concatenate([nk + g.col, g.row])),
-        )
-        self.s0 = np.zeros(self.indices.size)
-        self.s0[s_pos] = s0.data
-        self.tangent = _TangentFill(t_pos, cells, factors, self.indices.size)
-        # the constant terms are added in full: a scatter-add costs 20x more
-        self.const = np.zeros(self.indices.size)
-        self.const[air_pos] = air.data
-        self.const[g_pos] = np.concatenate([g.data, g.data])
+        ]
+
+        def fill(rank: np.ndarray) -> None:
+            """The pattern and data, with unknown i in row and column rank[i]."""
+            self.indices, self.indptr, (s_pos, t_pos, air_pos, g_pos) = _csc_pattern(
+                m, *[(rank[i], rank[j]) for i, j in entries]
+            )
+            self.s0 = np.zeros(self.indices.size)
+            self.s0[s_pos] = s0.data
+            self.tangent = _TangentFill(t_pos, cells, factors, self.indices.size)
+            # the constant terms are added in full: a scatter-add costs 20x more
+            self.const = np.zeros(self.indices.size)
+            self.const[air_pos] = air.data
+            self.const[g_pos] = np.concatenate([g.data, g.data])
+
+        fill(np.arange(m))
+        if order is not None:
+            # the order depends on the pattern alone: factor once with every
+            # entry stored, at dt = 1 and a unit tangent
+            data = self.s0 + self.tangent(np.ones(ctx.coil.size)) + self.const
+            rank = splu(
+                sp.csc_matrix((data, self.indices, self.indptr), shape=(m, m)), **order
+            ).perm_c
+            self.unknowns = self.unknowns[np.argsort(rank)]
+            fill(rank)
 
     def matrix(self, dt: float, d_tan: np.ndarray) -> sp.csc_matrix:
         """The tangent left after the elimination, at step ``dt`` and tangent weights ``d_tan``."""
@@ -498,14 +544,13 @@ class Elimination:
 
     def reduce(self, b: np.ndarray) -> np.ndarray:
         """Right-hand side of the eliminated system for full right-hand side ``b``."""
-        y = self.solve_ee(b[self.eliminated])
-        return np.concatenate([b[self.kept] - self.m_ke @ y, b[self.n_field :]])
+        rhs = b.copy()
+        rhs[self.kept] -= self.m_ke @ self.solve_ee(b[self.eliminated])
+        return rhs[self.unknowns]
 
     def recover(self, x: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
         """Full solution from the solution ``x`` of the system of ``reduce(b)``."""
-        nk = self.kept.size
         du = np.empty(self.n_dofs)
-        du[self.kept] = x[:nk]
-        du[self.n_field :] = x[nk:]
-        du[self.eliminated] = self.solve_ee(dt * b[self.eliminated] - self.m_ek @ x[:nk])
+        du[self.unknowns] = x
+        du[self.eliminated] = self.solve_ee(dt * b[self.eliminated] - self.m_ek @ du[self.kept])
         return du

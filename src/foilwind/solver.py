@@ -6,10 +6,11 @@ attempted. The system that is factored is the assembly's
 ``reduced_jacobian``, with the SuperLU options of its ``factor_options``:
 the context's one elimination leaves out a set of field unknowns that only
 the mass matrix reaches (the curl-free unknowns of the homogenized
-scalar-potential variants, none for the others, which factor the full
-sparse Jacobian). Right-hand sides map in through ``reduce`` and updates
-back out through ``recover``. A factorization that fails is a Newton failure
-like any other: the step is retried with half the dt.
+scalar-potential variants, the exterior air of the reference model, none
+for fcm-h-full, which factors the full sparse Jacobian). Right-hand sides
+map in through ``reduce`` and updates back out through ``recover``. A
+factorization that fails is a Newton failure like any other: the step is
+retried with half the dt.
 
 Convergence is judged on a block-scaled Euclidean residual norm: field rows
 and current-constraint rows carry different units, so each block is
@@ -279,13 +280,15 @@ def run_transient(
     linsys = 0
     # dt control: grow by DT_GROWTH after a step of at most FAST_STEP_ITERS
     # Newton iterations, up to dt_max; after a halving, restart from the dt
-    # that converged. The landing clip on t_end does not touch the controller.
+    # that converged. The landing on t_end does not touch the controller.
     dt_ctrl = config.dt_init
 
     while t < t_end:
         dt = min(dt_ctrl, t_end - t)
-        if t_end * (1.0 - 1e-12) <= t + dt < t_end:
-            dt = t_end - t  # no step ends a roundoff short of t_end
+        if t_end - (t + dt) < max(config.dt_min, 1e-12 * t_end):
+            # a step that would leave less than dt_min (or a roundoff sliver)
+            # lands on t_end, so that no step is shorter than dt_min
+            dt = t_end - t
         w_new, dt_taken, stats, solves = step(
             formulation, w, t, dt, excitation, config, scales
         )

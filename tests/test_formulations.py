@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from foilwind import formulations
 from foilwind.formulations import (
     NEWTON_LINEAR_SOLVE,
     Elimination,
@@ -185,11 +186,34 @@ def test_reference_ordering_keeps_the_newton_update():
     for dt in (1e-5, 2e-4):
         w_prev = _random_state(ctx, rng, current_fraction=0.5)
         sys = ctx.assemble(_random_state(ctx, rng), w_prev, dt, 1e-3, exc)
-        assert sys.factor_options["permc_spec"] == "MMD_AT_PLUS_A"
+        # the unknowns are numbered in the order computed once; each
+        # factorization keeps it
+        assert sys.factor_options == {"permc_spec": "NATURAL", "options": {"SymmetricMode": True}}
         b = -sys.residual
-        ordered = splu(sys.jacobian, **sys.factor_options).solve(b)
+        lu = splu(sys.reduced_jacobian, **sys.factor_options)
+        assert np.array_equal(lu.perm_c, np.arange(ctx.elimination.size))
+        colamd = splu(sys.reduced_jacobian)
+        assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
+        ordered = sys.recover(lu.solve(sys.reduce(b)), b)
         default = splu(sys.jacobian).solve(b)
         assert np.linalg.norm(ordered - default) <= 1e-10 * np.linalg.norm(default)
+
+
+def test_reference_order_is_computed_once_per_elimination(monkeypatch):
+    calls = []
+    splu_ = formulations.splu
+    monkeypatch.setattr(formulations, "splu", lambda *a, **kw: calls.append(kw) or splu_(*a, **kw))
+    ctx = small_context(FormulationVariant.REF_H_PHI, n_turns=2)
+    exc = Excitation(amplitude=96.0, frequency=50.0)
+    trace = run_transient(SolverConfig(periods=0.05), ctx, exc, store_states=False)
+    assert trace.linsys_count > 1
+    # one factorization of M_ee and one for the order, however many matrices
+    order = NEWTON_LINEAR_SOLVE[FormulationVariant.REF_H_PHI].order
+    assert len(calls) == 2 and calls.count(order) == 1
+    elim = ctx.elimination
+    for dt in (1e-5, 2e-4):
+        elim.matrix(dt, np.ones(ctx.coil.size))
+    assert len(calls) == 2
 
 
 # -- elimination of the curl-free unknowns ----------------------------------------------
@@ -201,18 +225,31 @@ def _curl_free(ctx):
     return np.flatnonzero(np.diff(cb.indptr) == 0)
 
 
+def _winding_edges(ctx):
+    return np.unique(ctx.mesh.cell_edges[ctx.coil])
+
+
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_condensed_newton_update_equals_the_full_solve(variant):
     ctx = small_context(variant, n_turns=2)
     exc = Excitation(amplitude=96.0, frequency=50.0)
     rng = np.random.default_rng(53)
     elim = ctx.elimination
-    condensed = variant in (FormulationVariant.FCM_H_PHI, FormulationVariant.FCM_T_OMEGA)
-    assert NEWTON_LINEAR_SOLVE[variant][0] == condensed
+    condensed = variant is not FormulationVariant.FCM_H_FULL
+    assert (NEWTON_LINEAR_SOLVE[variant].eliminate is not None) == condensed
     curl_free = _curl_free(ctx)
     assert curl_free.size > 0 or not condensed
-    # h-full and ref eliminate nothing: they factor the full Jacobian
-    assert np.array_equal(elim.eliminated, curl_free if condensed else [])
+    if variant is FormulationVariant.REF_H_PHI:
+        # the exterior air only: every curl-free unknown whose basis column
+        # touches no edge of a winding cell
+        winding = ctx.layout.basis[_winding_edges(ctx)].tocsc()
+        assert winding[:, elim.eliminated].count_nonzero() == 0
+        touching = np.flatnonzero(np.diff(winding.indptr))
+        assert np.array_equal(elim.eliminated, np.setdiff1d(curl_free, touching))
+        assert 0 < elim.eliminated.size < curl_free.size
+    else:
+        # h-full eliminates nothing: it factors the full Jacobian
+        assert np.array_equal(elim.eliminated, curl_free if condensed else [])
     assert np.array_equal(np.union1d(elim.kept, elim.eliminated), np.arange(ctx.layout.n_field_dofs))
     for dt in (1e-5, 2e-4):
         for _ in range(2):
@@ -231,6 +268,36 @@ def test_condensed_newton_update_equals_the_full_solve(variant):
                     assert np.array_equal(getattr(reduced, attr), getattr(sys.jacobian, attr))
                 assert np.array_equal(sys.reduce(b), b) and np.array_equal(update, x)
                 assert np.array_equal(update, full)
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_sparse_schur_complement_equals_the_dense_one(variant):
+    ctx = small_context(variant, n_turns=2)
+    elim = ctx.elimination
+    kept, e = elim.kept, elim.eliminated
+    m = ctx.mass.toarray()
+    oracle = m[np.ix_(kept, kept)]
+    if e.size:
+        oracle = oracle - m[np.ix_(kept, e)] @ np.linalg.solve(m[np.ix_(e, e)], m[np.ix_(e, kept)])
+    s0 = sp.csc_matrix((elim.s0, elim.indices, elim.indptr), shape=(elim.size,) * 2).toarray()
+    row = np.empty(ctx.layout.n_dofs, dtype=int)
+    row[elim.unknowns] = np.arange(elim.size)
+    assert np.abs(s0[np.ix_(row[kept], row[kept])] - oracle).max() <= 1e-12 * np.abs(oracle).max()
+    # the voltage rows and columns hold no mass
+    volt = row[ctx.layout.n_field_dofs :]
+    assert not s0[volt].any() and not s0[:, volt].any()
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_runs_leave_the_shared_curl_basis_untouched(variant):
+    ctx = small_context(variant, n_turns=2)
+    cb = ctx.layout.curl_basis
+    before = [cb.data.copy(), cb.indices.copy(), cb.indptr.copy(), cb.has_sorted_indices]
+    exc = Excitation(amplitude=96.0, frequency=50.0)
+    run_transient(SolverConfig(periods=0.02), ctx, exc, store_states=False)
+    assert ctx.cb is cb
+    for a, b in zip(before, [cb.data, cb.indices, cb.indptr, cb.has_sorted_indices]):
+        assert np.array_equal(a, b)
 
 
 def test_elimination_rejects_unknowns_the_coupling_reaches():

@@ -349,6 +349,8 @@ def test_dt_controller_restarts_from_the_converged_dt_after_a_halving():
 )
 # fixed steps of 2e-6 s sum to 1e-4 s a roundoff short of t_end
 @example(periods=0.005, dt_init=2e-6, growth=1.0, halvings=0, max_newton_iters=3)
+# fixed steps of 3e-5 s would leave 1e-5 s, a third of dt_min, for the last one
+@example(periods=0.005, dt_init=3e-5, growth=1.0, halvings=0, max_newton_iters=25)
 def test_stepper_properties(periods, dt_init, growth, halvings, max_newton_iters):
     # a low Newton iteration cap makes some attempts fail and halve the dt
     cfg = SolverConfig(
@@ -378,9 +380,9 @@ def test_stepper_properties(periods, dt_init, growth, halvings, max_newton_iters
     steps = np.diff(trace.times)
     assert steps.min() > 1e-12 * t_end  # no step is a roundoff sliver
     assert np.array_equal(trace.dt[1:], steps)
-    # only the landing step, clipped to t_end, may be shorter than dt_min;
-    # the others may sit below it by the roundoff of t + dt - t
-    assert np.all(steps[:-1] >= cfg.dt_min * (1 - 1e-12))
+    # no step is shorter than dt_min, the landing one included, but for the
+    # roundoff of t + dt - t
+    assert np.all(steps >= cfg.dt_min * (1 - 1e-12))
     assert trace.linsys_count == int(trace.newton_iters.sum()) + sum(rejected)
 
 
@@ -400,7 +402,7 @@ def test_linear_solve_audit():
 def test_one_factorization_per_linear_solve(variant, monkeypatch):
     # the benchmark reconciles solver.splu calls with linsys_count; each
     # Newton iteration fills the context's one elimination once, which for
-    # t-omega leaves out the curl-free unknowns, so no full Jacobian is built
+    # t-omega and ref leaves out air unknowns, so no full Jacobian is built
     ctx = small_context(variant, n_turns=2)
     calls = {"splu": [], "matrix": []}
     splu, matrix = solver.splu, formulations.Elimination.matrix
@@ -421,12 +423,17 @@ def test_one_factorization_per_linear_solve(variant, monkeypatch):
     assert len(calls["splu"]) == trace.linsys_count
     assert len(calls["matrix"]) == trace.linsys_count
     assert all(elimination is ctx.elimination for elimination in calls["matrix"])
-    condensed = variant is FormulationVariant.FCM_T_OMEGA
+    condensed = variant is not FormulationVariant.FCM_H_FULL
     assert (ctx.elimination.size < ctx.layout.n_dofs) == condensed
-    # only the reference model orders by minimum degree on A^T + A
-    ordering = {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}}
-    expected = ordering if variant is FormulationVariant.REF_H_PHI else {}
-    assert NEWTON_LINEAR_SOLVE[variant] == (condensed, expected)
+    # only the reference model is renumbered in a minimum-degree order of
+    # A^T + A, once, and factored in that order in symmetric mode
+    ref = variant is FormulationVariant.REF_H_PHI
+    symmetric = {"options": {"SymmetricMode": True}}
+    assert NEWTON_LINEAR_SOLVE[variant].order == (
+        {"permc_spec": "MMD_AT_PLUS_A", **symmetric} if ref else None
+    )
+    expected = {"permc_spec": "NATURAL", **symmetric} if ref else {}
+    assert NEWTON_LINEAR_SOLVE[variant].factor_options == expected
     assert all(kwargs == expected for kwargs in calls["splu"])
 
 

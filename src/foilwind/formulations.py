@@ -90,14 +90,30 @@ _SYMMETRIC = {"options": {"SymmetricMode": True}}
 # degree ordering of A^T + A (Liu, ACM TOMS 11, 1985) halves its LU fill on
 # the tensor grid. The pattern is fixed, so that order is computed once and
 # each factorization keeps it (NATURAL), preferring diagonal pivots.
+#
+# ref's factorizations also leave SuperLU's defaults of relaxed supernodes of
+# up to 10 columns and a diagonal-pivot threshold of 1.0; symmetric mode is
+# meant for a small threshold (Li, ACM TOMS 31, 2005). On the 73 tangents of
+# a 0.0125-period pancake2d_ref run (2-core x86 host, best of 3 each), relax=1
+# and a threshold of 0.1 cut the time per factorization to 0.67x (quartiles
+# 0.62-0.72x) and the median L+U from 268k to 256k, with solutions equal to
+# 1e-13. relax=1 alone gave 0.72x at the same fill; the threshold, which
+# takes fewer off-diagonal pivots, gave the fill. The order is the same with
+# relax 1 and 10. Keep relax small, and never raise it to get fewer
+# supernodes: with relax=256, SuperLU returned solutions with relative errors
+# of 0.7 and 1.1, and one such process later aborted with "double free or
+# corruption". The other variants keep the defaults, so that their outputs
+# stay bit for bit: relax 1-8 changed the roundoff of every h-full and
+# t-omega solve (h-full's step sequence follows roundoff), and saved 2-4 % of
+# a 10 ms h-full factorization and 23-33 % of a 0.9 ms t-omega one.
 NEWTON_LINEAR_SOLVE = {
     FormulationVariant.FCM_H_PHI: LinearSolve("curl-free", None, {}),
     FormulationVariant.FCM_T_OMEGA: LinearSolve("curl-free", None, {}),
     FormulationVariant.FCM_H_FULL: LinearSolve(None, None, {}),
     FormulationVariant.REF_H_PHI: LinearSolve(
         "exterior air",
-        {"permc_spec": "MMD_AT_PLUS_A", **_SYMMETRIC},
-        {"permc_spec": "NATURAL", **_SYMMETRIC},
+        {"permc_spec": "MMD_AT_PLUS_A", "relax": 1, **_SYMMETRIC},
+        {"permc_spec": "NATURAL", "relax": 1, "diag_pivot_thresh": 0.1, **_SYMMETRIC},
     ),
 }
 
@@ -191,11 +207,16 @@ def _csc_pattern(m: int, *parts: tuple[np.ndarray, np.ndarray]):
     filled by combining data over the pattern, without rebuilding its
     structure.
     """
-    keys = [cols.astype(np.int64) * m + rows for rows, cols in parts]
-    pattern = np.unique(np.concatenate(keys))  # CSC order: by column, then row
-    indices = (pattern % m).astype(np.int32)
-    indptr = np.searchsorted(pattern, np.arange(m + 1) * m).astype(np.int32)
-    return indices, indptr, [np.searchsorted(pattern, k).astype(np.int32) for k in keys]
+    # SciPy's compiled COO -> CSC conversion merges duplicates and sorts the
+    # rows; boolean data and 32-bit coordinates keep its temporaries small
+    n = sum(rows.size for rows, _ in parts)
+    coords = (np.concatenate(a).astype(np.int32) for a in zip(*parts))
+    pattern = sp.csc_matrix((np.ones(n, dtype=bool), tuple(coords)), shape=(m, m))
+    # the sorted key col * m + row of every stored entry, in CSC order
+    keys = np.repeat(np.arange(m, dtype=np.int64) * m, np.diff(pattern.indptr)) + pattern.indices
+    pos = [np.searchsorted(keys, cols.astype(np.int64) * m + rows).astype(np.int32)
+           for rows, cols in parts]
+    return pattern.indices.astype(np.int32), pattern.indptr.astype(np.int32), pos
 
 
 class _TangentFill:

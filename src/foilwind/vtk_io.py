@@ -21,24 +21,23 @@ def write_vtk(
         if len(values) != mesh.n_cells:
             raise ValueError(f"cell field {name!r} has {len(values)} entries, "
                              f"mesh has {mesh.n_cells} cells")
-    lines = [
-        "# vtk DataFile Version 3.0",
-        title[:255],
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {mesh.n_nodes} double",
-    ]
-    lines += [f"{r:.9e} {z:.9e} 0.0" for r, z in mesh.nodes]
-    lines.append(f"CELLS {mesh.n_cells} {5 * mesh.n_cells}")
-    lines += ["4 " + " ".join(str(n) for n in quad) for quad in mesh.quads]
-    lines.append(f"CELL_TYPES {mesh.n_cells}")
-    lines += ["9"] * mesh.n_cells
-    lines.append(f"CELL_DATA {mesh.n_cells}")
-    for name, values in cell_data.items():
-        lines.append(f"SCALARS {name} double 1")
-        lines.append("LOOKUP_TABLE default")
-        lines += [f"{v:.9e}" for v in np.asarray(values, dtype=float)]
-    path.write_text("\n".join(lines) + "\n")
+    n_cells = mesh.n_cells
+    # one % format per section, written straight to the file: a joined text
+    # of the whole snapshot would add to the run's peak memory
+    with path.open("w") as f:
+        f.write("# vtk DataFile Version 3.0\n")
+        f.write(title[:255] + "\n")
+        f.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
+        f.write(f"POINTS {mesh.n_nodes} double\n")
+        f.write("%.9e %.9e 0.0\n" * mesh.n_nodes % tuple(mesh.nodes.ravel().tolist()))
+        f.write(f"CELLS {n_cells} {5 * n_cells}\n")
+        f.write("4 %d %d %d %d\n" * n_cells % tuple(mesh.quads.ravel().tolist()))
+        f.write(f"CELL_TYPES {n_cells}\n")
+        f.write("9\n" * n_cells)
+        f.write(f"CELL_DATA {n_cells}\n")
+        for name, values in cell_data.items():
+            f.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+            f.write("%.9e\n" * n_cells % tuple(np.asarray(values, dtype=float).tolist()))
     return path
 
 

@@ -179,6 +179,44 @@ def test_full_jacobian_fill_equals_the_sparse_algebra_expression(variant):
     assert ctx.jacobian(1e-5, d_tans["zero start state"]).nnz < fill.nnz
 
 
+def _unique_pattern(m, *parts):
+    """The CSC pattern of ``parts`` through np.unique of their keys (the oracle)."""
+    keys = [cols.astype(np.int64) * m + rows for rows, cols in parts]
+    pattern = np.unique(np.concatenate(keys))  # by column, then row
+    indices = (pattern % m).astype(np.int32)
+    indptr = np.searchsorted(pattern, np.arange(m + 1) * m).astype(np.int32)
+    return indices, indptr, [np.searchsorted(pattern, k).astype(np.int32) for k in keys]
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_fill_pattern_equals_the_unique_key_construction(variant, monkeypatch):
+    calls = []
+    pattern = formulations._csc_pattern
+
+    def recorded(m, *parts):
+        calls.append((m, parts, pattern(m, *parts)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(formulations, "_csc_pattern", recorded)
+    ctx = small_context(variant, n_turns=2)
+    ctx.elimination, ctx.jacobian(1e-4, np.ones(ctx.coil.size))
+    # the full Jacobian and the elimination (the same for h-full; filled again
+    # in its order for ref)
+    fills = {FormulationVariant.FCM_H_FULL: 1, FormulationVariant.REF_H_PHI: 3}
+    assert len(calls) == fills.get(variant, 2)
+    rng = np.random.default_rng(71)
+    # repeated entries, empty parts, and empty rows and columns
+    rows, cols = rng.integers(0, 30, 200), 2 * rng.integers(0, 20, 200)
+    empty = (rows[:0], cols[:0])
+    for parts in [((rows, cols), empty, (rows[:5], cols[:5])), (empty,)]:
+        calls.append((40, parts, pattern(40, *parts)))
+    for m, parts, got in calls:
+        want = _unique_pattern(m, *parts)
+        for a, b in [*zip(got[:2], want[:2]), *zip(got[2], want[2])]:
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert len(got[2]) == len(want[2]) == len(parts)
+
+
 def test_reference_ordering_keeps_the_newton_update():
     ctx = small_context(FormulationVariant.REF_H_PHI, n_turns=2)
     exc = Excitation(amplitude=96.0, frequency=50.0)
@@ -187,13 +225,18 @@ def test_reference_ordering_keeps_the_newton_update():
         w_prev = _random_state(ctx, rng, current_fraction=0.5)
         sys = ctx.assemble(_random_state(ctx, rng), w_prev, dt, 1e-3, exc)
         # the unknowns are numbered in the order computed once; each
-        # factorization keeps it
-        assert sys.factor_options == {"permc_spec": "NATURAL", "options": {"SymmetricMode": True}}
+        # factorization keeps it, in unrelaxed supernodes with a small
+        # diagonal-pivot threshold
+        symmetric = {"permc_spec": "NATURAL", "options": {"SymmetricMode": True}}
+        assert sys.factor_options == {**symmetric, "relax": 1, "diag_pivot_thresh": 0.1}
         b = -sys.residual
         lu = splu(sys.reduced_jacobian, **sys.factor_options)
         assert np.array_equal(lu.perm_c, np.arange(ctx.elimination.size))
         colamd = splu(sys.reduced_jacobian)
         assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
+        # the SuperLU defaults in the same order fill in at least as much
+        replaced = splu(sys.reduced_jacobian, **symmetric)
+        assert lu.L.nnz + lu.U.nnz <= replaced.L.nnz + replaced.U.nnz
         ordered = sys.recover(lu.solve(sys.reduce(b)), b)
         default = splu(sys.jacobian).solve(b)
         assert np.linalg.norm(ordered - default) <= 1e-10 * np.linalg.norm(default)
@@ -214,6 +257,26 @@ def test_reference_order_is_computed_once_per_elimination(monkeypatch):
     for dt in (1e-5, 2e-4):
         elim.matrix(dt, np.ones(ctx.coil.size))
     assert len(calls) == 2
+
+
+def test_reference_order_is_the_same_with_unrelaxed_supernodes(monkeypatch):
+    order = NEWTON_LINEAR_SOLVE[FormulationVariant.REF_H_PHI].order
+    assert order["relax"] == 1
+    default = {k: v for k, v in order.items() if k != "relax"}
+    orders = []
+    splu_ = formulations.splu
+
+    def recorded(a, **kw):
+        lu = splu_(a, **kw)
+        if kw == order:
+            orders.append((lu.perm_c, splu_(a, **default).perm_c))
+        return lu
+
+    monkeypatch.setattr(formulations, "splu", recorded)
+    small_context(FormulationVariant.REF_H_PHI, n_turns=2).elimination
+    ((perm_c, relaxed),) = orders
+    assert not np.array_equal(perm_c, np.arange(perm_c.size))
+    assert np.array_equal(perm_c, relaxed)
 
 
 # -- elimination of the curl-free unknowns ----------------------------------------------

@@ -426,13 +426,14 @@ def test_one_factorization_per_linear_solve(variant, monkeypatch):
     condensed = variant is not FormulationVariant.FCM_H_FULL
     assert (ctx.elimination.size < ctx.layout.n_dofs) == condensed
     # only the reference model is renumbered in a minimum-degree order of
-    # A^T + A, once, and factored in that order in symmetric mode
+    # A^T + A, once, and factored in that order in symmetric mode, with
+    # unrelaxed supernodes and a small diagonal-pivot threshold
     ref = variant is FormulationVariant.REF_H_PHI
-    symmetric = {"options": {"SymmetricMode": True}}
+    symmetric = {"relax": 1, "options": {"SymmetricMode": True}}
     assert NEWTON_LINEAR_SOLVE[variant].order == (
         {"permc_spec": "MMD_AT_PLUS_A", **symmetric} if ref else None
     )
-    expected = {"permc_spec": "NATURAL", **symmetric} if ref else {}
+    expected = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.1, **symmetric} if ref else {}
     assert NEWTON_LINEAR_SOLVE[variant].factor_options == expected
     assert all(kwargs == expected for kwargs in calls["splu"])
 

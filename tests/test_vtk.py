@@ -89,3 +89,31 @@ def test_snapshot_fields_confine_current_to_winding():
     assert np.all(fields["j_norm"][air] == 0.0)
     assert np.all(fields["b_mag"] >= 0.0)
     assert fields["j_norm"].shape == (mesh.n_cells,)
+
+
+def _line_by_line_vtk(mesh, cell_data, title):
+    """The snapshot text built one line at a time (the writer's oracle)."""
+    lines = ["# vtk DataFile Version 3.0", title[:255], "ASCII", "DATASET UNSTRUCTURED_GRID",
+             f"POINTS {mesh.n_nodes} double"]
+    lines += [f"{r:.9e} {z:.9e} 0.0" for r, z in mesh.nodes]
+    lines.append(f"CELLS {mesh.n_cells} {5 * mesh.n_cells}")
+    lines += ["4 " + " ".join(str(n) for n in quad) for quad in mesh.quads]
+    lines.append(f"CELL_TYPES {mesh.n_cells}")
+    lines += ["9"] * mesh.n_cells
+    lines.append(f"CELL_DATA {mesh.n_cells}")
+    for name, values in cell_data.items():
+        lines += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
+        lines += [f"{v:.9e}" for v in np.asarray(values, dtype=float)]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_snapshot_bytes_equal_the_line_by_line_text(tmp_path):
+    mesh = small_mesh(n_turns=2, n_alpha=4, n_beta=4)
+    rng = np.random.default_rng(29)
+    special = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, -1e-300, -2.5, 5e-324]
+    q = rng.standard_normal(mesh.n_cells) * 10.0 ** rng.uniform(-300.0, 300.0, mesh.n_cells)
+    q[: len(special)] = special
+    data = {"q": q, "ints": np.arange(-mesh.n_cells, 0)}
+    title = "%s %d {} " + "t" * 300
+    path = write_vtk(tmp_path / "out.vtk", mesh, data, title=title)
+    assert path.read_bytes() == _line_by_line_vtk(mesh, data, title)

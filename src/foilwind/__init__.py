@@ -11,7 +11,7 @@ azimuthal. Four formulation variants share one assembly core:
 """
 
 from .variants import FormulationVariant
-from .mesh import CoilGeometry, Mesh, build_geometry, mesh_structured
+from .mesh import CoilGeometry, Mesh, mesh_structured
 from .materials import MaterialParams
 from .solver import SolverConfig, SolutionTrace, run_transient
 from .config import RunConfig, PRESETS
@@ -20,7 +20,6 @@ __all__ = [
     "FormulationVariant",
     "CoilGeometry",
     "Mesh",
-    "build_geometry",
     "mesh_structured",
     "MaterialParams",
     "SolverConfig",

@@ -270,8 +270,11 @@ def apply_sweep_value(cfg: RunConfig, parameter: str, value: float) -> RunConfig
     """One sweep point: a copy of ``cfg`` with ``parameter`` set to ``value``.
 
     A parameter that the variant of ``cfg`` ignores is rejected, since the
-    sweep would run the same simulation at every value.
+    sweep would run the same simulation at every value, and so is a value
+    that is not a whole number for a parameter that counts something.
     """
+    if parameter in ("n_turns", "n_alpha", "voltage_order") and not float(value).is_integer():
+        raise ConfigError(f"{parameter} takes whole numbers, got {value!r}")
     if parameter == "n_turns":
         return replace(cfg, geometry=replace(cfg.geometry, n_turns=int(value)))
     if parameter == "n_alpha":

@@ -100,7 +100,3 @@ def power_law(j_norm, jc_eff, params: MaterialParams) -> ResistivityEval:
     drho = rho * (n - 1.0) / (2.0 * np.maximum(j, floor) ** 2)
     return ResistivityEval(rho=rho, drho_dj2=drho)
 
-
-def critical_current(params: MaterialParams, cc_thickness: float, cc_width: float) -> float:
-    """Self-field critical current of one turn, engineering-density based."""
-    return float(params.jc_engineering() * cc_thickness * cc_width)

@@ -81,38 +81,6 @@ class CoilGeometry:
     def domain_radius(self) -> float:
         return self.air_radius_factor * self.outer_radius
 
-    def turn_bounds(self, i: int) -> tuple[float, float]:
-        """Radial interval of turn ``i`` (0-based)."""
-        if not 0 <= i < self.n_turns:
-            raise ValueError(f"turn index {i} out of range")
-        r0 = self.inner_radius + i * self.cc_thickness
-        return r0, r0 + self.cc_thickness
-
-
-@dataclass(frozen=True)
-class GeometryDescription:
-    """Rectangles making up the half-model domain.
-
-    ``coil_rects[i]`` is (r0, r1, z0, z1) of either turn i (detailed) or the
-    single bulk annulus (homogenized); the air box spans
-    [0, domain_radius] x [0, domain_radius].
-    """
-
-    coil: CoilGeometry
-    coil_rects: tuple[tuple[float, float, float, float], ...]
-    air_extent: tuple[float, float]
-
-
-def build_geometry(params: CoilGeometry) -> GeometryDescription:
-    """Lay out the half-model rectangles for a winding description."""
-    zs = (0.0, params.half_width)
-    if params.homogenized:
-        rects = ((params.inner_radius, params.outer_radius) + zs,)
-    else:
-        rects = tuple(params.turn_bounds(i) + zs for i in range(params.n_turns))
-    extent = (params.domain_radius, params.domain_radius)
-    return GeometryDescription(coil=params, coil_rects=rects, air_extent=extent)
-
 
 def _graded_sizes(span: float, h_first: float, ratio: float) -> np.ndarray:
     """Cell sizes h_first * ratio**k covering ``span``, rescaled to fit exactly.
@@ -143,14 +111,16 @@ def _lines_from(a: float, b: float, sizes: np.ndarray, fine_at_start: bool) -> n
 
 
 def mesh_structured(
-    geom: GeometryDescription, n_alpha: int, n_beta: int, air_grading: float = 1.3
+    coil: CoilGeometry, n_alpha: int, n_beta: int, air_grading: float = 1.3
 ) -> "Mesh":
     """Mesh the half-model: uniform n_alpha x n_beta winding block, graded air.
 
-    For the detailed (per-turn) geometry, n_alpha must be a multiple of the
-    turn count so turn interfaces land exactly on mesh lines.
+    The winding block spans [inner_radius, outer_radius] x [0, half_width],
+    and the air box [0, domain_radius] x [0, domain_radius]. For the detailed
+    (per-turn) geometry, n_alpha must be a multiple of the turn count so turn
+    interfaces land exactly on mesh lines; the cells of turn i carry region
+    tag i, those of the homogenized winding tag 0.
     """
-    coil = geom.coil
     if n_alpha < 1 or n_beta < 1:
         raise ValueError("n_alpha and n_beta must be >= 1")
     if not coil.homogenized:
@@ -162,7 +132,7 @@ def mesh_structured(
 
     r_in, r_out = coil.inner_radius, coil.outer_radius
     z_top = coil.half_width
-    r_max, z_max = geom.air_extent
+    r_max = z_max = coil.domain_radius
 
     coil_r = np.linspace(r_in, r_out, n_alpha + 1)
     coil_z = np.linspace(0.0, z_top, n_beta + 1)
@@ -356,13 +326,6 @@ class Mesh:
         """Winding column index per cell (0..n_alpha-1), -1 in air."""
         ir, iz = self._cell_grid
         idx = ir - self.coil_col0
-        idx[~self.coil_mask] = -1
-        return idx
-
-    @cached_property
-    def beta_index(self) -> np.ndarray:
-        ir, iz = self._cell_grid
-        idx = iz.copy()
         idx[~self.coil_mask] = -1
         return idx
 

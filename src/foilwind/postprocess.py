@@ -26,9 +26,6 @@ class LossSeries:
     times: np.ndarray
     p: np.ndarray
     frequency: float
-    variant: str = ""
-    n_dofs: int = 0
-    n_turns: int = 0
 
     def __post_init__(self) -> None:
         self.times = np.asarray(self.times, dtype=float)
@@ -45,10 +42,6 @@ class LossSeries:
     @property
     def period(self) -> float:
         return 1.0 / self.frequency
-
-    @property
-    def P(self) -> float:
-        return mean_losses(self)
 
 
 @dataclass
@@ -108,17 +101,12 @@ def r_squared(series: LossSeries, reference: LossSeries) -> ComparisonReport:
         raise ValueError("reference series is constant; r_squared undefined")
     num = float(np.trapezoid((p - p_ref) ** 2, grid))
     r2 = 1.0 - num / den
-    return ComparisonReport(
-        r_squared=r2,
-        one_minus_r2=1.0 - r2,
-        rel_err_P=rel_err_mean(mean_losses(series), mean_losses(reference)),
-    )
-
-
-def rel_err_mean(P: float, P_ref: float) -> float:
+    P, P_ref = mean_losses(series), mean_losses(reference)
     if P_ref <= 0:
         raise ValueError("reference mean losses must be positive")
-    return abs(P - P_ref) / P_ref
+    return ComparisonReport(
+        r_squared=r2, one_minus_r2=1.0 - r2, rel_err_P=abs(P - P_ref) / P_ref
+    )
 
 
 def turns_per_slice(mesh: Mesh, layout: DofLayout) -> float:

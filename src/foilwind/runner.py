@@ -26,7 +26,7 @@ from .config import (
     serialize_config,
 )
 from .formulations import AssemblyContext
-from .mesh import Mesh, build_geometry, mesh_structured
+from .mesh import Mesh, mesh_structured
 from .solver import SolutionTrace, run_transient
 from .spaces import build_dof_layout
 from .vtk_io import snapshot_fields, write_vtk
@@ -39,9 +39,8 @@ SLICE_NAME = "slices.csv"
 
 
 def build_mesh(cfg: RunConfig) -> Mesh:
-    geom = build_geometry(cfg.geometry)
     return mesh_structured(
-        geom, cfg.mesh.n_alpha, cfg.mesh.n_beta, air_grading=cfg.mesh.grading
+        cfg.geometry, cfg.mesh.n_alpha, cfg.mesh.n_beta, air_grading=cfg.mesh.grading
     )
 
 
@@ -67,14 +66,7 @@ def execute_run(
     trace = run_transient(cfg.solver, ctx, cfg.excitation)
     wall = time.perf_counter() - wall0
 
-    series = postprocess.LossSeries(
-        times=trace.times,
-        p=trace.p,
-        frequency=cfg.excitation.frequency,
-        variant=cfg.variant.value,
-        n_dofs=layout.n_dofs,
-        n_turns=cfg.geometry.n_turns,
-    )
+    series = postprocess.LossSeries(trace.times, trace.p, cfg.excitation.frequency)
     # runs shorter than the averaging window report no mean figure
     mean_p = (
         postprocess.mean_losses(series)
@@ -156,18 +148,13 @@ def load_run(run_dir: str | Path) -> tuple[dict, postprocess.LossSeries]:
     run_dir = Path(run_dir)
     try:
         summary = json.loads((run_dir / SUMMARY_NAME).read_text())
-    except OSError as exc:
-        raise ConfigError(f"{run_dir} is not a run directory: {exc}") from exc
-    data = postprocess.read_trace_csv(run_dir / TRACE_NAME)
-    series = postprocess.LossSeries(
-        times=data["t"],
-        p=data["p"],
-        frequency=summary["excitation"]["frequency"],
-        variant=summary["variant"],
-        n_dofs=summary["n_dofs"],
-        n_turns=summary["n_turns"],
-    )
-    return summary, series
+        data = postprocess.read_trace_csv(run_dir / TRACE_NAME)
+        frequency = summary["excitation"]["frequency"]
+    except (OSError, KeyError) as exc:
+        raise ConfigError(
+            f"{run_dir} is not a run directory: {type(exc).__name__} {exc}"
+        ) from exc
+    return summary, postprocess.LossSeries(data["t"], data["p"], frequency)
 
 
 def compare_runs(run_dir: str | Path, ref_dir: str | Path) -> dict:
@@ -215,6 +202,8 @@ def run_sweep(
     Writes sweep.csv of (value, P, 1-R^2 vs the reference, n_dofs,
     linsys_count) in the given value order.
     """
+    if jobs < 1:
+        raise ConfigError(f"sweep needs at least one job, got {jobs}")
     if not values:
         raise ConfigError("sweep needs a non-empty value list")
     out_root = Path(out_root)

@@ -245,10 +245,7 @@ class SolutionTrace:
     dt: np.ndarray
     states: list[np.ndarray] | None
     linsys_count: int
-    wall_time: float
     excitation: Excitation
-    variant: str
-    n_dofs: int
 
     def __post_init__(self) -> None:
         if np.any(np.diff(self.times) <= 0):
@@ -334,8 +331,5 @@ def run_transient(
         dt=np.array(dts),
         states=states,
         linsys_count=linsys,
-        wall_time=wall,
         excitation=excitation,
-        variant=layout.variant.value,
-        n_dofs=layout.n_dofs,
     )

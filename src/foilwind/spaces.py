@@ -79,83 +79,52 @@ class VoltageBasis:
         ]
         return np.stack(vals, axis=-1)
 
-    def gram(self) -> np.ndarray:
-        """Exact integrals of products over [0, 1]."""
-        n = self.n_funcs
-        g = np.empty((n, n))
-        for i in range(n):
-            for j in range(n):
-                prod = P.polymul(self._coeffs[i], self._coeffs[j])
-                anti = P.polyint(prod)
-                g[i, j] = P.polyval(1.0, anti) - P.polyval(0.0, anti)
-        return g
-
-    def gram_condition(self) -> float:
-        return float(np.linalg.cond(self.gram()))
-
 
 # --------------------------------------------------------------------------
-# cut functions
+# jump sheets: cuts and current carriers
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CutFunction:
-    """One unit-circulation generator: +1 on each crossed vertical edge.
+def _sheet_columns(mesh: Mesh, sheets: list[tuple[int, int]]) -> sp.csr_matrix:
+    """One column per jump sheet (terminal column, cell row) of the winding.
 
-    The jump sheet runs at a fixed winding cell-row from the axis to the
-    cut's terminal column, so its curl is +1 ampere (per unit DoF) in exactly
-    the terminal cell and zero elsewhere; it must end on the axis because the
-    outer truncation boundary carries a zero-tangential-field condition that
-    a jump sheet may not pierce.
+    A sheet is +1 on each vertical edge it crosses from the axis to its
+    terminal cell, so its curl is +1 ampere (per unit DoF) in exactly that
+    cell and zero elsewhere. It must end on the axis because the outer
+    truncation boundary carries a zero-tangential-field condition that a
+    jump sheet may not pierce.
     """
-
-    hole: int
-    edges: np.ndarray
-    terminal_cell: int
-
-
-@dataclass(frozen=True)
-class CutBasis:
-    cuts: tuple[CutFunction, ...]
-
-    def __len__(self) -> int:
-        return len(self.cuts)
-
-    def circulation(self, cut_idx: int, loop_edges: np.ndarray, loop_signs: np.ndarray) -> float:
-        """Signed coefficient sum of one cut function along an edge loop."""
-        coeff = np.isin(loop_edges, self.cuts[cut_idx].edges).astype(float)
-        return float(np.dot(coeff, loop_signs))
+    rows, cols = [], []
+    for k, (col, row) in enumerate(sheets):
+        edges = mesh.vedge_id(np.arange(col + 1), np.full(col + 1, row))
+        rows.append(edges)
+        cols.append(np.full(edges.size, k))
+    rows = np.concatenate(rows)
+    return sp.csr_matrix(
+        (np.ones(rows.size), (rows, np.concatenate(cols))),
+        shape=(mesh.n_edges, len(sheets)),
+    )
 
 
-def _jump_sheet(mesh: Mesh, terminal_col: int, row: int) -> tuple[np.ndarray, int]:
-    """Vertical edges crossed by a horizontal jump sheet ending in ``terminal_col``."""
-    cols = np.arange(terminal_col + 1)
-    edges = mesh.vedge_id(cols, np.full(cols.size, row))
-    return edges, int(mesh.cell_id(terminal_col, row))
-
-
-def build_cut_basis(mesh: Mesh, holes: list[int]) -> CutBasis:
-    """One cut per hole (turn id for the detailed model, 0 for the bulk).
+def _cut_columns(mesh: Mesh, holes: list[int]) -> sp.csr_matrix:
+    """One unit-circulation cut per hole (turn id for the detailed model, 0 for the bulk).
 
     Rows are spread over the winding height so stacked sheets stay distinct;
     each terminal cell is the first winding column of its hole.
     """
     if mesh.r_lines[0] > 0:
         raise ValueError("cut sheets must terminate on the axis; mesh has none")
-    cuts = []
-    n_holes = len(holes)
+    sheets = []
     for idx, hole in enumerate(holes):
         cells = np.nonzero(mesh.region == hole)[0]
         if cells.size == 0:
             raise ValueError(f"hole {hole} has no winding cells")
-        first_col = int(mesh.alpha_index[cells].min()) + mesh.coil_col0
-        row = (idx * mesh.n_beta) // max(n_holes, 1)
-        edges, terminal = _jump_sheet(mesh, first_col, row)
-        if mesh.region[terminal] != hole:
+        col = int(mesh.alpha_index[cells].min()) + mesh.coil_col0
+        row = (idx * mesh.n_beta) // len(holes)
+        if mesh.region[mesh.cell_id(col, row)] != hole:
             raise ValueError(f"cut line for hole {hole} terminates outside it")
-        cuts.append(CutFunction(hole=hole, edges=edges, terminal_cell=terminal))
-    return CutBasis(cuts=tuple(cuts))
+        sheets.append((col, row))
+    return _sheet_columns(mesh, sheets)
 
 
 # --------------------------------------------------------------------------
@@ -170,8 +139,7 @@ class DofLayout:
     ``basis`` maps the free field vector (edge | nodal | cut | carrier
     blocks) to circulations on every mesh edge; the separate voltage
     unknowns (per-turn voltages or distribution coefficients) are appended
-    by the solver after the field blocks. ``constrained_edges`` lists edges
-    whose total circulation is pinned to zero by the boundary conditions.
+    by the solver after the field blocks.
     """
 
     mesh: Mesh
@@ -179,8 +147,6 @@ class DofLayout:
     basis: sp.csr_matrix
     blocks: dict[str, slice]
     n_voltage_dofs: int
-    constrained_edges: np.ndarray
-    cut_basis: CutBasis | None
     voltage_basis: VoltageBasis | None
 
     @property
@@ -249,20 +215,6 @@ def _unit_columns(n_edges: int, edges: np.ndarray) -> sp.csr_matrix:
     )
 
 
-def _cut_columns(n_edges: int, cut_basis: CutBasis) -> sp.csr_matrix:
-    rows, cols, vals = [], [], []
-    for k, cut in enumerate(cut_basis.cuts):
-        rows.append(cut.edges)
-        cols.append(np.full(cut.edges.size, k))
-        vals.append(np.ones(cut.edges.size))
-    if not rows:
-        return sp.csr_matrix((n_edges, 0))
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_edges, len(cut_basis)),
-    )
-
-
 def build_dof_layout(
     mesh: Mesh, variant: FormulationVariant, voltage_order: int = 3
 ) -> DofLayout:
@@ -286,9 +238,8 @@ def build_dof_layout(
         raise ValueError(f"unknown variant {variant!r}")
 
     n_edges = mesh.n_edges
-    constrained = mesh.constrained_edges
     is_constrained = np.zeros(n_edges, dtype=bool)
-    is_constrained[constrained] = True
+    is_constrained[mesh.constrained_edges] = True
 
     lo, hi, NONE = _incident_cells_of_edges(mesh)
     vb = VoltageBasis(voltage_order)
@@ -322,7 +273,6 @@ def build_dof_layout(
         blocks[name] = slice(pos, pos + mat.shape[1])
         pos += mat.shape[1]
 
-    cut_basis: CutBasis | None = None
     dirichlet = mesh.dirichlet_nodes
 
     if variant is FormulationVariant.FCM_H_FULL:
@@ -357,9 +307,8 @@ def build_dof_layout(
 
         winding_ids = np.unique(mesh.region[mesh.coil_mask])
         holes = winding_ids.tolist() if ref else [int(winding_ids[0])]
-        cut_basis = build_cut_basis(mesh, holes)
-        add_block("cut", _cut_columns(n_edges, cut_basis))
-        n_voltage = len(cut_basis.cuts) if ref else vb.n_funcs
+        add_block("cut", _cut_columns(mesh, holes))
+        n_voltage = len(holes) if ref else vb.n_funcs
 
     elif variant is FormulationVariant.FCM_T_OMEGA:
         all_inside = conductor_interior_edges(same_turn=False)
@@ -378,16 +327,7 @@ def build_dof_layout(
         # per column, so these close the space at minimal extra cost
         spans = mesh.alpha_spans
         weights = vb.cell_means(spans[:, 0], spans[:, 1])  # (n_alpha, p+1)
-        rows, cols = [], []
-        for j in range(mesh.n_alpha):
-            edges, _ = _jump_sheet(mesh, mesh.coil_col0 + j, 0)
-            rows.append(edges)
-            cols.append(np.full(edges.size, j))
-        rows = np.concatenate(rows)
-        sheet_mat = sp.csr_matrix(
-            (np.ones(rows.size), (rows, np.concatenate(cols))),
-            shape=(n_edges, mesh.n_alpha),
-        )
+        sheet_mat = _sheet_columns(mesh, [(mesh.coil_col0 + j, 0) for j in range(mesh.n_alpha)])
         add_block("carrier", (sheet_mat @ sp.csr_matrix(weights)).tocsr())
         n_voltage = vb.n_funcs
 
@@ -401,8 +341,6 @@ def build_dof_layout(
         basis=basis,
         blocks=blocks,
         n_voltage_dofs=n_voltage,
-        constrained_edges=constrained,
-        cut_basis=cut_basis,
         voltage_basis=vb,
     )
 

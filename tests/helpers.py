@@ -15,7 +15,7 @@ import numpy as np
 from foilwind.config import MeshConfig, RunConfig
 from foilwind.formulations import AssemblyContext, Excitation
 from foilwind.materials import JcConstant, MaterialParams
-from foilwind.mesh import CoilGeometry, Mesh, build_geometry, mesh_structured
+from foilwind.mesh import CoilGeometry, Mesh, mesh_structured
 from foilwind.solver import SolverConfig
 from foilwind.spaces import DofLayout, build_dof_layout
 from foilwind.variants import FormulationVariant
@@ -46,7 +46,7 @@ def small_mesh(
     n_beta: int = 8,
     grading: float = 1.3,
 ) -> Mesh:
-    geom = build_geometry(pancake_geometry(n_turns, homogenized=variant.is_fcm))
+    geom = pancake_geometry(n_turns, homogenized=variant.is_fcm)
     return mesh_structured(geom, n_alpha=n_alpha, n_beta=n_beta, air_grading=grading)
 
 

@@ -18,7 +18,7 @@ import pytest
 from foilwind.config import apply_sweep_value, config_from_preset
 from foilwind.formulations import Excitation
 from foilwind.materials import JcConstant
-from foilwind.mesh import build_geometry, mesh_structured
+from foilwind.mesh import mesh_structured
 from foilwind.postprocess import (
     LossSeries,
     count_loss_peaks,
@@ -42,17 +42,6 @@ def report(num, label, ok, detail):
     assert ok, line
 
 
-def _series(cfg, trace, n_dofs):
-    return LossSeries(
-        times=trace.times,
-        p=trace.p,
-        frequency=cfg.excitation.frequency,
-        variant=cfg.variant.value,
-        n_dofs=n_dofs,
-        n_turns=cfg.geometry.n_turns,
-    )
-
-
 def _run(cfg, out_dir):
     trace, summary = execute_run(cfg, out_dir)
     mesh = build_mesh(cfg)
@@ -63,7 +52,7 @@ def _run(cfg, out_dir):
         summary=summary,
         mesh=mesh,
         layout=layout,
-        series=_series(cfg, trace, layout.n_dofs),
+        series=LossSeries(trace.times, trace.p, cfg.excitation.frequency),
     )
 
 
@@ -247,7 +236,7 @@ def test_09_turn_count_scaling(preset_runs, hundred_turn_run):
     for n_turns, n_alpha in ((20, 40), (100, 200)):
         geom = replace(ref_cfg.geometry, n_turns=n_turns)
         mesh = mesh_structured(
-            build_geometry(geom),
+            geom,
             n_alpha=n_alpha,
             n_beta=ref_cfg.mesh.n_beta,
             air_grading=ref_cfg.mesh.grading,
@@ -257,7 +246,8 @@ def test_09_turn_count_scaling(preset_runs, hundred_turn_run):
         # the edge block is made of unit columns, one per edge unknown
         edge_unknowns = layout.basis[:, layout.blocks["edge"]].tocsc().indices
         winding = int(np.isin(coil_edges, edge_unknowns).sum())
-        winding += len(layout.cut_basis)
+        cut = layout.blocks["cut"]
+        winding += cut.stop - cut.start
         detailed[n_turns] = (layout.n_dofs, winding)
 
     # the winding-attributable unknowns must scale with the turn count; the
@@ -299,9 +289,7 @@ def test_11_metric_oracles():
     sin2 = c * np.sin(2 * np.pi * 50.0 * t) ** 2
 
     def series(p):
-        return LossSeries(
-            times=t, p=p, frequency=50.0, variant="fcm-t-omega", n_dofs=1, n_turns=20
-        )
+        return LossSeries(times=t, p=p, frequency=50.0)
 
     ref = series(sin2)
     r2_same = r_squared(series(sin2.copy()), ref).r_squared

@@ -122,9 +122,18 @@ def test_compare_run_against_itself(finished_run, tmp_path):
 
 def test_compare_rejects_non_run_dir(tmp_path, finished_run):
     out_dir, _, _ = finished_run
-    code, _, stderr = run_cli("compare", str(tmp_path), str(out_dir))
-    assert code == 2
-    assert "not a run directory" in stderr
+    summary = json.loads((out_dir / "summary.json").read_text())
+    no_trace, no_excitation = tmp_path / "no_trace", tmp_path / "no_excitation"
+    no_trace.mkdir()
+    (no_trace / "summary.json").write_text(json.dumps(summary))
+    no_excitation.mkdir()
+    (no_excitation / "trace.csv").write_text((out_dir / "trace.csv").read_text())
+    del summary["excitation"]
+    (no_excitation / "summary.json").write_text(json.dumps(summary))
+    for broken in (tmp_path, no_trace, no_excitation):
+        code, _, stderr = run_cli("compare", str(broken), str(out_dir))
+        assert code == 2
+        assert "not a run directory" in stderr
 
 
 def test_sweep_single_value(finished_run, tmp_path):
@@ -164,6 +173,21 @@ def test_sweep_empty_values_exits_2(finished_run, tmp_path):
     )
     assert code == 2
     assert "non-empty" in stderr
+
+
+@pytest.mark.parametrize(
+    "jobs, values", [("0", "4"), ("-1", "4"), ("1", "4,4.5")], ids=["jobs0", "jobs-1", "frac"]
+)
+def test_sweep_rejects_bad_arguments_before_running(finished_run, tmp_path, jobs, values):
+    _, _, config_path = finished_run
+    out = tmp_path / "sweep"
+    code, _, stderr = run_cli(
+        "sweep", "--config", config_path, "--param", "n_alpha",
+        "--values", values, "--jobs", jobs, "--out", str(out),
+    )
+    assert code == 2
+    assert stderr.startswith("error: ")
+    assert not out.exists()
 
 
 def test_preset_and_config_are_exclusive(tmp_path):

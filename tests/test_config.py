@@ -206,6 +206,12 @@ def test_sweep_points():
     assert apply_sweep_value(cfg, "n_turns", 50).geometry.n_turns == 50
     assert apply_sweep_value(cfg, "n_alpha", 10).mesh.n_alpha == 10
     assert apply_sweep_value(cfg, "voltage_order", 1).voltage_order == 1
+    assert apply_sweep_value(cfg, "n_alpha", 6.0).mesh.n_alpha == 6
+    # a count is never truncated: n_alpha 4.5 would run n_alpha 4
+    for name in ("n_turns", "n_alpha", "voltage_order"):
+        for value in (4.5, 19.9, float("inf"), float("nan")):
+            with pytest.raises(ConfigError, match="whole numbers"):
+                apply_sweep_value(cfg, name, value)
     # the reference has no voltage modes across the stack
     with pytest.raises(ConfigError, match="voltage_order"):
         apply_sweep_value(small_config(FormulationVariant.REF_H_PHI), "voltage_order", 1)

@@ -9,7 +9,6 @@ from foilwind.materials import (
     JcConstant,
     JcKim,
     MaterialParams,
-    critical_current,
     jc_eval,
     power_law,
 )
@@ -21,8 +20,9 @@ def test_engineering_density_and_tape_critical_current():
     params = pancake_materials()
     assert params.jc_engineering() == pytest.approx(1e8)
     # 100 um x 12 mm tape at 1e8 A/m^2 engineering density
-    assert critical_current(params, 1e-4, 12e-3) == pytest.approx(120.0)
-    assert 0.8 * critical_current(params, 1e-4, 12e-3) == pytest.approx(96.0)
+    i_c = params.jc_engineering() * 1e-4 * 12e-3
+    assert i_c == pytest.approx(120.0)
+    assert 0.8 * i_c == pytest.approx(96.0)
 
 
 def test_power_law_pins_e_c_at_critical_density():

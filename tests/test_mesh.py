@@ -7,7 +7,6 @@ from foilwind.mesh import (
     MU0,
     BoundaryTag,
     CoilGeometry,
-    build_geometry,
     mesh_structured,
 )
 
@@ -20,17 +19,6 @@ def test_turn_radii_arithmetic():
     assert g.outer_radius == pytest.approx(27e-3)
     assert g.half_width == pytest.approx(6e-3)
     assert g.domain_radius == pytest.approx(5 * 27e-3)
-    r0, r1 = g.turn_bounds(0)
-    assert (r0, r1) == (25e-3, pytest.approx(25.1e-3))
-    r0, r1 = g.turn_bounds(19)
-    assert r1 == pytest.approx(27e-3)
-    # consecutive turns tile the radial build with no gaps
-    for i in range(19):
-        assert g.turn_bounds(i)[1] == pytest.approx(g.turn_bounds(i + 1)[0])
-    with pytest.raises(ValueError):
-        g.turn_bounds(20)
-    with pytest.raises(ValueError):
-        g.turn_bounds(-1)
 
 
 def test_geometry_validation():
@@ -42,19 +30,33 @@ def test_geometry_validation():
         pancake_geometry(air_radius_factor=1.0)
 
 
+def _region_rect(mesh, tag):
+    """(r0, r1, z0, z1) of the cells tagged ``tag``, checked to fill it exactly."""
+    cells = mesh.region == tag
+    corners = mesh.nodes[mesh.quads[cells]]
+    (r0, z0), (r1, z1) = corners.min(axis=(0, 1)), corners.max(axis=(0, 1))
+    assert np.sum(mesh.area[cells]) == pytest.approx((r1 - r0) * (z1 - z0), rel=1e-12)
+    return r0, r1, z0, z1
+
+
 def test_homogenized_geometry_is_one_annulus():
-    desc = build_geometry(pancake_geometry(n_turns=20, homogenized=True))
-    assert len(desc.coil_rects) == 1
-    r0, r1, z0, z1 = desc.coil_rects[0]
+    mesh = small_mesh(n_turns=20, n_alpha=5, n_beta=8)
+    assert set(mesh.region[mesh.coil_cells]) == {0}
+    r0, r1, z0, z1 = _region_rect(mesh, 0)
     assert (r0, r1) == (25e-3, pytest.approx(27e-3))
     assert (z0, z1) == (0.0, pytest.approx(6e-3))
 
 
 def test_detailed_geometry_has_one_rect_per_turn():
-    desc = build_geometry(pancake_geometry(n_turns=20))
-    assert len(desc.coil_rects) == 20
-    assert desc.coil_rects[0][:2] == pytest.approx((25e-3, 25.1e-3))
-    assert desc.air_extent == pytest.approx((135e-3, 135e-3))
+    from foilwind.variants import FormulationVariant
+
+    mesh = small_mesh(FormulationVariant.REF_H_PHI, n_turns=20, n_alpha=40, n_beta=8)
+    assert set(mesh.region[mesh.coil_cells]) == set(range(20))
+    assert _region_rect(mesh, 0) == pytest.approx((25e-3, 25.1e-3, 0.0, 6e-3))
+    # consecutive turns tile the radial build with no gaps
+    for i in range(20):
+        assert _region_rect(mesh, i)[:2] == pytest.approx((25e-3 + i * 1e-4, 25.1e-3 + i * 1e-4))
+    assert (mesh.r_lines[-1], mesh.z_lines[-1]) == pytest.approx((135e-3, 135e-3))
 
 
 def test_homogenized_winding_block_shape():
@@ -89,7 +91,8 @@ def test_detailed_turn_interfaces_on_mesh_lines():
     mesh = small_mesh(FormulationVariant.REF_H_PHI, n_turns=20, n_alpha=40, n_beta=8)
     g = mesh.geom
     for i in range(20):
-        r0, r1 = g.turn_bounds(i)
+        r0 = g.inner_radius + i * g.cc_thickness
+        r1 = r0 + g.cc_thickness
         assert np.min(np.abs(mesh.r_lines - r0)) < 1e-15
         assert np.min(np.abs(mesh.r_lines - r1)) < 1e-15
     # region tags: two columns per turn, 8 rows each
@@ -98,11 +101,11 @@ def test_detailed_turn_interfaces_on_mesh_lines():
 
 
 def test_indivisible_n_alpha_rejected():
-    desc = build_geometry(pancake_geometry(n_turns=3))
+    coil = pancake_geometry(n_turns=3)
     with pytest.raises(ValueError, match="divisible"):
-        mesh_structured(desc, n_alpha=4, n_beta=8)
+        mesh_structured(coil, n_alpha=4, n_beta=8)
     with pytest.raises(ValueError, match="divisible"):
-        mesh_structured(desc, n_alpha=2, n_beta=8)
+        mesh_structured(coil, n_alpha=2, n_beta=8)
 
 
 def test_single_turn_mesh():
@@ -192,10 +195,10 @@ def test_alpha_beta_indexing():
     mesh = small_mesh(n_turns=20, n_alpha=5, n_beta=31)
     coil = mesh.coil_cells
     assert set(mesh.alpha_index[coil]) == set(range(5))
-    assert set(mesh.beta_index[coil]) == set(range(31))
+    # the winding fills cell rows 0 .. n_beta - 1 from the midplane up
+    assert set(coil // (mesh.n_r - 1)) == set(range(31))
     air = np.setdiff1d(np.arange(mesh.n_cells), coil)
     assert np.all(mesh.alpha_index[air] == -1)
-    assert np.all(mesh.beta_index[air] == -1)
     # each winding column holds n_beta cells
     assert np.all(np.bincount(mesh.alpha_index[coil]) == 31)
 

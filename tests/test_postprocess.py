@@ -14,7 +14,6 @@ from foilwind.postprocess import (
     mean_losses,
     r_squared,
     read_trace_csv,
-    rel_err_mean,
     turns_per_slice,
     write_slice_csv,
     write_sweep_csv,
@@ -28,8 +27,8 @@ F = 50.0
 T = 1.0 / F
 
 
-def _series(times, p, **kw):
-    return LossSeries(np.asarray(times, float), np.asarray(p, float), F, **kw)
+def _series(times, p):
+    return LossSeries(np.asarray(times, float), np.asarray(p, float), F)
 
 
 def _sin2(times, c=1.0):
@@ -52,10 +51,14 @@ def test_series_validation():
 
 
 def test_rel_err_mean():
-    assert rel_err_mean(1.1, 1.0) == pytest.approx(0.1)
-    assert rel_err_mean(0.9, 1.0) == pytest.approx(0.1)
-    with pytest.raises(ValueError):
-        rel_err_mean(1.0, 0.0)
+    t = np.linspace(0, 2 * T, 401)
+    ref = _series(t, _sin2(t))
+    for scale in (1.1, 0.9):
+        assert r_squared(_series(t, _sin2(t, c=scale)), ref).rel_err_P == pytest.approx(0.1)
+    # no loss in the reference's trailing half period: no relative error
+    silent = _series(t, np.where(t < 1.4 * T, _sin2(t), 0.0))
+    with pytest.raises(ValueError, match="reference mean losses must be positive"):
+        r_squared(ref, silent)
 
 
 # -- mean losses --------------------------------------------------------------------
@@ -65,7 +68,6 @@ def test_mean_losses_constant_series():
     t = np.linspace(0, 2 * T, 401)
     s = _series(t, np.full_like(t, 3.7))
     assert mean_losses(s) == pytest.approx(3.7, rel=1e-12)
-    assert s.P == pytest.approx(3.7, rel=1e-12)
 
 
 def test_mean_losses_sin_squared_halves_amplitude():

@@ -1,0 +1,66 @@
+"""Every public name of the package has a caller outside the tests.
+
+A public function, method or class that only tests call is code the program
+does not need. The few kept as test oracles are listed in ORACLES; any other
+such name fails here, and so does an oracle that gained a caller.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "foilwind"
+
+# Kept only because a gate or a layer test uses them as its oracle.
+ORACLES = {
+    "mesh.Mesh.winding_loop",
+    "postprocess.count_loss_peaks",
+    "postprocess.turns_per_slice",
+    "spaces.VoltageBasis.eval",  # pointwise values that check cell_means
+    "spaces.eval_field",
+}
+
+
+def _public_definitions() -> dict[str, str]:
+    """Qualified name -> bare name of each public module-level def and method."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_"):
+                continue
+            found[f"{path.stem}.{node.name}"] = node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        found[f"{path.stem}.{node.name}.{item.name}"] = item.name
+    return found
+
+
+def _referenced_identifiers() -> set[str]:
+    """Names and attribute names read anywhere in src/ and perfbench/.
+
+    Matching is by bare identifier, so a method counts as called when any
+    attribute of that name is read; the check misses such collisions but
+    never flags a name that has a caller.
+    """
+    seen = set()
+    for tree_root in (ROOT / "src", ROOT / "perfbench"):
+        for path in sorted(tree_root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    seen.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    seen.add(node.attr)
+    return seen
+
+
+def test_public_names_without_callers_are_the_oracles():
+    referenced = _referenced_identifiers()
+    uncalled = {
+        qualified
+        for qualified, name in _public_definitions().items()
+        if name not in referenced
+    }
+    assert uncalled == ORACLES

@@ -88,7 +88,7 @@ def test_load_run_round_trip(run_pair):
     out, trace, summary = run_pair[FormulationVariant.FCM_T_OMEGA]
     loaded_summary, series = load_run(out)
     assert loaded_summary == summary
-    assert series.variant == "fcm-t-omega"
+    assert series.frequency == summary["excitation"]["frequency"]
     assert series.times.size == trace.times.size
     assert np.allclose(series.times, trace.times, rtol=1e-12)
     assert np.allclose(series.p, trace.p, rtol=1e-11, atol=1e-300)

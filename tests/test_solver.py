@@ -53,10 +53,7 @@ def test_trace_requires_increasing_times():
             dt=np.full(3, 1e-5),
             states=None,
             linsys_count=0,
-            wall_time=0.0,
             excitation=Excitation(1.0, 50.0),
-            variant="x",
-            n_dofs=1,
         )
 
 
@@ -284,8 +281,6 @@ def test_trace_covers_requested_horizon():
     assert trace.times[-1] == pytest.approx(0.25 * exc.period, rel=1e-12)
     assert np.all(np.diff(trace.times) > 0)
     assert trace.states is None
-    assert trace.n_dofs == ctx.layout.n_dofs
-    assert trace.variant == ctx.layout.variant.value
     # i_target samples the drive exactly
     assert np.allclose(trace.i_target, 9.6 * np.sin(2 * np.pi * 50.0 * trace.times))
 

@@ -8,6 +8,7 @@ starts a comment.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import MISSING, dataclass, fields, replace
 from enum import Enum
@@ -60,6 +61,13 @@ class RunConfig:
 _JC_MODELS = {"constant": JcConstant, "kim": JcKim}
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {raw!r}")
+    return value
+
+
 def _jc_model_class(raw: str) -> type:
     try:
         return _JC_MODELS[raw]
@@ -73,43 +81,43 @@ def _jc_model_class(raw: str) -> type:
 # default, and a field without a default makes the key required.
 _SECTIONS = {
     "geometry": (CoilGeometry, {
-        "inner_radius": float,
+        "inner_radius": _finite,
         "n_turns": int,
-        "cc_thickness": float,
-        "cc_width": float,
-        "air_radius_factor": float,
+        "cc_thickness": _finite,
+        "cc_width": _finite,
+        "air_radius_factor": _finite,
     }),
     "mesh": (MeshConfig, {
         "n_alpha": int,
         "n_beta": int,
-        "grading": float,
+        "grading": _finite,
     }),
     "materials": (MaterialParams, {
-        "e_c": float,
-        "n_exponent": float,
-        "lambda_fill": float,
+        "e_c": _finite,
+        "n_exponent": _finite,
+        "lambda_fill": _finite,
         "jc_model": _jc_model_class,
-        "jc0": float,
-        "kim_b0": float,
-        "rho_spurious_air": float,
+        "jc0": _finite,
+        "kim_b0": _finite,
+        "rho_spurious_air": _finite,
     }),
     "formulation": (RunConfig, {
         "variant": parse_variant,
         "voltage_order": int,
     }),
     "excitation": (Excitation, {
-        "amplitude": float,
-        "frequency": float,
+        "amplitude": _finite,
+        "frequency": _finite,
     }),
     "solver": (SolverConfig, {
-        "newton_tol_rel": float,
-        "newton_tol_abs": float,
+        "newton_tol_rel": _finite,
+        "newton_tol_abs": _finite,
         "max_newton_iters": int,
-        "dt_init": float,
-        "dt_min": float,
-        "dt_max": float,
-        "periods": float,
-        "damping": float,
+        "dt_init": _finite,
+        "dt_min": _finite,
+        "dt_max": _finite,
+        "periods": _finite,
+        "damping": _finite,
     }),
     "output": (RunConfig, {
         "directory": str,
@@ -271,10 +279,13 @@ def apply_sweep_value(cfg: RunConfig, parameter: str, value: float) -> RunConfig
 
     A parameter that the variant of ``cfg`` ignores is rejected, since the
     sweep would run the same simulation at every value, and so is a value
-    that is not a whole number for a parameter that counts something.
+    that is not finite or, for a parameter that counts something, not a
+    whole number.
     """
     if parameter in ("n_turns", "n_alpha", "voltage_order") and not float(value).is_integer():
         raise ConfigError(f"{parameter} takes whole numbers, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{parameter} takes finite values, got {value!r}")
     if parameter == "n_turns":
         return replace(cfg, geometry=replace(cfg.geometry, n_turns=int(value)))
     if parameter == "n_alpha":

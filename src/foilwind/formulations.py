@@ -137,11 +137,6 @@ class AssembledSystem:
     context: "AssemblyContext"
     factor_options: dict = field(default_factory=dict)  # keyword arguments of splu
 
-    @cached_property
-    def jacobian(self) -> sp.csc_matrix:
-        """The full sparse Jacobian, built on first read."""
-        return self.context.jacobian(self.dt, self.d_tan)
-
     @property
     def reduced_jacobian(self) -> sp.csc_matrix:
         return self.context.elimination.matrix(self.dt, self.d_tan)

@@ -20,9 +20,9 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,12 +30,6 @@ import scipy.sparse as sp
 MU0 = 4e-7 * np.pi
 
 AIR = -1
-
-
-class BoundaryTag(str, enum.Enum):
-    OUTER = "OUTER"          # truncation boundary (outer side and top)
-    AXIS_SIDE = "AXIS_SIDE"  # rotation axis r = 0
-    SYMMETRY = "SYMMETRY"    # midplane z = 0
 
 
 @dataclass(frozen=True)
@@ -188,11 +182,12 @@ class Mesh:
     r_lines: np.ndarray
     z_lines: np.ndarray
     region: np.ndarray
-    geom: CoilGeometry | None = None
-    n_alpha: int = 0
-    n_beta: int = 0
-    coil_col0: int = 0
-    symmetry_factor: float = 2.0
+    geom: CoilGeometry
+    n_alpha: int
+    n_beta: int
+    coil_col0: int
+    # the half-model stands for the full device mirrored about the midplane
+    symmetry_factor: ClassVar[float] = 2.0
 
     # ---- counts -----------------------------------------------------------
 
@@ -336,46 +331,30 @@ class Mesh:
         a = (lines - lines[0]) / (lines[-1] - lines[0])
         return np.column_stack([a[:-1], a[1:]])
 
-    # ---- boundary classification -------------------------------------------
-
-    @cached_property
-    def boundary_edges(self) -> dict[BoundaryTag, np.ndarray]:
-        nr, nz = self.n_r, self.n_z
-        ir_h = np.arange(nr - 1)
-        iz_v = np.arange(nz - 1)
-        sym = self.hedge_id(ir_h, 0)
-        top = self.hedge_id(ir_h, nz - 1)
-        side = self.vedge_id(np.full(nz - 1, nr - 1), iz_v)
-        axis = self.vedge_id(np.zeros(nz - 1, dtype=int), iz_v)
-        out = {
-            BoundaryTag.SYMMETRY: sym,
-            BoundaryTag.OUTER: np.concatenate([top, side]),
-            BoundaryTag.AXIS_SIDE: axis,
-        }
-        if self.r_lines[0] > 0:
-            # no axis in the domain: the inner side is part of the truncation
-            out[BoundaryTag.AXIS_SIDE] = np.empty(0, dtype=int)
-            inner = self.vedge_id(np.zeros(nz - 1, dtype=int), iz_v)
-            out[BoundaryTag.OUTER] = np.concatenate([top, side, inner])
-        return out
+    # ---- boundary conditions -------------------------------------------------
 
     @cached_property
     def constrained_edges(self) -> np.ndarray:
-        """Edges with zero prescribed tangential circulation (outer + midplane)."""
-        be = self.boundary_edges
-        return np.unique(np.concatenate([be[BoundaryTag.OUTER], be[BoundaryTag.SYMMETRY]]))
+        """Edges with zero prescribed tangential circulation: midplane, top, outer side.
+
+        The axis edges stay free. The three sets are disjoint and each is
+        ascending, so their concatenation is sorted.
+        """
+        nr, nz = self.n_r, self.n_z
+        ir_h = np.arange(nr - 1)
+        midplane = self.hedge_id(ir_h, 0)
+        top = self.hedge_id(ir_h, nz - 1)
+        side = self.vedge_id(np.full(nz - 1, nr - 1), np.arange(nz - 1))
+        return np.concatenate([midplane, top, side])
 
     @cached_property
     def dirichlet_nodes(self) -> np.ndarray:
-        """Nodes on the zero-potential boundary (outer box sides, top, midplane)."""
+        """Nodes on the zero-potential boundary: midplane, top, outer side."""
         nr, nz = self.n_r, self.n_z
         bottom = self.node_id(np.arange(nr), 0)
         top = self.node_id(np.arange(nr), nz - 1)
         side = self.node_id(np.full(nz, nr - 1), np.arange(nz))
-        ids = [bottom, top, side]
-        if self.r_lines[0] > 0:
-            ids.append(self.node_id(np.zeros(nz, dtype=int), np.arange(nz)))
-        return np.unique(np.concatenate(ids))
+        return np.unique(np.concatenate([bottom, top, side]))
 
     # ---- discrete operators -------------------------------------------------
 

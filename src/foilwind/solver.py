@@ -200,11 +200,14 @@ def step(
     excitation: Excitation,
     config: SolverConfig,
     scales: BlockScales,
+    t_end: float,
 ) -> tuple[np.ndarray, float, NewtonStats, int]:
     """One backward-Euler step from state ``w`` at time ``t``.
 
     Halves dt (not below dt_min) on Newton failure, a singular factorization
-    included, until an attempt converges. Returns the new state, the dt
+    included, until an attempt converges. A failed step that lands on
+    ``t_end`` and is shorter than 2 dt_min is not retried: no split of it
+    keeps both parts at least dt_min long. Returns the new state, the dt
     taken, its Newton stats and the linear solves of all attempts, rejected
     ones included.
     """
@@ -220,10 +223,11 @@ def step(
         except NonConvergenceError as exc:
             if exc.stats is not None:
                 solves += exc.stats.iterations
-            if dt <= config.dt_min * (1 + 1e-12):
+            landing = dt == t_end - t and dt < 2 * config.dt_min
+            if landing or dt <= config.dt_min * (1 + 1e-12):
                 raise NonConvergenceError(
-                    f"dt underflow at t={t:.6e}: already at dt_min="
-                    f"{config.dt_min:.3e}; {exc}; residual history "
+                    f"dt underflow at t={t:.6e}: dt={dt:.3e} cannot be split into "
+                    f"steps of at least dt_min={config.dt_min:.3e}; {exc}; residual history "
                     f"{[f'{r:.3e}' for r in (exc.stats.residual_norms if exc.stats else [])]}",
                     exc.stats,
                 ) from exc
@@ -287,7 +291,7 @@ def run_transient(
             # lands on t_end, so that no step is shorter than dt_min
             dt = t_end - t
         w_new, dt_taken, stats, solves = step(
-            formulation, w, t, dt, excitation, config, scales
+            formulation, w, t, dt, excitation, config, scales, t_end
         )
         linsys += solves
         if dt_taken < dt:

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 from numpy.polynomial import polynomial as P
 
-from .mesh import Mesh
+from .mesh import AIR, Mesh
 from .variants import FormulationVariant
 
 
@@ -106,19 +106,15 @@ def _sheet_columns(mesh: Mesh, sheets: list[tuple[int, int]]) -> sp.csr_matrix:
     )
 
 
-def _cut_columns(mesh: Mesh, holes: list[int]) -> sp.csr_matrix:
+def _cut_columns(mesh: Mesh, holes: np.ndarray) -> sp.csr_matrix:
     """One unit-circulation cut per hole (turn id for the detailed model, 0 for the bulk).
 
     Rows are spread over the winding height so stacked sheets stay distinct;
     each terminal cell is the first winding column of its hole.
     """
-    if mesh.r_lines[0] > 0:
-        raise ValueError("cut sheets must terminate on the axis; mesh has none")
     sheets = []
     for idx, hole in enumerate(holes):
         cells = np.nonzero(mesh.region == hole)[0]
-        if cells.size == 0:
-            raise ValueError(f"hole {hole} has no winding cells")
         col = int(mesh.alpha_index[cells].min()) + mesh.coil_col0
         row = (idx * mesh.n_beta) // len(holes)
         if mesh.region[mesh.cell_id(col, row)] != hole:
@@ -166,26 +162,22 @@ class DofLayout:
         return cb
 
 
-def _incident_cells_of_edges(mesh: Mesh):
-    """Region ids of the cells on both sides of each edge (AIR-2 where absent)."""
-    NONE = -2
-    nr1 = mesh.n_r - 1
-    nz1 = mesh.n_z - 1
-    reg = mesh.region.reshape(nz1, nr1)
+def _inside_conductor(mesh: Mesh, incidence: np.ndarray, full: int) -> np.ndarray:
+    """Mask of the edges or nodes inside one conductor region.
 
-    h_lo = np.full((mesh.n_z, nr1), NONE, dtype=int)  # cell below a horizontal edge
-    h_hi = np.full((mesh.n_z, nr1), NONE, dtype=int)  # cell above
-    h_lo[1:, :] = reg
-    h_hi[:-1, :] = reg
-
-    v_lo = np.full((nz1, mesh.n_r), NONE, dtype=int)  # cell left of a vertical edge
-    v_hi = np.full((nz1, mesh.n_r), NONE, dtype=int)  # cell right
-    v_lo[:, 1:] = reg
-    v_hi[:, :-1] = reg
-
-    lo = np.concatenate([h_lo.ravel(), v_lo.ravel()])
-    hi = np.concatenate([h_hi.ravel(), v_hi.ravel()])
-    return lo, hi, NONE
+    ``incidence`` holds the edges (``mesh.cell_edges``) or nodes
+    (``mesh.quads``) of each cell. An entity is inside when all ``full`` of
+    its incident cells (2 for an edge, 4 for a node) carry one winding tag;
+    entities on the domain boundary have fewer incident cells.
+    """
+    ids = incidence.ravel()
+    tags = np.repeat(mesh.region, incidence.shape[1])
+    count = np.bincount(ids)
+    lo = np.full(count.size, np.iinfo(tags.dtype).max)
+    hi = np.full(count.size, AIR)
+    np.minimum.at(lo, ids, tags)
+    np.maximum.at(hi, ids, tags)
+    return (count == full) & (lo == hi) & (lo >= 0)
 
 
 def _gradient_columns(mesh: Mesh, nodes: np.ndarray) -> sp.csr_matrix:
@@ -238,10 +230,6 @@ def build_dof_layout(
         raise ValueError(f"unknown variant {variant!r}")
 
     n_edges = mesh.n_edges
-    is_constrained = np.zeros(n_edges, dtype=bool)
-    is_constrained[mesh.constrained_edges] = True
-
-    lo, hi, NONE = _incident_cells_of_edges(mesh)
     vb = VoltageBasis(voltage_order)
     if variant.is_fcm and mesh.n_alpha < vb.n_funcs:
         # fewer radial columns than voltage functions -> rank-deficient coupling
@@ -249,17 +237,6 @@ def build_dof_layout(
             f"homogenized winding needs n_alpha >= voltage_order + 1 "
             f"({mesh.n_alpha} < {vb.n_funcs})"
         )
-
-    def conductor_interior_edges(same_turn: bool) -> np.ndarray:
-        """Edges with every incident cell in the winding (same turn if asked)."""
-        a, b = lo.copy(), hi.copy()
-        one_sided = (a == NONE) ^ (b == NONE)
-        a = np.where(a == NONE, b, a)
-        b = np.where(b == NONE, a, b)
-        inside = (a >= 0) & (b >= 0) & ~one_sided
-        if same_turn:
-            inside &= a == b
-        return np.nonzero(inside & ~is_constrained)[0]
 
     columns: list[sp.csr_matrix] = []
     blocks: dict[str, slice] = {}
@@ -273,66 +250,37 @@ def build_dof_layout(
         blocks[name] = slice(pos, pos + mat.shape[1])
         pos += mat.shape[1]
 
-    dirichlet = mesh.dirichlet_nodes
-
     if variant is FormulationVariant.FCM_H_FULL:
-        free_edges = np.nonzero(~is_constrained)[0]
-        add_block("edge", _unit_columns(n_edges, free_edges))
+        free_edges = np.ones(n_edges, dtype=bool)
+        free_edges[mesh.constrained_edges] = False
+        add_block("edge", _unit_columns(n_edges, np.nonzero(free_edges)[0]))
         n_voltage = vb.n_funcs
+    else:
+        # edge unknowns inside a conductor, the gradient of a scalar potential
+        # wherever they do not own the field
+        inside = _inside_conductor(mesh, mesh.cell_edges, 2)
+        free_nodes = np.ones(mesh.n_nodes, dtype=bool)
+        if variant is FormulationVariant.FCM_T_OMEGA:
+            inside[mesh.n_hedges :] = False  # radial (alpha) edges only
+        else:
+            free_nodes &= ~_inside_conductor(mesh, mesh.quads, 4)
+        free_nodes[mesh.dirichlet_nodes] = False
+        add_block("edge", _unit_columns(n_edges, np.nonzero(inside)[0]))
+        add_block("nodal", _gradient_columns(mesh, np.nonzero(free_nodes)[0]))
 
-    elif variant in (FormulationVariant.REF_H_PHI, FormulationVariant.FCM_H_PHI):
-        ref = variant is FormulationVariant.REF_H_PHI
-        free_edges = conductor_interior_edges(same_turn=ref)
-        add_block("edge", _unit_columns(n_edges, free_edges))
-
-        # nodal space: everywhere the edge space does not own the field
-        interior = np.zeros(mesh.n_nodes, dtype=bool)
-        reg2d = mesh.region.reshape(mesh.n_z - 1, mesh.n_r - 1)
-        irn, izn = np.meshgrid(np.arange(1, mesh.n_r - 1), np.arange(1, mesh.n_z - 1))
-        c00 = reg2d[izn - 1, irn - 1]
-        c10 = reg2d[izn - 1, irn]
-        c01 = reg2d[izn, irn - 1]
-        c11 = reg2d[izn, irn]
-        same = (c00 == c10) & (c00 == c01) & (c00 == c11) & (c00 >= 0)
-        if not ref:
-            same = (c00 >= 0) & (c10 >= 0) & (c01 >= 0) & (c11 >= 0)
-        interior[mesh.node_id(irn[same], izn[same])] = True
-        keep = np.ones(mesh.n_nodes, dtype=bool)
-        keep[dirichlet] = False
-        keep &= ~interior
-        free_nodes = np.nonzero(keep)[0]
-        add_block("nodal", _gradient_columns(mesh, free_nodes))
-        if free_nodes.size and dirichlet.size == 0:
-            raise ValueError("scalar potential gauge not fixed: no constrained boundary nodes")
-
-        winding_ids = np.unique(mesh.region[mesh.coil_mask])
-        holes = winding_ids.tolist() if ref else [int(winding_ids[0])]
-        add_block("cut", _cut_columns(mesh, holes))
-        n_voltage = len(holes) if ref else vb.n_funcs
-
-    elif variant is FormulationVariant.FCM_T_OMEGA:
-        all_inside = conductor_interior_edges(same_turn=False)
-        t_edges = all_inside[all_inside < mesh.n_hedges]  # radial (alpha) edges only
-        add_block("edge", _unit_columns(n_edges, t_edges))
-
-        keep = np.ones(mesh.n_nodes, dtype=bool)
-        keep[dirichlet] = False
-        free_nodes = np.nonzero(keep)[0]
-        add_block("nodal", _gradient_columns(mesh, free_nodes))
-        if dirichlet.size == 0:
-            raise ValueError("scalar potential gauge not fixed: no constrained boundary nodes")
-
-        # modal net-current carriers: per-column sheets contracted with the
-        # voltage basis; the pure radial-edge field carries zero net current
-        # per column, so these close the space at minimal extra cost
-        spans = mesh.alpha_spans
-        weights = vb.cell_means(spans[:, 0], spans[:, 1])  # (n_alpha, p+1)
-        sheet_mat = _sheet_columns(mesh, [(mesh.coil_col0 + j, 0) for j in range(mesh.n_alpha)])
-        add_block("carrier", (sheet_mat @ sp.csr_matrix(weights)).tocsr())
-        n_voltage = vb.n_funcs
-
-    else:  # pragma: no cover - enum is exhaustive
-        raise ValueError(f"unknown variant {variant!r}")
+        if variant is FormulationVariant.FCM_T_OMEGA:
+            # modal net-current carriers: per-column sheets contracted with the
+            # voltage basis; the pure radial-edge field carries zero net current
+            # per column, so these close the space at minimal extra cost
+            spans = mesh.alpha_spans
+            weights = vb.cell_means(spans[:, 0], spans[:, 1])  # (n_alpha, p+1)
+            sheets = [(mesh.coil_col0 + j, 0) for j in range(mesh.n_alpha)]
+            add_block("carrier", (_sheet_columns(mesh, sheets) @ sp.csr_matrix(weights)).tocsr())
+            n_voltage = vb.n_funcs
+        else:
+            holes = np.unique(mesh.region[mesh.coil_mask])
+            add_block("cut", _cut_columns(mesh, holes))
+            n_voltage = vb.n_funcs if variant.is_fcm else holes.size
 
     basis = sp.hstack(columns, format="csr") if columns else sp.csr_matrix((n_edges, 0))
     return DofLayout(

@@ -213,7 +213,7 @@ def test_07_jacobian_consistency():
             rp = ctx.assemble(w + eps * v, w_prev, 2e-5, 1e-3, exc).residual
             rm = ctx.assemble(w - eps * v, w_prev, 2e-5, 1e-3, exc).residual
             fd = (rp - rm) / (2 * eps)
-            jv = sys.jacobian @ v
+            jv = ctx.jacobian(sys.dt, sys.d_tan) @ v
             worst = max(worst, float(np.linalg.norm(jv - fd) / np.linalg.norm(jv)))
     report(7, "Jacobian consistency", worst < 1e-5, f"worst directional err {worst:.2e}")
 

@@ -176,13 +176,19 @@ def test_sweep_empty_values_exits_2(finished_run, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "jobs, values", [("0", "4"), ("-1", "4"), ("1", "4,4.5")], ids=["jobs0", "jobs-1", "frac"]
+    "param, jobs, values",
+    [("n_alpha", "0", "4"), ("n_alpha", "-1", "4"), ("n_alpha", "1", "4,4.5"),
+     ("rho0", "1", "1e-3,nan")],
+    ids=["jobs0", "jobs-1", "frac", "rho0-nan"],
 )
-def test_sweep_rejects_bad_arguments_before_running(finished_run, tmp_path, jobs, values):
+def test_sweep_rejects_bad_arguments_before_running(finished_run, tmp_path, param, jobs, values):
     _, _, config_path = finished_run
+    if param == "rho0":  # only fcm-h-full has the spurious air resistivity
+        cfg = small_config(FormulationVariant.FCM_H_FULL)
+        config_path = _write_config(tmp_path / "hfull.cfg", cfg)
     out = tmp_path / "sweep"
     code, _, stderr = run_cli(
-        "sweep", "--config", config_path, "--param", "n_alpha",
+        "sweep", "--config", config_path, "--param", param,
         "--values", values, "--jobs", jobs, "--out", str(out),
     )
     assert code == 2

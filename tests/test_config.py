@@ -100,6 +100,15 @@ def test_bad_value_reports_key_and_line():
     text = MINIMAL.replace("n_beta = 8", "n_beta = eight")
     with pytest.raises(ConfigError, match="bad value for mesh.n_beta"):
         parse_config_text(text)
+    # a non-finite float is refused where it is read, not after a full run
+    for text, where in [
+        (MINIMAL + "[solver]\nperiods = nan\n", ":18: bad value for solver.periods"),
+        (MINIMAL + "[solver]\nnewton_tol_abs = nan\n", ":18: bad value for solver.newton_tol_abs"),
+        (MINIMAL.replace("amplitude = 9.6", "amplitude = inf"), ":15: bad value for excitation.amplitude"),
+        (MINIMAL.replace("cc_width = 12e-3", "cc_width = -inf"), ":5: bad value for geometry.cc_width"),
+    ]:
+        with pytest.raises(ConfigError, match=f"{where}: must be finite"):
+            parse_config_text(text)
 
 
 def test_physical_validation_wrapped_as_config_error():
@@ -220,6 +229,9 @@ def test_sweep_points():
     assert swept.materials.rho_spurious_air == 1e-2
     # the original is untouched
     assert hfull.materials.rho_spurious_air == 1e-3
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="rho0 takes finite values"):
+            apply_sweep_value(hfull, "rho0", value)
     # only the all-edge variant has a spurious air resistivity
     for variant in FormulationVariant:
         if variant is not FormulationVariant.FCM_H_FULL:

@@ -5,7 +5,6 @@ import pytest
 
 from foilwind.mesh import (
     MU0,
-    BoundaryTag,
     CoilGeometry,
     mesh_structured,
 )
@@ -181,14 +180,22 @@ def test_mass_matrix_mu_scaling():
 
 def test_boundary_classification():
     mesh = small_mesh(n_turns=2, n_alpha=4, n_beta=8)
-    be = mesh.boundary_edges
-    assert be[BoundaryTag.SYMMETRY].size == mesh.n_r - 1
-    assert be[BoundaryTag.AXIS_SIDE].size == mesh.n_z - 1
-    assert be[BoundaryTag.OUTER].size == (mesh.n_r - 1) + (mesh.n_z - 1)
-    # constrained edges: outer + symmetry, disjoint from the axis
+    nr, nz = mesh.n_r, mesh.n_z
+
+    def on_boundary(points):
+        """Midplane, top and outer side; the axis r = 0 is not among them."""
+        r, z = points[:, 0], points[:, 1]
+        return (z == 0.0) | (z == mesh.z_lines[-1]) | (r == mesh.r_lines[-1])
+
     ce = mesh.constrained_edges
-    assert np.intersect1d(ce, be[BoundaryTag.AXIS_SIDE]).size == 0
-    assert ce.size == be[BoundaryTag.SYMMETRY].size + be[BoundaryTag.OUTER].size
+    assert ce.size == 2 * (nr - 1) + (nz - 1)
+    midpoints = mesh.nodes[mesh.edge_nodes].mean(axis=1)
+    assert np.array_equal(ce, np.flatnonzero(on_boundary(midpoints)))
+    axis = mesh.vedge_id(np.zeros(nz - 1, dtype=int), np.arange(nz - 1))
+    assert np.intersect1d(ce, axis).size == 0
+    dn = mesh.dirichlet_nodes
+    assert dn.size == 2 * nr + nz - 2
+    assert np.array_equal(dn, np.flatnonzero(on_boundary(mesh.nodes)))
 
 
 def test_alpha_beta_indexing():

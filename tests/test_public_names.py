@@ -13,6 +13,7 @@ PACKAGE = ROOT / "src" / "foilwind"
 
 # Kept only because a gate or a layer test uses them as its oracle.
 ORACLES = {
+    "formulations.AssemblyContext.jacobian",  # the full Jacobian that the eliminations reduce
     "mesh.Mesh.winding_loop",
     "postprocess.count_loss_peaks",
     "postprocess.turns_per_slice",
@@ -38,6 +39,20 @@ def _public_definitions() -> dict[str, str]:
     return found
 
 
+def _reads(node: ast.AST, enclosing: frozenset[str] = frozenset()):
+    """Names and attribute names read under ``node``, except inside a function
+    of the same name: a method that only delegates to a namesake does not
+    give that namesake a caller."""
+    if isinstance(node, ast.FunctionDef):
+        enclosing |= {node.name}
+    if isinstance(node, ast.Name) and node.id not in enclosing:
+        yield node.id
+    elif isinstance(node, ast.Attribute) and node.attr not in enclosing:
+        yield node.attr
+    for child in ast.iter_child_nodes(node):
+        yield from _reads(child, enclosing)
+
+
 def _referenced_identifiers() -> set[str]:
     """Names and attribute names read anywhere in src/ and perfbench/.
 
@@ -48,11 +63,7 @@ def _referenced_identifiers() -> set[str]:
     seen = set()
     for tree_root in (ROOT / "src", ROOT / "perfbench"):
         for path in sorted(tree_root.rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Name):
-                    seen.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    seen.add(node.attr)
+            seen.update(_reads(ast.parse(path.read_text())))
     return seen
 
 

@@ -187,9 +187,17 @@ def test_step_halves_dt_then_gives_up_at_dt_min():
 
     cfg = SolverConfig(max_newton_iters=2, dt_init=1e-5, dt_min=1e-5, dt_max=8e-5)
     w = np.zeros(4)
+    exc = Excitation(1.0, 50.0)
     with pytest.raises(NonConvergenceError, match="dt underflow"):
-        step(StuckFormulation(), w, 0.0, 8e-5, Excitation(1.0, 50.0), cfg, BlockScales(4))
+        step(StuckFormulation(), w, 0.0, 8e-5, exc, cfg, BlockScales(4), t_end=1.0)
     assert sorted(set(attempted), reverse=True) == [8e-5, 4e-5, 2e-5, 1e-5]
+
+    # a landing step shorter than 2 dt_min has no split into two steps of at
+    # least dt_min, so it fails without a retry
+    attempted.clear()
+    with pytest.raises(NonConvergenceError, match="dt underflow"):
+        step(StuckFormulation(), w, 0.0, 1.5e-5, exc, cfg, BlockScales(4), t_end=1.5e-5)
+    assert set(attempted) == {1.5e-5}
 
 
 class _LinearFormulation:
@@ -231,7 +239,7 @@ def test_step_retries_a_singular_factorization_with_half_the_dt(monkeypatch):
     cfg = SolverConfig(dt_init=1e-5, dt_min=1e-5, dt_max=8e-5)
     w = np.zeros(4)
     exc = Excitation(1.0, 50.0)
-    w_new, dt_taken, stats, solves = step(form, w, 0.0, 8e-5, exc, cfg, BlockScales(4))
+    w_new, dt_taken, stats, solves = step(form, w, 0.0, 8e-5, exc, cfg, BlockScales(4), t_end=1.0)
     assert form.attempted == [8e-5, 4e-5, 2e-5]
     assert dt_taken == 2e-5
     assert stats.converged and stats.iterations == 1
@@ -242,7 +250,7 @@ def test_step_retries_a_singular_factorization_with_half_the_dt(monkeypatch):
     # at dt_min the step gives up and names the failed factorization
     form = _LinearFormulation(4, dt_ok=1e-6)
     with pytest.raises(NonConvergenceError, match="dt underflow.*factorization failed") as err:
-        step(form, w, 0.0, 2e-5, exc, cfg, BlockScales(4))
+        step(form, w, 0.0, 2e-5, exc, cfg, BlockScales(4), t_end=1.0)
     assert isinstance(err.value.__cause__, SingularMatrixError)
     assert form.attempted == [2e-5, 1e-5]
 
@@ -346,6 +354,11 @@ def test_dt_controller_restarts_from_the_converged_dt_after_a_halving():
 @example(periods=0.005, dt_init=2e-6, growth=1.0, halvings=0, max_newton_iters=3)
 # fixed steps of 3e-5 s would leave 1e-5 s, a third of dt_min, for the last one
 @example(periods=0.005, dt_init=3e-5, growth=1.0, halvings=0, max_newton_iters=25)
+# fixed steps of dt_min leave 1.3 dt_min for the landing step, whose Newton
+# solve fails: halving it would leave a last step of 0.3 dt_min
+@example(
+    periods=0.046875, dt_init=6.550363790681805e-05, growth=1.0, halvings=0, max_newton_iters=3
+)
 def test_stepper_properties(periods, dt_init, growth, halvings, max_newton_iters):
     # a low Newton iteration cap makes some attempts fail and halve the dt
     cfg = SolverConfig(
@@ -357,20 +370,34 @@ def test_stepper_properties(periods, dt_init, growth, halvings, max_newton_iters
     )
     exc = Excitation(amplitude=96.0, frequency=50.0)
     ctx = small_context(FormulationVariant.FCM_T_OMEGA, n_turns=2)
-    rejected = []  # Newton iterations of every rejected attempt
-    newton_solve = solver.newton_solve
+    t_end = cfg.periods * exc.period
+    rejected = []  # Newton iterations, end time and dt of every rejected attempt
+    last = {}  # end time and dt of the latest assembly
+    newton_solve, assemble = solver.newton_solve, ctx.assemble
+
+    def recorded(u, w, dt, t, excitation):
+        last.update(t=t, dt=dt)
+        return assemble(u, w, dt, t, excitation)
 
     def counted(*args):
         try:
             return newton_solve(*args)
         except NonConvergenceError as err:
-            rejected.append(err.stats.iterations)
+            rejected.append((err.stats.iterations, last["t"], last["dt"]))
             raise
+
+    ctx.assemble = recorded
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "newton_solve", counted)
-        trace = run_transient(cfg, ctx, exc, store_states=False)
-    t_end = cfg.periods * exc.period
+        try:
+            trace = run_transient(cfg, ctx, exc, store_states=False)
+        except NonConvergenceError as err:
+            # only a failed landing step shorter than 2 dt_min may end the run
+            _, t_new, dt = rejected[-1]
+            assert "dt underflow" in str(err)
+            assert t_new == pytest.approx(t_end, rel=1e-12) and dt < 2 * cfg.dt_min
+            return
     assert trace.times[-1] == t_end
     steps = np.diff(trace.times)
     assert steps.min() > 1e-12 * t_end  # no step is a roundoff sliver
@@ -378,7 +405,7 @@ def test_stepper_properties(periods, dt_init, growth, halvings, max_newton_iters
     # no step is shorter than dt_min, the landing one included, but for the
     # roundoff of t + dt - t
     assert np.all(steps >= cfg.dt_min * (1 - 1e-12))
-    assert trace.linsys_count == int(trace.newton_iters.sum()) + sum(rejected)
+    assert trace.linsys_count == int(trace.newton_iters.sum()) + sum(r[0] for r in rejected)
 
 
 def test_linear_solve_audit():

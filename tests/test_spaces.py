@@ -106,6 +106,55 @@ def test_fcm_hphi_single_cut():
 # -- DoF layouts ----------------------------------------------------------------
 
 
+def _strictly_inside(mesh, variant, points) -> np.ndarray:
+    """Points inside one turn rectangle (detailed model) or the bulk winding
+    (homogenized), by a quarter of the smallest winding cell."""
+    g = mesh.geom
+    n_conductors = 1 if variant.is_fcm else g.n_turns
+    width = g.radial_build / n_conductors
+    margin = 0.25 * min(g.radial_build / mesh.n_alpha, g.half_width / mesh.n_beta)
+    r, z = points[:, 0], points[:, 1]
+    inside = np.zeros(len(points), dtype=bool)
+    for i in range(n_conductors):
+        r0 = g.inner_radius + i * width
+        inside |= (r > r0 + margin) & (r < r0 + width - margin)
+    return inside & (z > margin) & (z < g.half_width - margin)
+
+
+@pytest.mark.parametrize(
+    "variant",
+    [FormulationVariant.REF_H_PHI, FormulationVariant.FCM_H_PHI, FormulationVariant.FCM_T_OMEGA],
+)
+def test_unknowns_follow_the_conductor_geometry(variant):
+    # edge unknowns on the edges inside a conductor (t-omega: radial ones
+    # only), nodal unknowns on every other node off the zero-potential
+    # boundary (t-omega: on every node off it)
+    for n_turns, n_alpha, n_beta in [(1, 4, 1), (1, 4, 3), (2, 2, 2), (2, 4, 8), (3, 6, 1), (5, 10, 2)]:
+        mesh, layout = small_layout(
+            variant, voltage_order=0, n_turns=n_turns, n_alpha=n_alpha, n_beta=n_beta
+        )
+        basis = layout.basis.tocsc()
+        first = basis.indptr[:-1]  # first entry of each column
+        en = mesh.edge_nodes
+
+        # an empty block is left out (t-omega with one cell row has no edge unknowns)
+        edges = basis.indices[first[layout.blocks.get("edge", slice(0))]]
+        want = _strictly_inside(mesh, variant, mesh.nodes[en].mean(axis=1))
+        if variant is FormulationVariant.FCM_T_OMEGA:
+            want[mesh.n_hedges :] = False
+        assert np.array_equal(edges, np.flatnonzero(want))
+
+        # a gradient column enters its node (+1) or leaves it (-1)
+        pos = first[layout.blocks["nodal"]]
+        e = basis.indices[pos]
+        nodes = np.where(basis.data[pos] > 0, en[e, 1], en[e, 0])
+        want = np.ones(mesh.n_nodes, dtype=bool)
+        if variant is not FormulationVariant.FCM_T_OMEGA:
+            want &= ~_strictly_inside(mesh, variant, mesh.nodes)
+        want[mesh.dirichlet_nodes] = False
+        assert np.array_equal(nodes, np.flatnonzero(want))
+
+
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_layout_block_bookkeeping(variant):
     mesh, layout = small_layout(variant, n_turns=2)

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .mesh import Mesh
 from .spaces import DofLayout
@@ -114,18 +113,6 @@ def turns_per_slice(mesh: Mesh, layout: DofLayout) -> float:
     if layout.variant is FormulationVariant.REF_H_PHI:
         return 1.0
     return mesh.geom.n_turns / mesh.n_alpha
-
-
-def count_loss_peaks(series: LossSeries, window_periods: float = 1.0) -> int:
-    """Number of loss peaks within the trailing window (2 per period in steady state)."""
-    t0 = series.times[-1] - window_periods * series.period
-    inside = series.times >= t0 - 1e-12 * series.period
-    p = series.p[inside]
-    if p.size < 3:
-        return 0
-    prominence = 1e-3 * (p.max() - p.min())
-    peaks, _ = find_peaks(p, prominence=prominence if prominence > 0 else None)
-    return int(peaks.size)
 
 
 # -- CSV export ---------------------------------------------------------------

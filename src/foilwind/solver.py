@@ -56,9 +56,11 @@ class SingularMatrixError(NonConvergenceError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    # abs_tol must sit above the LU roundoff floor of the scaled residual
-    # (~2e-13 on the reference saddle systems) or Newton can stall just shy
-    # of a tolerance it cannot reach in double precision.
+    # abs_tol must sit above the LU roundoff floor of the scaled residual or
+    # Newton stalls just shy of a tolerance it cannot reach in double
+    # precision. On pancake2d_fcm_hfull 5e-12 sits below that floor: the
+    # residual stalls between 5.1e-12 and 9.3e-12, and a stalled attempt runs
+    # all max_newton_iters before it is rejected and dt is halved.
     newton_tol_rel: float = 1e-11
     newton_tol_abs: float = 5e-12
     max_newton_iters: int = 25

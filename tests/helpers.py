@@ -1,4 +1,5 @@
-"""Shared builders for the test suite: small pancake setups that run fast.
+"""Shared builders for the test suite: small pancake setups that run fast,
+and the loss-peak counter that gate 10 uses as its oracle.
 
 The standard tape is 100 um x 12 mm with jc0 = 1e10 A/m^2 and a 1% fill
 factor, so the engineering critical current density is 1e8 A/m^2 and the
@@ -11,11 +12,13 @@ from __future__ import annotations
 from dataclasses import replace
 
 import numpy as np
+from scipy.signal import find_peaks
 
 from foilwind.config import MeshConfig, RunConfig
 from foilwind.formulations import AssemblyContext, Excitation
 from foilwind.materials import JcConstant, MaterialParams
 from foilwind.mesh import CoilGeometry, Mesh, mesh_structured
+from foilwind.postprocess import LossSeries
 from foilwind.solver import SolverConfig
 from foilwind.spaces import DofLayout, build_dof_layout
 from foilwind.variants import FormulationVariant
@@ -100,3 +103,15 @@ def random_operating_state(ctx: AssemblyContext, rng, current_fraction: float = 
         current_fraction * ctx.materials.jc_engineering() / j.max()
     )
     return u
+
+
+def count_loss_peaks(series: LossSeries, window_periods: float = 1.0) -> int:
+    """Number of loss peaks within the trailing window (2 per period in steady state)."""
+    t0 = series.times[-1] - window_periods * series.period
+    inside = series.times >= t0 - 1e-12 * series.period
+    p = series.p[inside]
+    if p.size < 3:
+        return 0
+    prominence = 1e-3 * (p.max() - p.min())
+    peaks, _ = find_peaks(p, prominence=prominence if prominence > 0 else None)
+    return int(peaks.size)

@@ -21,7 +21,6 @@ from foilwind.materials import JcConstant
 from foilwind.mesh import mesh_structured
 from foilwind.postprocess import (
     LossSeries,
-    count_loss_peaks,
     mean_losses,
     r_squared,
     turns_per_slice,
@@ -30,7 +29,7 @@ from foilwind.runner import build_mesh, execute_run, run_sweep
 from foilwind.spaces import build_dof_layout
 from foilwind.variants import FormulationVariant
 
-from helpers import random_operating_state, small_context
+from helpers import count_loss_peaks, random_operating_state, small_context
 
 FCM_PRESETS = ("pancake2d_fcm_hfull", "pancake2d_fcm_hphi", "pancake2d_fcm_tw")
 REF_PRESET = "pancake2d_ref"

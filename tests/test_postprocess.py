@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from foilwind.postprocess import (
     LossSeries,
-    count_loss_peaks,
     mean_losses,
     r_squared,
     read_trace_csv,
@@ -21,7 +20,7 @@ from foilwind.postprocess import (
 )
 from foilwind.variants import FormulationVariant
 
-from helpers import pancake_materials, small_context, small_layout
+from helpers import count_loss_peaks, pancake_materials, small_context, small_layout
 
 F = 50.0
 T = 1.0 / F

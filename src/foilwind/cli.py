@@ -13,7 +13,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import ConfigError, PRESETS, SWEEP_PARAMETERS, RunConfig
+from .config import PRESETS, SWEEP_PARAMETERS, RunConfig
 from .config import config_from_preset, load_config
 from .runner import build_mesh, compare_runs, execute_run, run_sweep
 from .solver import NonConvergenceError
@@ -159,13 +159,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NonConvergenceError as exc:  # a singular factorization included
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # ConfigError included; OSError: unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

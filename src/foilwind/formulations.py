@@ -36,7 +36,7 @@ options of each variant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -102,10 +102,12 @@ _SYMMETRIC = {"options": {"SymmetricMode": True}}
 # relax 1 and 10. Keep relax small, and never raise it to get fewer
 # supernodes: with relax=256, SuperLU returned solutions with relative errors
 # of 0.7 and 1.1, and one such process later aborted with "double free or
-# corruption". The other variants keep the defaults, so that their outputs
-# stay bit for bit: relax 1-8 changed the roundoff of every h-full and
-# t-omega solve (h-full's step sequence follows roundoff), and saved 2-4 % of
-# a 10 ms h-full factorization and 23-33 % of a 0.9 ms t-omega one.
+# corruption". Never pass panel_size: with 16 or 32, processes that factored
+# ref's tangents later died by a segfault or an abort. The other variants
+# keep the defaults, so that their outputs stay bit for bit: relax 1-8
+# changed the roundoff of every h-full and t-omega solve (h-full's step
+# sequence follows roundoff), and saved 2-4 % of a 10 ms h-full
+# factorization and 23-33 % of a 0.9 ms t-omega one.
 NEWTON_LINEAR_SOLVE = {
     FormulationVariant.FCM_H_PHI: LinearSolve("curl-free", None, {}),
     FormulationVariant.FCM_T_OMEGA: LinearSolve("curl-free", None, {}),
@@ -120,13 +122,7 @@ NEWTON_LINEAR_SOLVE = {
 
 @dataclass
 class AssembledSystem:
-    """Residual of one state and the data of its Newton tangent.
-
-    The solver factors ``reduced_jacobian`` with ``factor_options`` and maps
-    a right-hand side b of the full system in with ``reduce(b)`` and the
-    solution back out with ``recover(x, b)``, all three through the
-    context's ``elimination``.
-    """
+    """Residual of one state and the data of its Newton tangent, for ``context.elimination``."""
 
     residual: np.ndarray
     # per-row sum of absolute term magnitudes; dominates |residual| entrywise
@@ -135,17 +131,6 @@ class AssembledSystem:
     dt: float
     d_tan: np.ndarray  # tangent resistive weight of each winding cell
     context: "AssemblyContext"
-    factor_options: dict = field(default_factory=dict)  # keyword arguments of splu
-
-    @property
-    def reduced_jacobian(self) -> sp.csc_matrix:
-        return self.context.elimination.matrix(self.dt, self.d_tan)
-
-    def reduce(self, b: np.ndarray) -> np.ndarray:
-        return self.context.elimination.reduce(b)
-
-    def recover(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self.context.elimination.recover(x, b, self.dt)
 
 
 def impose_excitation(layout: DofLayout, excitation: Excitation, t: float) -> np.ndarray:
@@ -388,7 +373,6 @@ class AssemblyContext:
             dt=dt,
             d_tan=d_tan,
             context=self,
-            factor_options=NEWTON_LINEAR_SOLVE[layout.variant].factor_options,
         )
 
     @cached_property
@@ -403,16 +387,16 @@ class AssemblyContext:
     @cached_property
     def elimination(self) -> "Elimination":
         """The elimination behind every Newton solve, built on first use."""
-        eliminate, order, _ = NEWTON_LINEAR_SOLVE[self.layout.variant]
+        eliminate, order, factor_options = NEWTON_LINEAR_SOLVE[self.layout.variant]
         if eliminate is None:
-            return self._full
+            return self._full  # factored with the defaults, as h-full's entry says
         # cb stores no zeros, so its column indices are the unknowns with curl;
         # abs(cb) would sort the shared layout.curl_basis in place
         free = np.ones(self.layout.n_field_dofs, dtype=bool)
         free[self.cb.indices] = False
         if eliminate == "exterior air":
             free[self.layout.basis[self.mesh.cell_edges[self.coil].ravel()].indices] = False
-        return Elimination(self, np.flatnonzero(free), order)
+        return Elimination(self, np.flatnonzero(free), order, factor_options)
 
     def dissipation(self, w: np.ndarray, w_prev: np.ndarray) -> float:
         """Instantaneous resistive power of the half model [W]."""
@@ -458,7 +442,8 @@ class Elimination:
     correction is dense, but only on the border, the kept unknowns that M_ke
     reaches; elsewhere S0 is M_kk. A Newton iteration fills a fixed CSC pattern
     of the matrix as (S0 * (1/dt) + T) + A, T the tangent and A the constant
-    air and border terms, without exact zeros, and maps a right-hand side in
+    air and border terms, without exact zeros, to be factored with
+    ``factor_options`` (splu options); ``solve`` maps a right-hand side in
     and the update back out with one M_ee solve each.
 
     With ``order`` (splu options), the fill-reducing column order SuperLU
@@ -467,17 +452,20 @@ class Elimination:
     ``unknowns[i]``, so a factorization in the natural order keeps it.
 
     E = {} (h-full, and every variant's full Jacobian): the border is empty,
-    S0 is M itself, reduce and recover copy, and the matrix is the full
-    Jacobian. Where the cb entries are +-1 (all variants but t-omega) it
-    equals ``bmat([[mass/dt + cb^T diag(d) cb + air, G], [G^T, None]])`` bit
-    for bit, because SciPy divides by dt as a product with 1/dt, sums in this
-    order and stores no exact zeros.
+    S0 is M itself, ``solve`` only copies around ``lu.solve``, and the matrix
+    is the full Jacobian. Where the cb entries are +-1 (all variants but
+    t-omega) it equals ``bmat([[mass/dt + cb^T diag(d) cb + air, G], [G^T,
+    None]])`` bit for bit, because SciPy divides by dt as a product with
+    1/dt, sums in this order and stores no exact zeros.
     """
 
     BLOCK = 32  # columns of M_ee^-1 M_ek held at a time while forming S0
 
-    def __init__(self, ctx: AssemblyContext, eliminated: np.ndarray, order: dict | None = None):
+    def __init__(
+        self, ctx: AssemblyContext, eliminated: np.ndarray, order=None, factor_options=None
+    ):
         layout = ctx.layout
+        self.factor_options = factor_options or {}  # keyword arguments of splu
         nf = layout.n_field_dofs
         self.n_dofs = layout.n_dofs
         self.eliminated = eliminated
@@ -558,15 +546,11 @@ class Elimination:
             jac.eliminate_zeros()
         return jac
 
-    def reduce(self, b: np.ndarray) -> np.ndarray:
-        """Right-hand side of the eliminated system for full right-hand side ``b``."""
+    def solve(self, lu, b: np.ndarray, dt: float) -> np.ndarray:
+        """Full update for right-hand side ``b``; ``lu`` factors ``matrix(dt, d_tan)``."""
         rhs = b.copy()
         rhs[self.kept] -= self.m_ke @ self.solve_ee(b[self.eliminated])
-        return rhs[self.unknowns]
-
-    def recover(self, x: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
-        """Full solution from the solution ``x`` of the system of ``reduce(b)``."""
         du = np.empty(self.n_dofs)
-        du[self.unknowns] = x
+        du[self.unknowns] = lu.solve(rhs[self.unknowns])
         du[self.eliminated] = self.solve_ee(dt * b[self.eliminated] - self.m_ek @ du[self.kept])
         return du

@@ -83,6 +83,8 @@ def r_squared(series: LossSeries, reference: LossSeries) -> ComparisonReport:
     if abs(series.frequency - reference.frequency) > 1e-12 * reference.frequency:
         raise ValueError("series frequencies differ")
     period = reference.period
+    if min(series.times.size, reference.times.size) < 2:
+        raise ValueError("series too short for a mean-loss window")
     t1 = min(series.times[-1], reference.times[-1])
     t0 = t1 - period
     tiny = 1e-12 * period

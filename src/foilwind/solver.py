@@ -2,13 +2,12 @@
 
 Every Newton iteration factors its linear system directly, which is robust
 against the power-law's extreme stiffness; no iterative solvers are
-attempted. The system that is factored is the assembly's
-``reduced_jacobian``, with the SuperLU options of its ``factor_options``:
-the context's one elimination leaves out a set of field unknowns that only
-the mass matrix reaches (the curl-free unknowns of the homogenized
+attempted. The context's one elimination leaves out a set of field unknowns
+that only the mass matrix reaches (the curl-free unknowns of the homogenized
 scalar-potential variants, the exterior air of the reference model, none
-for fcm-h-full, which factors the full sparse Jacobian). Right-hand sides
-map in through ``reduce`` and updates back out through ``recover``. A
+for fcm-h-full, which factors the full sparse Jacobian). Each iteration
+factors its ``matrix`` with its SuperLU ``factor_options``, and its
+``solve`` maps the right-hand side in and the update back out. A
 factorization that fails is a Newton failure like any other: the step is
 retried with half the dt.
 
@@ -160,12 +159,12 @@ def newton_solve(
 
     for _ in range(config.max_newton_iters):
         stats.iterations += 1
+        elimination = system.context.elimination
         try:
-            lu = splu(system.reduced_jacobian, **system.factor_options)
+            lu = splu(elimination.matrix(system.dt, system.d_tan), **elimination.factor_options)
         except RuntimeError as exc:
             raise SingularMatrixError(f"factorization failed: {exc}", stats) from exc
-        rhs = -system.residual
-        du = system.recover(lu.solve(system.reduce(rhs)), rhs)
+        du = elimination.solve(lu, -system.residual, system.dt)
 
         step = 1.0
         for _bt in range(MAX_BACKTRACKS + 1):

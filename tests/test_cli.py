@@ -54,6 +54,14 @@ def test_mesh_preset(tmp_path):
     assert lines[2] == f"wrote {tmp_path / 'mesh.vtk'}"
 
 
+def test_unwritable_output_exits_2(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, _, stderr = run_cli("mesh", "--preset", "pancake2d_fcm_tw", "--out", str(blocker / "x"))
+    assert code == 2
+    assert stderr.startswith("error: ")
+
+
 def test_run_reports_power_and_artifacts(finished_run):
     out_dir, stdout, _ = finished_run
     lines = stdout.splitlines()
@@ -134,6 +142,20 @@ def test_compare_rejects_non_run_dir(tmp_path, finished_run):
         code, _, stderr = run_cli("compare", str(broken), str(out_dir))
         assert code == 2
         assert "not a run directory" in stderr
+
+
+def test_compare_trace_without_data_rows_exits_2(finished_run, tmp_path):
+    out_dir, _, _ = finished_run
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    (empty / "summary.json").write_text((out_dir / "summary.json").read_text())
+    header = (out_dir / "trace.csv").read_text().splitlines()[0]
+    (empty / "trace.csv").write_text(header + "\n")
+    for run_dir, ref_dir in ((empty, empty), (empty, out_dir), (out_dir, empty)):
+        code, _, stderr = run_cli("compare", str(run_dir), str(ref_dir), "--out", str(tmp_path))
+        assert code == 2
+        assert stderr.startswith("error: ") and "too short" in stderr
+    assert not (tmp_path / "comparison.json").exists()
 
 
 def test_sweep_single_value(finished_run, tmp_path):

@@ -231,17 +231,19 @@ def test_reference_ordering_keeps_the_newton_update():
         # the unknowns are numbered in the order computed once; each
         # factorization keeps it, in unrelaxed supernodes with a small
         # diagonal-pivot threshold
+        elim = ctx.elimination
         symmetric = {"permc_spec": "NATURAL", "options": {"SymmetricMode": True}}
-        assert sys.factor_options == {**symmetric, "relax": 1, "diag_pivot_thresh": 0.1}
+        assert elim.factor_options == {**symmetric, "relax": 1, "diag_pivot_thresh": 0.1}
         b = -sys.residual
-        lu = splu(sys.reduced_jacobian, **sys.factor_options)
-        assert np.array_equal(lu.perm_c, np.arange(ctx.elimination.size))
-        colamd = splu(sys.reduced_jacobian)
+        reduced = elim.matrix(sys.dt, sys.d_tan)
+        lu = splu(reduced, **elim.factor_options)
+        assert np.array_equal(lu.perm_c, np.arange(elim.size))
+        colamd = splu(reduced)
         assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
         # the SuperLU defaults in the same order fill in at least as much
-        replaced = splu(sys.reduced_jacobian, **symmetric)
+        replaced = splu(reduced, **symmetric)
         assert lu.L.nnz + lu.U.nnz <= replaced.L.nnz + replaced.U.nnz
-        ordered = sys.recover(lu.solve(sys.reduce(b)), b)
+        ordered = elim.solve(lu, b, sys.dt)
         default = splu(ctx.jacobian(sys.dt, sys.d_tan)).solve(b)
         assert np.linalg.norm(ordered - default) <= 1e-10 * np.linalg.norm(default)
 
@@ -323,18 +325,18 @@ def test_condensed_newton_update_equals_the_full_solve(variant):
             w_prev = _random_state(ctx, rng, current_fraction=0.5)
             sys = ctx.assemble(_random_state(ctx, rng), w_prev, dt, 1e-3, exc)
             b = -sys.residual
-            reduced = sys.reduced_jacobian
+            reduced = elim.matrix(sys.dt, sys.d_tan)
             assert reduced.shape == (elim.kept.size + ctx.layout.n_voltage_dofs,) * 2
-            x = splu(reduced).solve(sys.reduce(b))
-            update = sys.recover(x, b)
+            update = elim.solve(splu(reduced, **elim.factor_options), b, sys.dt)
             jac = ctx.jacobian(sys.dt, sys.d_tan)
             full = splu(jac).solve(b)
             assert np.linalg.norm(update - full) <= 1e-10 * np.linalg.norm(full)
             if not condensed:
-                # the full Jacobian itself, and reduce and recover copy
+                # the full Jacobian itself, factored with the defaults, and
+                # the solve is the plain solve of it
+                assert elim is ctx._full and elim.factor_options == {}
                 for attr in ("data", "indices", "indptr"):
                     assert np.array_equal(getattr(reduced, attr), getattr(jac, attr))
-                assert np.array_equal(sys.reduce(b), b) and np.array_equal(update, x)
                 assert np.array_equal(update, full)
 
 

@@ -119,6 +119,15 @@ def test_score_on_different_grids():
     assert rep.one_minus_r2 < 1e-5  # only interpolation error remains
 
 
+def test_score_rejects_series_with_fewer_than_two_samples():
+    t = np.linspace(0, 2 * T, 201)
+    ref = _series(t, _sin2(t))
+    for short in (_series([], []), _series([2 * T], [1.0])):
+        for pair in ((short, ref), (ref, short)):
+            with pytest.raises(ValueError, match="too short"):
+                r_squared(*pair)
+
+
 def test_score_error_cases():
     t_long = np.linspace(0, 2 * T, 201)
     t_short = np.linspace(1.5 * T, 2 * T, 51)

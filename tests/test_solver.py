@@ -118,6 +118,8 @@ class _IdentityContext:
     zero, so that it is singular.
     """
 
+    factor_options = {}
+
     def __init__(self, n, dt_ok=np.inf):
         self.n = n
         self.dt_ok = dt_ok
@@ -129,11 +131,8 @@ class _IdentityContext:
             diag[-1] = 0.0
         return sp.diags(diag, format="csc")
 
-    def reduce(self, b):
-        return b.copy()
-
-    def recover(self, x, b, dt):
-        return x.copy()
+    def solve(self, lu, b, dt):
+        return lu.solve(b)
 
 
 def _constant_system(r):

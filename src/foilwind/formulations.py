@@ -21,16 +21,18 @@ resistive weights, and G couples voltages to currents:
 Internally all constraints act on the half model, so targets are halved and
 every reported quantity is scaled back to the full device elsewhere.
 
-The Newton tangent is affine in (1/dt, d_tan), so an assembly hands the
-solver those two, and one ``Elimination`` turns them into the matrix that is
-factored: it eliminates a set E of field unknowns that neither the curl
-basis nor the coupling reaches, and fills the bordered tangent of the rest
-into a fixed CSC pattern. The rows of E in the tangent are the constant
-mass rows M/dt. For the homogenized scalar-potential variants (h-phi, t-omega) E
-holds every gradient unknown, for the reference model the gradient unknowns
-of the exterior air; for h-full E is empty and the matrix is the full
-Jacobian. ``NEWTON_LINEAR_SOLVE`` sets E, the ordering and the SuperLU
-options of each variant.
+The eliminated unknowns E of a variant (``NEWTON_LINEAR_SOLVE``) are the ones
+that neither the curl basis nor the coupling reaches: every gradient unknown
+for the homogenized scalar-potential variants (h-phi, t-omega), the gradient
+unknowns of the exterior air for the reference model, none for h-full. Their
+rows are the linear mass rows M_E (u - u_prev) / dt, so from the zero state
+on, u_E = -M_EE^-1 M_EK u_K is a fixed linear function of the kept field
+unknowns K. Every state the solver keeps satisfies it (``Elimination.lift``),
+the residual is evaluated at that lifted state, where its E rows vanish and
+the K rows see the mass through the Schur complement S0 = M_KK - M_KE M_EE^-1
+M_EK, and Newton iterates on K and the voltages only. Its tangent is affine
+in (1/dt, d_tan), so an assembly hands the solver those two, and the
+``Elimination`` fills them into a fixed CSC pattern to be factored.
 """
 
 from __future__ import annotations
@@ -78,45 +80,45 @@ class LinearSolve(NamedTuple):
 
 
 _SYMMETRIC = {"options": {"SymmetricMode": True}}
+# splu options of the order computed once per elimination, and of each
+# factorization in that order
+_ORDER = {"permc_spec": "MMD_AT_PLUS_A", "relax": 1, **_SYMMETRIC}
+_IN_ORDER = {"permc_spec": "NATURAL", "relax": 1, "diag_pivot_thresh": 0.1, **_SYMMETRIC}
 
-# fcm-h-phi and fcm-t-omega eliminate every curl-free unknown, and SuperLU
-# orders each factorization. fcm-h-full eliminates nothing: its air edges
-# carry rho_air, so no row of its tangent is pure M/dt; it keeps the default
-# ordering per call, since the symmetric one changed its step count and raised
-# its loss by 0.36 %. ref-h-phi eliminates only the exterior air, the
-# curl-free unknowns whose basis columns touch no edge of a winding cell; the
-# inter-turn and interface nodes stay, as their complement would couple the
-# turns densely. Its Jacobian is structurally symmetric, and a multiple-minimum-
-# degree ordering of A^T + A (Liu, ACM TOMS 11, 1985) halves its LU fill on
-# the tensor grid. The pattern is fixed, so that order is computed once and
-# each factorization keeps it (NATURAL), preferring diagonal pivots.
+# fcm-h-phi and fcm-t-omega eliminate every curl-free unknown. ref-h-phi
+# eliminates only the exterior air, the curl-free unknowns whose basis columns
+# touch no edge of a winding cell; the inter-turn and interface nodes stay, as
+# their complement would couple the turns densely. fcm-h-full eliminates
+# nothing: its air edges carry rho_air, so no row of its tangent is pure M/dt.
+# It keeps SuperLU's defaults: the symmetric ordering changed its step count
+# and raised its loss by 0.36 %, and relax 1-8 saved only 2-4 % of a 10 ms
+# factorization but moved its roundoff, which its step sequence follows.
 #
-# ref's factorizations also leave SuperLU's defaults of relaxed supernodes of
-# up to 10 columns and a diagonal-pivot threshold of 1.0; symmetric mode is
-# meant for a small threshold (Li, ACM TOMS 31, 2005). On the 73 tangents of
-# a 0.0125-period pancake2d_ref run (2-core x86 host, best of 3 each), relax=1
-# and a threshold of 0.1 cut the time per factorization to 0.67x (quartiles
-# 0.62-0.72x) and the median L+U from 268k to 256k, with solutions equal to
-# 1e-13. relax=1 alone gave 0.72x at the same fill; the threshold, which
-# takes fewer off-diagonal pivots, gave the fill. The order is the same with
-# relax 1 and 10. Keep relax small, and never raise it to get fewer
-# supernodes: with relax=256, SuperLU returned solutions with relative errors
-# of 0.7 and 1.1, and one such process later aborted with "double free or
-# corruption". Never pass panel_size: with 16 or 32, processes that factored
-# ref's tangents later died by a segfault or an abort. The other variants
-# keep the defaults, so that their outputs stay bit for bit: relax 1-8
-# changed the roundoff of every h-full and t-omega solve (h-full's step
-# sequence follows roundoff), and saved 2-4 % of a 10 ms h-full
-# factorization and 23-33 % of a 0.9 ms t-omega one.
+# The other tangents are structurally symmetric, and a multiple-minimum-degree
+# ordering of A^T + A (Liu, ACM TOMS 11, 1985) halves ref's LU fill on the
+# tensor grid. The pattern is fixed, so that order is computed once and each
+# factorization keeps it (NATURAL) in symmetric mode, preferring diagonal
+# pivots (Li, ACM TOMS 31, 2005): a threshold of 0.1 in place of 1.0, and
+# relaxed supernodes of 1 column in place of 10. Measured on the tangents of a
+# run, 2-core x86 host, best of 3 each:
+# - pancake2d_ref, 0.0125 period (73 tangents): 0.67x the time per
+#   factorization (quartiles 0.62-0.72x), median L+U 268k -> 256k, solutions
+#   equal to 1e-13. relax=1 alone gave 0.72x at the same fill; the threshold
+#   gave the fill. The order is the same with relax 1 and 10.
+# - pancake2d_fcm_hphi, 0.5 period (441 tangents of 279 unknowns, 23 % dense):
+#   median L+U 40.3k -> 23.8k, 1.77 -> 0.64 ms per factorization.
+# - pancake2d_fcm_tw, 0.5 period (428 tangents of 158 unknowns, 95 % dense):
+#   the same fill, 0.69 -> 0.55 ms.
+# Keep relax small, and never raise it to get fewer supernodes: with
+# relax=256, SuperLU returned ref solutions with relative errors of 0.7 and
+# 1.1, and one such process later aborted with "double free or corruption".
+# Never pass panel_size: with 16 or 32, processes that factored ref's tangents
+# later died by a segfault or an abort.
 NEWTON_LINEAR_SOLVE = {
-    FormulationVariant.FCM_H_PHI: LinearSolve("curl-free", None, {}),
-    FormulationVariant.FCM_T_OMEGA: LinearSolve("curl-free", None, {}),
+    FormulationVariant.FCM_H_PHI: LinearSolve("curl-free", _ORDER, _IN_ORDER),
+    FormulationVariant.FCM_T_OMEGA: LinearSolve("curl-free", _ORDER, _IN_ORDER),
     FormulationVariant.FCM_H_FULL: LinearSolve(None, None, {}),
-    FormulationVariant.REF_H_PHI: LinearSolve(
-        "exterior air",
-        {"permc_spec": "MMD_AT_PLUS_A", "relax": 1, **_SYMMETRIC},
-        {"permc_spec": "NATURAL", "relax": 1, "diag_pivot_thresh": 0.1, **_SYMMETRIC},
-    ),
+    FormulationVariant.REF_H_PHI: LinearSolve("exterior air", _ORDER, _IN_ORDER),
 }
 
 
@@ -349,7 +351,11 @@ class AssemblyContext:
         d_res[self.coil] = re.rho * self.coil_dweight
         d_tan = (re.rho + 2.0 * j**2 * re.drho_dj2) * self.coil_dweight
 
-        mass_term = self.mass @ ((u - u_prev) / dt)
+        # at the lifted states the mass acts on the kept unknowns through S0,
+        # and the rows of the eliminated ones vanish
+        elim = self.elimination
+        mass_term = np.zeros(nf)
+        mass_term[elim.kept] = elim.schur @ ((u - u_prev)[elim.kept] / dt)
         res_term = self.cbt @ (d_res * x)
         coup_term = self.coupling @ v
         r_u = mass_term + res_term + coup_term
@@ -363,7 +369,7 @@ class AssemblyContext:
             scale_u += np.abs(air_term)
 
         target = 0.5 * impose_excitation(layout, excitation, t)
-        gtu = self.coupling.T @ u
+        gtu = elim.coupling_t @ u
         r_v = gtu - target
         scale_v = np.abs(gtu) + np.abs(target)
 
@@ -375,24 +381,25 @@ class AssemblyContext:
             context=self,
         )
 
-    @cached_property
-    def _full(self) -> "Elimination":
-        """The elimination of no unknowns, built on the first full-Jacobian read."""
-        return Elimination(self, np.zeros(0, dtype=int))
-
     def jacobian(self, dt: float, d_tan: np.ndarray) -> sp.csc_matrix:
-        """Full sparse Jacobian at step ``dt`` and winding tangent weights ``d_tan``."""
-        return self._full.matrix(dt, d_tan)
+        """Tangent of ``assemble``'s residual at step ``dt`` and tangent weights ``d_tan``.
+
+        It is the elimination's matrix in the numbering of the unknowns, with
+        empty rows and columns for the eliminated ones, on which the residual
+        does not depend.
+        """
+        elim = self.elimination
+        a = elim.matrix(dt, d_tan).tocoo()
+        rows, cols = elim.unknowns[a.row], elim.unknowns[a.col]
+        return sp.csc_matrix((a.data, (rows, cols)), shape=(self.layout.n_dofs,) * 2)
 
     @cached_property
     def elimination(self) -> "Elimination":
-        """The elimination behind every Newton solve, built on first use."""
+        """The elimination behind every residual and Newton solve, built on first use."""
         eliminate, order, factor_options = NEWTON_LINEAR_SOLVE[self.layout.variant]
-        if eliminate is None:
-            return self._full  # factored with the defaults, as h-full's entry says
         # cb stores no zeros, so its column indices are the unknowns with curl;
         # abs(cb) would sort the shared layout.curl_basis in place
-        free = np.ones(self.layout.n_field_dofs, dtype=bool)
+        free = np.full(self.layout.n_field_dofs, eliminate is not None)
         free[self.cb.indices] = False
         if eliminate == "exterior air":
             free[self.layout.basis[self.mesh.cell_edges[self.coil].ravel()].indices] = False
@@ -430,33 +437,33 @@ class Elimination:
     """The Newton tangent with a set E of field unknowns eliminated.
 
     With K the other field unknowns, and E a set that neither the curl basis
-    (so neither the resistive nor the air term) nor the coupling reaches,
-    the tangent reads
+    (so neither the resistive nor the air term) nor the coupling reaches, the
+    E rows of the residual are M_E (u - u_prev) / dt. ``lift`` keeps them at
+    zero, u_E = -M_ee^-1 M_ek u_K, so the residual at a lifted state depends
+    on K and the voltages only, through the constant Schur complement
+    S0 = M_kk - M_ke M_ee^-1 M_ek (``schur``), and its tangent is
 
-        [[M_kk/dt + C_k^T D C_k + A_kk, M_ke/dt, G_k],
-         [M_ek/dt,                      M_ee/dt, 0  ],
-         [G_k^T,                        0,       0  ]]
+        [[S0/dt + C_k^T D C_k + A_kk, G_k],
+         [G_k^T,                      0  ]].
 
-    and eliminating E leaves [[S0/dt + C_k^T D C_k + A_kk, G_k], [G_k^T, 0]]
-    with the constant Schur complement S0 = M_kk - M_ke M_ee^-1 M_ek. Its
-    correction is dense, but only on the border, the kept unknowns that M_ke
-    reaches; elsewhere S0 is M_kk. A Newton iteration fills a fixed CSC pattern
-    of the matrix as (S0 * (1/dt) + T) + A, T the tangent and A the constant
-    air and border terms, without exact zeros, to be factored with
-    ``factor_options`` (splu options); ``solve`` maps a right-hand side in
-    and the update back out with one M_ee solve each.
+    The correction of S0 is dense, but only on the border, the kept unknowns
+    that M_ke reaches; elsewhere S0 is M_kk. A Newton iteration fills a fixed
+    CSC pattern of the tangent as (S0 * (1/dt) + T) + A, T the tangent and A
+    the constant air and border terms, without exact zeros, to be factored
+    with ``factor_options`` (splu options); ``solve`` leaves E unchanged, and
+    the solver lifts each accepted state with one M_ee solve.
 
     With ``order`` (splu options), the fill-reducing column order SuperLU
     computes for the pattern is taken once, and the kept and voltage unknowns
     are numbered in it: row and column i of the matrix is unknown
     ``unknowns[i]``, so a factorization in the natural order keeps it.
 
-    E = {} (h-full, and every variant's full Jacobian): the border is empty,
-    S0 is M itself, ``solve`` only copies around ``lu.solve``, and the matrix
-    is the full Jacobian. Where the cb entries are +-1 (all variants but
-    t-omega) it equals ``bmat([[mass/dt + cb^T diag(d) cb + air, G], [G^T,
-    None]])`` bit for bit, because SciPy divides by dt as a product with
-    1/dt, sums in this order and stores no exact zeros.
+    E = {} (h-full): the border is empty, S0 is M itself, ``lift`` changes
+    nothing, ``solve`` only copies around ``lu.solve``, and the matrix is the
+    full Jacobian. Where the cb entries are +-1 (all variants but t-omega) it
+    equals ``bmat([[mass/dt + cb^T diag(d) cb + air, G], [G^T, None]])`` bit
+    for bit, because SciPy divides by dt as a product with 1/dt, sums in this
+    order and stores no exact zeros.
     """
 
     BLOCK = 32  # columns of M_ee^-1 M_ek held at a time while forming S0
@@ -477,6 +484,8 @@ class Elimination:
         nk = kept.size
         m = self.size = nk + layout.n_voltage_dofs
         self.unknowns = np.concatenate([kept, np.arange(nf, self.n_dofs)])
+        # G^T for the constraint rows, in the sum order of the CSC matvec of G.T
+        self.coupling_t = ctx.coupling.T.tocsr()
 
         mass_k, mass_e = ctx.mass[kept], ctx.mass[eliminated]
         # M_ee is symmetric positive definite: a symmetric ordering without
@@ -487,10 +496,10 @@ class Elimination:
             diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
         ).solve
-        self.m_ke = mass_k[:, eliminated].tocsr()
+        m_ke = mass_k[:, eliminated].tocsr()
         self.m_ek = mass_e[:, kept].tocsr()
-        border = np.union1d(self.m_ke.nonzero()[0], self.m_ek.nonzero()[1])
-        m_be = self.m_ke[border]
+        border = np.union1d(m_ke.nonzero()[0], self.m_ek.nonzero()[1])
+        m_be = m_ke[border]
         corr = np.empty((border.size, border.size))
         # in column blocks, so that the dense M_ee^-1 M_ek is never whole
         for c in range(0, border.size, self.BLOCK):
@@ -498,7 +507,8 @@ class Elimination:
             corr[:, cols] = m_be @ self.solve_ee(self.m_ek[:, border[cols]].toarray())
         corr = sp.coo_matrix(corr)
         corr = sp.csr_matrix((corr.data, (border[corr.row], border[corr.col])), shape=(nk, nk))
-        s0 = (mass_k[:, kept] - corr).tocoo()
+        self.schur = (mass_k[:, kept] - corr).tocsr()
+        s0 = self.schur.tocoo()
 
         air = sp.csr_matrix((nf, nf)) if ctx.air_matrix is None else ctx.air_matrix
         air = air[kept][:, kept].tocoo()
@@ -546,11 +556,16 @@ class Elimination:
             jac.eliminate_zeros()
         return jac
 
-    def solve(self, lu, b: np.ndarray, dt: float) -> np.ndarray:
-        """Full update for right-hand side ``b``; ``lu`` factors ``matrix(dt, d_tan)``."""
-        rhs = b.copy()
-        rhs[self.kept] -= self.m_ke @ self.solve_ee(b[self.eliminated])
-        du = np.empty(self.n_dofs)
-        du[self.unknowns] = lu.solve(rhs[self.unknowns])
-        du[self.eliminated] = self.solve_ee(dt * b[self.eliminated] - self.m_ek @ du[self.kept])
+    def solve(self, lu, b: np.ndarray) -> np.ndarray:
+        """Update for right-hand side ``b``, zero on E; ``lu`` factors ``matrix(dt, d_tan)``."""
+        du = np.zeros(self.n_dofs)
+        du[self.unknowns] = lu.solve(b[self.unknowns])
         return du
+
+    def lift(self, w: np.ndarray) -> np.ndarray:
+        """``w`` with its eliminated unknowns set to -M_ee^-1 M_ek u_K; ``w`` itself if E = {}."""
+        if not self.eliminated.size:
+            return w
+        w = w.copy()
+        w[self.eliminated] = -self.solve_ee(self.m_ek @ w[self.kept])
+        return w

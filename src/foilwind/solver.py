@@ -5,11 +5,13 @@ against the power-law's extreme stiffness; no iterative solvers are
 attempted. The context's one elimination leaves out a set of field unknowns
 that only the mass matrix reaches (the curl-free unknowns of the homogenized
 scalar-potential variants, the exterior air of the reference model, none
-for fcm-h-full, which factors the full sparse Jacobian). Each iteration
-factors its ``matrix`` with its SuperLU ``factor_options``, and its
-``solve`` maps the right-hand side in and the update back out. A
-factorization that fails is a Newton failure like any other: the step is
-retried with half the dt.
+for fcm-h-full, which factors the full sparse Jacobian). They follow the
+other field unknowns linearly, so Newton iterates on the rest: each
+iteration factors the elimination's ``matrix`` with its SuperLU
+``factor_options`` and ``solve`` returns an update that leaves them
+unchanged; the converged state is then ``lift``-ed once. A factorization
+that fails is a Newton failure like any other: the step is retried with
+half the dt.
 
 Convergence is judged on a block-scaled Euclidean residual norm: field rows
 and current-constraint rows carry different units, so each block is
@@ -140,7 +142,8 @@ def newton_solve(
     max(newton_tol_abs, newton_tol_rel * |r0|); a non-finite r0 raises
     NonConvergenceError. A trial point whose residual does not decrease is
     halved up to MAX_BACKTRACKS times; then the last trial is accepted anyway
-    and the outer iteration continues.
+    and the outer iteration continues. The state returned is lifted by the
+    context's elimination.
     """
     stats = NewtonStats()
     u = np.asarray(u0, dtype=float).copy()
@@ -153,18 +156,18 @@ def newton_solve(
     r_norm = scales.norm(system.residual)
     stats.residual_norms.append(r_norm)
     tol = max(config.newton_tol_abs, config.newton_tol_rel * r_norm)
+    elimination = system.context.elimination
     if r_norm <= tol:
         stats.converged = True
-        return u, stats
+        return elimination.lift(u), stats
 
     for _ in range(config.max_newton_iters):
         stats.iterations += 1
-        elimination = system.context.elimination
         try:
             lu = splu(elimination.matrix(system.dt, system.d_tan), **elimination.factor_options)
         except RuntimeError as exc:
             raise SingularMatrixError(f"factorization failed: {exc}", stats) from exc
-        du = elimination.solve(lu, -system.residual, system.dt)
+        du = elimination.solve(lu, -system.residual)
 
         step = 1.0
         for _bt in range(MAX_BACKTRACKS + 1):
@@ -184,7 +187,7 @@ def newton_solve(
         stats.residual_norms.append(r_norm)
         if r_norm <= tol:
             stats.converged = True
-            return u, stats
+            return elimination.lift(u), stats
 
     raise NonConvergenceError(
         f"no convergence in {config.max_newton_iters} iterations "

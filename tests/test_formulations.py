@@ -13,6 +13,7 @@ from foilwind.formulations import (
     impose_excitation,
     spurious_air_term,
 )
+from foilwind.materials import JcKim, power_law
 from foilwind.mesh import MU0
 from foilwind.solver import SolverConfig, run_transient
 from foilwind.spaces import eval_field
@@ -158,6 +159,7 @@ def _sparse_algebra_jacobian(ctx, dt, d_tan):
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_full_jacobian_fill_equals_the_sparse_algebra_expression(variant):
     ctx = small_context(variant, n_turns=2)
+    full = Elimination(ctx, np.zeros(0, dtype=int))  # eliminates nothing
     rng = np.random.default_rng(61)
     n = ctx.coil.size
     # with cb entries of +-1 the terms of an entry sum the same in any order;
@@ -171,7 +173,7 @@ def test_full_jacobian_fill_equals_the_sparse_algebra_expression(variant):
     }
     for dt in (1e-5, 2e-4):
         for name, d_tan in d_tans.items():
-            fill = ctx.jacobian(dt, d_tan)
+            fill = full.matrix(dt, d_tan)
             oracle = _sparse_algebra_jacobian(ctx, dt, d_tan)
             assert np.array_equal(fill.indptr, oracle.indptr), name
             assert np.array_equal(fill.indices, oracle.indices), name
@@ -180,7 +182,7 @@ def test_full_jacobian_fill_equals_the_sparse_algebra_expression(variant):
             else:
                 assert np.abs(fill.data - oracle.data).max() <= 1e-15 * np.abs(oracle.data).max()
     # the zero start state stores none of the tangent entries, like SciPy
-    assert ctx.jacobian(1e-5, d_tans["zero start state"]).nnz < fill.nnz
+    assert full.matrix(1e-5, d_tans["zero start state"]).nnz < fill.nnz
 
 
 def _unique_pattern(m, *parts):
@@ -204,10 +206,9 @@ def test_fill_pattern_equals_the_unique_key_construction(variant, monkeypatch):
     monkeypatch.setattr(formulations, "_csc_pattern", recorded)
     ctx = small_context(variant, n_turns=2)
     ctx.elimination, ctx.jacobian(1e-4, np.ones(ctx.coil.size))
-    # the full Jacobian and the elimination (the same for h-full; filled again
-    # in its order for ref)
-    fills = {FormulationVariant.FCM_H_FULL: 1, FormulationVariant.REF_H_PHI: 3}
-    assert len(calls) == fills.get(variant, 2)
+    # the elimination, which the Jacobian reads too, filled again in its
+    # order where it eliminates unknowns
+    assert len(calls) == (1 if variant is FormulationVariant.FCM_H_FULL else 2)
     rng = np.random.default_rng(71)
     # repeated entries, empty parts, and empty rows and columns
     rows, cols = rng.integers(0, 30, 200), 2 * rng.integers(0, 20, 200)
@@ -226,12 +227,13 @@ def test_reference_ordering_keeps_the_newton_update():
     exc = Excitation(amplitude=96.0, frequency=50.0)
     rng = np.random.default_rng(67)
     for dt in (1e-5, 2e-4):
-        w_prev = _random_state(ctx, rng, current_fraction=0.5)
-        sys = ctx.assemble(_random_state(ctx, rng), w_prev, dt, 1e-3, exc)
         # the unknowns are numbered in the order computed once; each
         # factorization keeps it, in unrelaxed supernodes with a small
         # diagonal-pivot threshold
         elim = ctx.elimination
+        w_prev = elim.lift(_random_state(ctx, rng, current_fraction=0.5))
+        w = elim.lift(_random_state(ctx, rng))
+        sys = ctx.assemble(w, w_prev, dt, 1e-3, exc)
         symmetric = {"permc_spec": "NATURAL", "options": {"SymmetricMode": True}}
         assert elim.factor_options == {**symmetric, "relax": 1, "diag_pivot_thresh": 0.1}
         b = -sys.residual
@@ -243,8 +245,8 @@ def test_reference_ordering_keeps_the_newton_update():
         # the SuperLU defaults in the same order fill in at least as much
         replaced = splu(reduced, **symmetric)
         assert lu.L.nnz + lu.U.nnz <= replaced.L.nnz + replaced.U.nnz
-        ordered = elim.solve(lu, b, sys.dt)
-        default = splu(ctx.jacobian(sys.dt, sys.d_tan)).solve(b)
+        ordered = elim.lift(w + elim.solve(lu, b)) - w
+        default = splu(_sparse_algebra_jacobian(ctx, sys.dt, sys.d_tan)).solve(b)
         assert np.linalg.norm(ordered - default) <= 1e-10 * np.linalg.norm(default)
 
 
@@ -322,22 +324,87 @@ def test_condensed_newton_update_equals_the_full_solve(variant):
     assert np.array_equal(np.union1d(elim.kept, elim.eliminated), np.arange(ctx.layout.n_field_dofs))
     for dt in (1e-5, 2e-4):
         for _ in range(2):
-            w_prev = _random_state(ctx, rng, current_fraction=0.5)
-            sys = ctx.assemble(_random_state(ctx, rng), w_prev, dt, 1e-3, exc)
+            # from lifted states, a Newton update and a lift make the full
+            # Newton step, whose eliminated rows keep the mass rows at zero
+            w_prev = elim.lift(_random_state(ctx, rng, current_fraction=0.5))
+            w = elim.lift(_random_state(ctx, rng))
+            sys = ctx.assemble(w, w_prev, dt, 1e-3, exc)
             b = -sys.residual
             reduced = elim.matrix(sys.dt, sys.d_tan)
             assert reduced.shape == (elim.kept.size + ctx.layout.n_voltage_dofs,) * 2
-            update = elim.solve(splu(reduced, **elim.factor_options), b, sys.dt)
-            jac = ctx.jacobian(sys.dt, sys.d_tan)
-            full = splu(jac).solve(b)
-            assert np.linalg.norm(update - full) <= 1e-10 * np.linalg.norm(full)
+            update = elim.solve(splu(reduced, **elim.factor_options), b)
+            assert not update[elim.eliminated].any()
+            full = splu(_sparse_algebra_jacobian(ctx, sys.dt, sys.d_tan)).solve(b)
+            step = elim.lift(w + update) - w
+            assert np.linalg.norm(step - full) <= 1e-10 * np.linalg.norm(full)
             if not condensed:
                 # the full Jacobian itself, factored with the defaults, and
                 # the solve is the plain solve of it
-                assert elim is ctx._full and elim.factor_options == {}
+                assert elim.factor_options == {} and elim.lift(w) is w
+                jac = ctx.jacobian(sys.dt, sys.d_tan)
                 for attr in ("data", "indices", "indptr"):
                     assert np.array_equal(getattr(reduced, attr), getattr(jac, attr))
-                assert np.array_equal(update, full)
+                assert np.array_equal(update, splu(jac).solve(b))
+
+
+def _full_space_residual(ctx, w, w_prev, dt, t, exc):
+    """The residual over every unknown, without elimination (``assemble``'s oracle):
+    M (u - u_prev) / dt + C^T (d x) + G v [+ A u] and G^T u - target."""
+    nf = ctx.layout.n_field_dofs
+    u, v, u_prev = w[:nf], w[nf:], w_prev[:nf]
+    x = ctx.cb @ u
+    j = np.abs(x[ctx.coil]) / ctx.coil_area
+    rho = power_law(j, ctx.jc_effective(w_prev), ctx.materials).rho
+    d = np.zeros(ctx.mesh.n_cells)
+    d[ctx.coil] = rho * ctx.coil_dweight
+    r_u = ctx.mass @ (u - u_prev) / dt + ctx.cbt @ (d * x) + ctx.coupling @ v
+    if ctx.air_matrix is not None:
+        r_u = r_u + ctx.air_matrix @ u
+    r_v = ctx.coupling.T @ u - 0.5 * impose_excitation(ctx.layout, exc, t)
+    return r_u, r_v
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_residual_is_the_full_space_residual_at_lifted_states(variant):
+    # a field-dependent jc, so that the lagged jc reads the lifted w_prev too
+    mats = pancake_materials(jc_model=JcKim(1e10, 0.05))
+    ctx = small_context(variant, n_turns=2, materials=mats)
+    elim = ctx.elimination
+    exc = Excitation(amplitude=96.0, frequency=50.0)
+    rng = np.random.default_rng(79)
+    nf = ctx.layout.n_field_dofs
+    e = elim.eliminated
+    for dt in (1e-5, 2e-4):
+        w_prev = elim.lift(_random_state(ctx, rng, current_fraction=0.5))
+        w = _random_state(ctx, rng)
+        sys = ctx.assemble(w, w_prev, dt, 1e-3, exc)
+        # the residual depends on the kept unknowns only; its eliminated rows
+        # are zero
+        lifted = elim.lift(w)
+        assert np.array_equal(ctx.assemble(lifted, w_prev, dt, 1e-3, exc).residual, sys.residual)
+        assert not sys.residual[e].any()
+        r_u, r_v = _full_space_residual(ctx, lifted, w_prev, dt, 1e-3, exc)
+        kept = sys.residual[elim.kept], r_u[elim.kept]
+        volt = sys.residual[nf:], r_v
+        for got, want in (kept, volt):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        # at lifted states the full-space eliminated rows vanish to roundoff
+        u, u_prev = lifted[:nf], w_prev[:nf]
+        mass_scale = ctx.abs_mass[e] @ ((np.abs(u) + np.abs(u_prev)) / dt)
+        assert np.abs(r_u[e]).max(initial=0.0) <= 1e-13 * mass_scale.max(initial=0.0)
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_lift_is_idempotent(variant):
+    ctx = small_context(variant, n_turns=2)
+    elim = ctx.elimination
+    w = _random_state(ctx, np.random.default_rng(83))
+    once = elim.lift(w)
+    assert np.array_equal(elim.lift(once), once)
+    # only the eliminated unknowns move
+    moved = np.flatnonzero(once != w)
+    assert np.isin(moved, elim.eliminated).all()
+    assert moved.size == elim.eliminated.size > 0 or variant is FormulationVariant.FCM_H_FULL
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
@@ -434,8 +501,6 @@ def test_jc_effective_constant_model():
 
 
 def test_jc_effective_field_dependent_model():
-    from foilwind.materials import JcKim
-
     mats = pancake_materials(jc_model=JcKim(1e10, 0.05))
     ctx = small_context(FormulationVariant.FCM_H_PHI, n_turns=2, materials=mats)
     # zero state: no field, no suppression

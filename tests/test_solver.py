@@ -115,7 +115,8 @@ class _IdentityContext:
     """Assembly context stand-in that is its own elimination of no unknowns.
 
     Its matrix is the identity; above ``dt_ok`` the last diagonal entry is
-    zero, so that it is singular.
+    zero, so that it is singular. With no unknowns eliminated, a lift changes
+    nothing.
     """
 
     factor_options = {}
@@ -131,8 +132,11 @@ class _IdentityContext:
             diag[-1] = 0.0
         return sp.diags(diag, format="csc")
 
-    def solve(self, lu, b, dt):
+    def solve(self, lu, b):
         return lu.solve(b)
+
+    def lift(self, w):
+        return w
 
 
 def _constant_system(r):
@@ -423,7 +427,7 @@ def test_linear_solve_audit():
 def test_one_factorization_per_linear_solve(variant, monkeypatch):
     # the benchmark reconciles solver.splu calls with linsys_count; each
     # Newton iteration fills the context's one elimination once, which for
-    # t-omega and ref leaves out air unknowns, so no full Jacobian is built
+    # t-omega and ref leaves out air unknowns
     ctx = small_context(variant, n_turns=2)
     calls = {"splu": [], "matrix": []}
     splu, matrix = solver.splu, formulations.Elimination.matrix
@@ -446,17 +450,34 @@ def test_one_factorization_per_linear_solve(variant, monkeypatch):
     assert all(elimination is ctx.elimination for elimination in calls["matrix"])
     condensed = variant is not FormulationVariant.FCM_H_FULL
     assert (ctx.elimination.size < ctx.layout.n_dofs) == condensed
-    # only the reference model is renumbered in a minimum-degree order of
+    # every eliminating variant is renumbered in a minimum-degree order of
     # A^T + A, once, and factored in that order in symmetric mode, with
-    # unrelaxed supernodes and a small diagonal-pivot threshold
-    ref = variant is FormulationVariant.REF_H_PHI
+    # unrelaxed supernodes and a small diagonal-pivot threshold; h-full keeps
+    # SuperLU's defaults
     symmetric = {"relax": 1, "options": {"SymmetricMode": True}}
     assert NEWTON_LINEAR_SOLVE[variant].order == (
-        {"permc_spec": "MMD_AT_PLUS_A", **symmetric} if ref else None
+        {"permc_spec": "MMD_AT_PLUS_A", **symmetric} if condensed else None
     )
-    expected = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.1, **symmetric} if ref else {}
+    expected = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.1, **symmetric} if condensed else {}
     assert NEWTON_LINEAR_SOLVE[variant].factor_options == expected
     assert all(kwargs == expected for kwargs in calls["splu"])
+
+
+@pytest.mark.parametrize("variant", [FormulationVariant.FCM_T_OMEGA, FormulationVariant.REF_H_PHI])
+def test_stored_states_keep_the_eliminated_mass_rows_at_zero(variant):
+    # the eliminated unknowns follow the kept ones from the zero state on, so
+    # no step changes the mass rows of the eliminated unknowns
+    ctx = small_context(variant, n_turns=2)
+    exc = Excitation(amplitude=96.0, frequency=50.0)
+    trace = run_transient(SolverConfig(periods=0.1), ctx, exc, store_states=True)
+    e = ctx.elimination.eliminated
+    assert e.size > 0 and len(trace.states) > 10
+    mass_e, abs_e = ctx.mass[e], ctx.abs_mass[e]
+    nf = ctx.layout.n_field_dofs
+    for w, w_prev in zip(trace.states[1:], trace.states[:-1]):
+        u, u_prev = w[:nf], w_prev[:nf]
+        change = mass_e @ (u - u_prev)
+        assert np.abs(change).max() <= 1e-13 * (abs_e @ (np.abs(u) + np.abs(u_prev))).max()
 
 
 def test_kim_jc_is_evaluated_once_per_accepted_step(monkeypatch):

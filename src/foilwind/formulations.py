@@ -272,9 +272,20 @@ class AssemblyContext:
     # Every per-cell quantity of a state is evaluated here and nowhere else:
     # the circulation, the flux density, and the power-law resistivity.
 
+    @cached_property
+    def winding_curl(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+        """The rows of ``cb`` of the winding cells, and their transpose, both CSR.
+
+        Each row keeps its order, and the transpose lists the winding cells in
+        ascending order, so the resistive sums are those over all cells less
+        the exact zeros of the cells without resistance. Built on first use.
+        """
+        cb = self.cb[self.coil]
+        return cb, cb.T.tocsr()
+
     def _circulation(self, w: np.ndarray) -> np.ndarray:
-        """Net azimuthal current j_phi * area of every cell, half model [A]."""
-        return self.cb @ w[: self.layout.n_field_dofs]
+        """Net azimuthal current j_phi * area of every winding cell, half model [A]."""
+        return self.winding_curl[0] @ w[: self.layout.n_field_dofs]
 
     def flux_density(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Cell-centre flux density (b_r, b_z) of every cell [T]."""
@@ -300,7 +311,7 @@ class AssemblyContext:
 
     def cell_currents(self, w: np.ndarray) -> np.ndarray:
         """Azimuthal current density per winding cell."""
-        return self._circulation(w)[self.coil] / self.coil_area
+        return self._circulation(w) / self.coil_area
 
     def slice_currents(self, w: np.ndarray) -> np.ndarray:
         """Net current per slice, scaled to the full device [A].
@@ -309,7 +320,7 @@ class AssemblyContext:
         for the homogenized variants.
         """
         mesh = self.mesh
-        amps = self._circulation(w)[self.coil]
+        amps = self._circulation(w)
         if self.layout.variant is FormulationVariant.REF_H_PHI:
             key = mesh.region[self.coil]
         else:
@@ -329,9 +340,9 @@ class AssemblyContext:
         return self._jc_lag[1]
 
     def _resistive(self, w: np.ndarray, w_prev: np.ndarray):
-        """Cell circulation, winding |j| and power-law resistivity at the lagged jc."""
+        """Winding circulation, |j| and power-law resistivity at the lagged jc."""
         x = self._circulation(w)
-        j = np.abs(x[self.coil]) / self.coil_area
+        j = np.abs(x) / self.coil_area
         return x, j, power_law(j, self._lagged_jc(w_prev), self.materials)
 
     # -- assembly ---------------------------------------------------------------
@@ -347,8 +358,7 @@ class AssemblyContext:
         u_prev = w_prev[:nf]
 
         x, j, re = self._resistive(w, w_prev)
-        d_res = np.zeros(self.mesh.n_cells)
-        d_res[self.coil] = re.rho * self.coil_dweight
+        d_res = re.rho * self.coil_dweight
         d_tan = (re.rho + 2.0 * j**2 * re.drho_dj2) * self.coil_dweight
 
         # at the lifted states the mass acts on the kept unknowns through S0,
@@ -356,7 +366,7 @@ class AssemblyContext:
         elim = self.elimination
         mass_term = np.zeros(nf)
         mass_term[elim.kept] = elim.schur @ ((u - u_prev)[elim.kept] / dt)
-        res_term = self.cbt @ (d_res * x)
+        res_term = self.winding_curl[1] @ (d_res * x)
         coup_term = self.coupling @ v
         r_u = mass_term + res_term + coup_term
         # the mass scale must not lose the u - u_prev cancellation: roundoff
@@ -408,7 +418,7 @@ class AssemblyContext:
     def dissipation(self, w: np.ndarray, w_prev: np.ndarray) -> float:
         """Instantaneous resistive power of the half model [W]."""
         x, _, re = self._resistive(w, w_prev)
-        return float(np.sum(re.rho * self.coil_dweight * x[self.coil] ** 2))
+        return float(np.sum(re.rho * self.coil_dweight * x ** 2))
 
     def power_balance(self, w: np.ndarray, w_prev: np.ndarray, dt: float) -> dict[str, float]:
         """Energy bookkeeping tested with the solution itself.
@@ -447,10 +457,11 @@ class Elimination:
          [G_k^T,                      0  ]].
 
     The correction of S0 is dense, but only on the border, the kept unknowns
-    that M_ke reaches; elsewhere S0 is M_kk. A Newton iteration fills a fixed
-    CSC pattern of the tangent as (S0 * (1/dt) + T) + A, T the tangent and A
-    the constant air and border terms, without exact zeros, to be factored
-    with ``factor_options`` (splu options); ``solve`` leaves E unchanged, and
+    that M_ke reaches; elsewhere S0 is M_kk. A Newton iteration refills one
+    CSC matrix over a fixed pattern of the tangent in place, as
+    (S0 * (1/dt) + T) + A, T the tangent and A the constant air and border
+    terms, to be factored with ``factor_options`` (splu options); a fill
+    with exact zeros is pruned on a copy. ``solve`` leaves E unchanged, and
     the solver lifts each accepted state with one M_ee solve.
 
     With ``order`` (splu options), the fill-reducing column order SuperLU
@@ -513,7 +524,7 @@ class Elimination:
         air = sp.csr_matrix((nf, nf)) if ctx.air_matrix is None else ctx.air_matrix
         air = air[kept][:, kept].tocoo()
         g = ctx.coupling[kept].tocoo()
-        ti, tj, cells, factors = _product_terms(ctx.cb[ctx.coil][:, kept])
+        ti, tj, cells, factors = _product_terms(ctx.winding_curl[0][:, kept])
         entries = [
             (s0.row, s0.col),
             (ti, tj),
@@ -544,15 +555,27 @@ class Elimination:
             ).perm_c
             self.unknowns = self.unknowns[np.argsort(rank)]
             fill(rank)
+        # one matrix over the pattern, refilled by each ``matrix`` call: SciPy
+        # checks it and splu's canonical-format scan is answered once, here
+        self._matrix = sp.csc_matrix(
+            (np.empty(self.indices.size), self.indices, self.indptr), shape=(m, m)
+        )
+        self._matrix.has_canonical_format = True
 
     def matrix(self, dt: float, d_tan: np.ndarray) -> sp.csc_matrix:
-        """The tangent left after the elimination, at step ``dt`` and tangent weights ``d_tan``."""
-        data = self.s0 * (1.0 / dt) + self.tangent(d_tan) + self.const
-        # eliminate_zeros works in place, so it gets copies of the shared pattern
-        jac = sp.csc_matrix(
-            (data, self.indices.copy(), self.indptr.copy()), shape=(self.size, self.size)
-        )
+        """The tangent left after the elimination, at step ``dt`` and tangent weights ``d_tan``.
+
+        The matrix is valid until the next call, which refills its data in
+        place: factor it, or copy it, before then.
+        """
+        jac = self._matrix
+        data = jac.data
+        np.multiply(self.s0, 1.0 / dt, out=data)
+        data += self.tangent(d_tan)
+        data += self.const
         if not data.all():  # a check costs a quarter of the pruning pass it saves
+            # eliminate_zeros works in place, so it prunes a copy of the shared pattern
+            jac = jac.copy()
             jac.eliminate_zeros()
         return jac
 

@@ -270,6 +270,8 @@ def run_transient(
     layout = formulation.layout
     t_end = config.periods * excitation.period
     t0 = time.perf_counter()
+    # the one-time elimination build belongs to the run, not to its first assembly
+    formulation.elimination
 
     w = np.zeros(layout.n_dofs)
     t = 0.0

@@ -185,6 +185,120 @@ def test_full_jacobian_fill_equals_the_sparse_algebra_expression(variant):
     assert full.matrix(1e-5, d_tans["zero start state"]).nnz < fill.nnz
 
 
+# -- the tangent refilled in place ----------------------------------------------------
+
+
+def _eliminations(ctx):
+    """The variant's elimination, and the one that eliminates nothing."""
+    return ctx.elimination, Elimination(ctx, np.zeros(0, dtype=int))
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_matrix_data_is_the_affine_combination_of_its_parts(variant):
+    ctx = small_context(variant, n_turns=2)
+    rng = np.random.default_rng(71)
+    n = ctx.coil.size
+    for elim in _eliminations(ctx):
+        for dt in (1e-5, 2e-4):
+            for d_tan in (np.zeros(n), np.full(n, 3.7), 10.0 ** rng.uniform(-8.0, 4.0, n)):
+                want = elim.s0 * (1.0 / dt) + elim.tangent(d_tan) + elim.const
+                got = elim.matrix(dt, d_tan)
+                if want.all():
+                    assert np.array_equal(got.data, want)
+                else:
+                    # the exact zeros are pruned, the order of the rest kept
+                    assert np.array_equal(got.data, want[want != 0])
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_zero_fill_is_pruned_on_a_copy_of_the_shared_pattern(variant):
+    ctx = small_context(variant, n_turns=2)
+    n = ctx.coil.size
+    variant_elim, full_elim = _eliminations(ctx)
+    for elim in (variant_elim, full_elim):
+        indices, indptr = elim.indices.tobytes(), elim.indptr.tobytes()
+        pruned = elim.matrix(1e-5, np.zeros(n))
+        full = elim.matrix(1e-5, np.full(n, 3.7))
+        assert full.data.all() and full.nnz == elim.indices.size
+        assert full.indices.tobytes() == indices and full.indptr.tobytes() == indptr
+        assert np.shares_memory(full.indices, elim.indices)
+        assert np.shares_memory(full.indptr, elim.indptr)
+        # the zero start state leaves tangent entries empty, always so when
+        # nothing is eliminated; a dense complement can cover them all
+        assert pruned is not full or elim is variant_elim
+        if pruned is not full:
+            assert pruned.nnz < full.nnz and pruned.data.all()
+            assert not np.shares_memory(pruned.indices, elim.indices)
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_factor_outlives_the_refill_of_its_matrix(variant):
+    ctx = small_context(variant, n_turns=2)
+    rng = np.random.default_rng(73)
+    n = ctx.coil.size
+    for elim in _eliminations(ctx):
+        a = elim.matrix(1e-5, 10.0 ** rng.uniform(-8.0, 4.0, n))
+        own = a.copy()
+        lu = splu(a, **elim.factor_options)
+        b = rng.standard_normal(elim.size)
+        before = lu.solve(b)
+        refilled = elim.matrix(2e-4, 10.0 ** rng.uniform(-8.0, 4.0, n))
+        assert refilled is a and not np.array_equal(a.data, own.data)
+        x = lu.solve(b)
+        assert np.array_equal(x, before)
+        backward = np.linalg.norm(own @ x - b) / (abs(own).max() * np.linalg.norm(x))
+        assert backward <= 1e-12
+
+
+def _all_cell_assembly(ctx, w, w_prev, dt, t, exc):
+    """``assemble``'s residual and row scale, and ``dissipation``, with the
+    resistive terms over every cell, C^T (d x) with d zero off the winding
+    (the oracle)."""
+    nf = ctx.layout.n_field_dofs
+    elim = ctx.elimination
+    u, v, u_prev = w[:nf], w[nf:], w_prev[:nf]
+    x = ctx.cb @ u
+    j = np.abs(x[ctx.coil]) / ctx.coil_area
+    rho = power_law(j, ctx.jc_effective(w_prev), ctx.materials).rho
+    d = np.zeros(ctx.mesh.n_cells)
+    d[ctx.coil] = rho * ctx.coil_dweight
+    res_term = ctx.cbt @ (d * x)
+    mass_term = np.zeros(nf)
+    mass_term[elim.kept] = elim.schur @ ((u - u_prev)[elim.kept] / dt)
+    coup_term = ctx.coupling @ v
+    r_u = mass_term + res_term + coup_term
+    mass_scale = ctx.abs_mass @ ((np.abs(u) + np.abs(u_prev)) / dt)
+    scale_u = mass_scale + np.abs(res_term) + np.abs(coup_term)
+    if ctx.air_matrix is not None:
+        air_term = ctx.air_matrix @ u
+        r_u += air_term
+        scale_u += np.abs(air_term)
+    target = 0.5 * impose_excitation(ctx.layout, exc, t)
+    gtu = elim.coupling_t @ u
+    residual = np.concatenate([r_u, gtu - target])
+    row_scale = np.concatenate([scale_u, np.abs(gtu) + np.abs(target)])
+    dissipation = float(np.sum(rho * ctx.coil_dweight * x[ctx.coil] ** 2))
+    return x, residual, row_scale, dissipation
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_winding_cell_resistive_terms_equal_the_all_cell_sums(variant):
+    # a field-dependent jc, so that the lagged jc enters too
+    mats = pancake_materials(jc_model=JcKim(1e10, 0.05))
+    ctx = small_context(variant, n_turns=2, materials=mats)
+    exc = Excitation(amplitude=96.0, frequency=50.0)
+    rng = np.random.default_rng(97)
+    for dt in (1e-5, 2e-4):
+        w_prev = ctx.elimination.lift(_random_state(ctx, rng, current_fraction=0.5))
+        w = _random_state(ctx, rng)
+        sys = ctx.assemble(w, w_prev, dt, 1e-3, exc)
+        x, residual, row_scale, dissipation = _all_cell_assembly(ctx, w, w_prev, dt, 1e-3, exc)
+        assert np.array_equal(sys.residual, residual)
+        assert np.array_equal(sys.row_scale, row_scale)
+        assert ctx.dissipation(w, w_prev) == dissipation
+        assert np.array_equal(ctx.cell_currents(w), x[ctx.coil] / ctx.coil_area)
+
+
 def _unique_pattern(m, *parts):
     """The CSC pattern of ``parts`` through np.unique of their keys (the oracle)."""
     keys = [cols.astype(np.int64) * m + rows for rows, cols in parts]

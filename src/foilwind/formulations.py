@@ -90,9 +90,15 @@ _IN_ORDER = {"permc_spec": "NATURAL", "relax": 1, "diag_pivot_thresh": 0.1, **_S
 # touch no edge of a winding cell; the inter-turn and interface nodes stay, as
 # their complement would couple the turns densely. fcm-h-full eliminates
 # nothing: its air edges carry rho_air, so no row of its tangent is pure M/dt.
-# It keeps SuperLU's defaults: the symmetric ordering changed its step count
-# and raised its loss by 0.36 %, and relax 1-8 saved only 2-4 % of a 10 ms
-# factorization but moved its roundoff, which its step sequence follows.
+# It keeps SuperLU's defaults (COLAMD, threshold 1.0, relax 10): the symmetric
+# ordering changed its step count and raised its loss by 0.36 %, and relax 1-8
+# saved only 2-4 % of a 10 ms factorization but moved its roundoff, which its
+# step sequence follows. Only the COLAMD order is taken out of the loop: it is
+# computed once per pattern (``order`` {}) and each factorization keeps it
+# (NATURAL), which repeats the factorization with the defaults bit for bit
+# (see ``Elimination``). On the 182 tangents of the fcm-hfull benchmark
+# workload (2-core x86 host, best of 3 each) that took a factorization from
+# 6.95 to 5.22 ms (median), and all 182 solutions were bit-equal.
 #
 # The other tangents are structurally symmetric, and a multiple-minimum-degree
 # ordering of A^T + A (Liu, ACM TOMS 11, 1985) halves ref's LU fill on the
@@ -117,7 +123,7 @@ _IN_ORDER = {"permc_spec": "NATURAL", "relax": 1, "diag_pivot_thresh": 0.1, **_S
 NEWTON_LINEAR_SOLVE = {
     FormulationVariant.FCM_H_PHI: LinearSolve("curl-free", _ORDER, _IN_ORDER),
     FormulationVariant.FCM_T_OMEGA: LinearSolve("curl-free", _ORDER, _IN_ORDER),
-    FormulationVariant.FCM_H_FULL: LinearSolve(None, None, {}),
+    FormulationVariant.FCM_H_FULL: LinearSolve(None, {}, {"permc_spec": "NATURAL"}),
     FormulationVariant.REF_H_PHI: LinearSolve("exterior air", _ORDER, _IN_ORDER),
 }
 
@@ -201,6 +207,20 @@ def _csc_pattern(m: int, *parts: tuple[np.ndarray, np.ndarray]):
     return pattern.indices.astype(np.int32), pattern.indptr.astype(np.int32), pos
 
 
+def _relabelled(indices: np.ndarray, indptr: np.ndarray, rank: np.ndarray):
+    """A CSC pattern with row and column i relabelled rank[i].
+
+    Each column keeps the storage order of its rows. Returns the new indices
+    and indptr, and the position in the old data array of each new entry.
+    """
+    counts = np.diff(indptr)
+    old = np.argsort(rank)  # new column c is old column old[c]
+    new_indptr = np.zeros_like(indptr)
+    np.cumsum(counts[old], out=new_indptr[1:])
+    gather = np.repeat(indptr[old] - new_indptr[:-1], counts[old]) + np.arange(indices.size)
+    return rank[indices[gather]].astype(np.int32), new_indptr, gather
+
+
 class _TangentFill:
     """Data of C^T diag(d) C over a fixed CSC pattern, from ``_product_terms``.
 
@@ -215,6 +235,12 @@ class _TangentFill:
 
     def __call__(self, d: np.ndarray) -> np.ndarray:
         return np.bincount(self.pos, weights=self.factors * d[self.cells], minlength=self.nnz)
+
+    def moved(self, gather: np.ndarray) -> "_TangentFill":
+        """The same fill over a data array whose entry p is this one's entry gather[p]."""
+        where = np.empty(gather.size, dtype=np.int32)
+        where[gather] = np.arange(gather.size)
+        return _TangentFill(where[self.pos], self.cells, self.factors, self.nnz)
 
 
 class AssemblyContext:
@@ -231,7 +257,6 @@ class AssemblyContext:
         mesh = layout.mesh
         self.mesh = mesh
         self.cb: sp.csr_matrix = layout.curl_basis
-        self.cbt: sp.csr_matrix = self.cb.T.tocsr()
         self.mass: sp.csr_matrix = (layout.basis.T @ mesh.mass_matrix(MU0) @ layout.basis).tocsr()
         self.abs_mass: sp.csr_matrix = abs(self.mass)
         self.coil = mesh.coil_cells
@@ -265,7 +290,7 @@ class AssemblyContext:
         means = vb.cell_means(spans[:, 0], spans[:, 1])  # (n_alpha, p+1)
         phi_cells = np.zeros((mesh.n_cells, vb.n_funcs))
         phi_cells[self.coil] = means[mesh.alpha_index[self.coil]]
-        return (self.cbt @ sp.csr_matrix(phi_cells)).tocsr()
+        return (self.cb.T.tocsr() @ sp.csr_matrix(phi_cells)).tocsr()
 
     # -- cell quantities ---------------------------------------------------------
     #
@@ -400,7 +425,7 @@ class AssemblyContext:
         """
         elim = self.elimination
         a = elim.matrix(dt, d_tan).tocoo()
-        rows, cols = elim.unknowns[a.row], elim.unknowns[a.col]
+        rows, cols = elim.numbering[a.row], elim.numbering[a.col]
         return sp.csc_matrix((a.data, (rows, cols)), shape=(self.layout.n_dofs,) * 2)
 
     @cached_property
@@ -467,14 +492,23 @@ class Elimination:
     With ``order`` (splu options), the fill-reducing column order SuperLU
     computes for the pattern is taken once, and the kept and voltage unknowns
     are numbered in it: row and column i of the matrix is unknown
-    ``unknowns[i]``, so a factorization in the natural order keeps it.
+    ``unknowns[i]``, so a factorization in the natural order keeps it. The
+    symmetric orders list each column's rows by their new labels. With
+    ``order`` {}, SuperLU's default COLAMD order, each column keeps the rows
+    in the order the own numbering stores them, and a fill with exact zeros
+    is numbered in the order of its own pattern, computed once per pattern:
+    SuperLU's depth-first search and its updates follow the storage order,
+    and it takes row perm_c^-1[j] as column j's diagonal, so a factorization
+    with ``{"permc_spec": "NATURAL"}`` is then the one with SuperLU's
+    defaults, bit for bit. ``numbering`` is the numbering of the last
+    ``matrix``; ``solve`` and ``AssemblyContext.jacobian`` read it.
 
     E = {} (h-full): the border is empty, S0 is M itself, ``lift`` changes
-    nothing, ``solve`` only copies around ``lu.solve``, and the matrix is the
-    full Jacobian. Where the cb entries are +-1 (all variants but t-omega) it
-    equals ``bmat([[mass/dt + cb^T diag(d) cb + air, G], [G^T, None]])`` bit
-    for bit, because SciPy divides by dt as a product with 1/dt, sums in this
-    order and stores no exact zeros.
+    nothing, and the matrix is the full Jacobian. In the own numbering (no
+    ``order``), and where the cb entries are +-1 (all variants but t-omega),
+    it equals ``bmat([[mass/dt + cb^T diag(d) cb + air, G], [G^T, None]])``
+    bit for bit, because SciPy divides by dt as a product with 1/dt, sums in
+    this order and stores no exact zeros.
     """
 
     BLOCK = 32  # columns of M_ee^-1 M_ek held at a time while forming S0
@@ -546,6 +580,8 @@ class Elimination:
             self.const[g_pos] = np.concatenate([g.data, g.data])
 
         fill(np.arange(m))
+        self.order, self.rank = order, None
+        self._orders = {}  # the orders of pruned fills, by their stored entries
         if order is not None:
             # the order depends on the pattern alone: factor once with every
             # entry stored, at dt = 1 and a unit tangent
@@ -554,7 +590,16 @@ class Elimination:
                 sp.csc_matrix((data, self.indices, self.indptr), shape=(m, m)), **order
             ).perm_c
             self.unknowns = self.unknowns[np.argsort(rank)]
-            fill(rank)
+            if order:
+                fill(rank)  # each column lists its rows by their new labels
+            else:
+                # SuperLU's default order: each column keeps the storage
+                # order of its rows
+                self.indices, self.indptr, gather = _relabelled(self.indices, self.indptr, rank)
+                self.s0, self.const = self.s0[gather], self.const[gather]
+                self.tangent = self.tangent.moved(gather)
+                self.rank = rank.copy()  # perm_c is a view that keeps the whole factor alive
+        self.numbering = self.unknowns
         # one matrix over the pattern, refilled by each ``matrix`` call: SciPy
         # checks it and splu's canonical-format scan is answered once, here
         self._matrix = sp.csc_matrix(
@@ -566,23 +611,49 @@ class Elimination:
         """The tangent left after the elimination, at step ``dt`` and tangent weights ``d_tan``.
 
         The matrix is valid until the next call, which refills its data in
-        place: factor it, or copy it, before then.
+        place: factor it, or copy it, before then. Its row and column i is
+        unknown ``numbering[i]``.
         """
         jac = self._matrix
         data = jac.data
         np.multiply(self.s0, 1.0 / dt, out=data)
         data += self.tangent(d_tan)
         data += self.const
+        self.numbering = self.unknowns
         if not data.all():  # a check costs a quarter of the pruning pass it saves
+            if self.order == {}:
+                return self._in_own_order(data)
             # eliminate_zeros works in place, so it prunes a copy of the shared pattern
             jac = jac.copy()
             jac.eliminate_zeros()
         return jac
 
+    def _in_own_order(self, data: np.ndarray) -> sp.csc_matrix:
+        """The fill ``data`` without its exact zeros, numbered in the order of its own pattern.
+
+        That order is the one SuperLU's defaults compute for the pruned matrix
+        in the unknowns' own numbering; it is computed once per pattern.
+        """
+        stored = data != 0
+        kept = np.flatnonzero(stored)
+        indptr = np.concatenate([[0], np.cumsum(stored)])[self.indptr].astype(np.int32)
+        # back in the own numbering, where row and column i is unknown unknowns[rank][i]
+        indices, indptr, back = _relabelled(self.indices[kept], indptr, np.argsort(self.rank))
+        key = np.packbits(stored).tobytes()
+        if key not in self._orders:
+            own = sp.csc_matrix((data[kept[back]], indices, indptr), shape=self._matrix.shape)
+            self._orders[key] = splu(own, **self.order).perm_c.copy()
+        rank = self._orders[key]
+        indices, indptr, gather = _relabelled(indices, indptr, rank)
+        self.numbering = self.unknowns[self.rank][np.argsort(rank)]
+        jac = sp.csc_matrix((data[kept[back[gather]]], indices, indptr), shape=self._matrix.shape)
+        jac.has_canonical_format = True
+        return jac
+
     def solve(self, lu, b: np.ndarray) -> np.ndarray:
-        """Update for right-hand side ``b``, zero on E; ``lu`` factors ``matrix(dt, d_tan)``."""
+        """Update for right-hand side ``b``, zero on E; ``lu`` factors the last ``matrix``."""
         du = np.zeros(self.n_dofs)
-        du[self.unknowns] = lu.solve(b[self.unknowns])
+        du[self.numbering] = lu.solve(b[self.numbering])
         return du
 
     def lift(self, w: np.ndarray) -> np.ndarray:

@@ -200,12 +200,21 @@ def run_sweep(
     """Run one simulation per value; the last value serves as the reference.
 
     Writes sweep.csv of (value, P, 1-R^2 vs the reference, n_dofs,
-    linsys_count) in the given value order.
+    linsys_count) in the given value order. Arguments it could not evaluate,
+    such as runs too short for the comparison, are refused before any run.
     """
     if jobs < 1:
         raise ConfigError(f"sweep needs at least one job, got {jobs}")
     if not values:
         raise ConfigError("sweep needs a non-empty value list")
+    # r_squared compares the runs over one common full period; a lone run
+    # reports only its mean over the last half period
+    needed = 1.0 if len(values) > 1 else 0.5
+    if cfg.solver.periods < needed:
+        raise ConfigError(
+            f"a sweep of {len(values)} value(s) needs solver.periods >= {needed:g}, "
+            f"got {cfg.solver.periods:g}"
+        )
     out_root = Path(out_root)
     names: dict[str, float] = {}
     for value in values:

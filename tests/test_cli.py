@@ -218,6 +218,20 @@ def test_sweep_rejects_bad_arguments_before_running(finished_run, tmp_path, para
     assert not out.exists()
 
 
+@pytest.mark.parametrize("values, periods", [("4,6", 0.75), ("4", 0.25)], ids=["two", "one"])
+def test_sweep_too_short_to_compare_exits_2_before_running(tmp_path, values, periods):
+    cfg = small_config(FormulationVariant.FCM_T_OMEGA, periods=periods, dt_max=2e-4)
+    config_path = _write_config(tmp_path / "short.cfg", cfg)
+    out = tmp_path / "sweep"
+    code, _, stderr = run_cli(
+        "sweep", "--config", config_path, "--param", "n_alpha", "--values", values,
+        "--out", str(out),
+    )
+    assert code == 2
+    assert stderr.startswith("error: ") and "solver.periods" in stderr
+    assert not out.exists()
+
+
 def test_preset_and_config_are_exclusive(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli("run", "--preset", "pancake2d_fcm_tw", "--config", "x.cfg")

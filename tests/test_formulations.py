@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from foilwind import formulations
+from foilwind.config import config_from_preset
 from foilwind.formulations import (
     NEWTON_LINEAR_SOLVE,
     Elimination,
@@ -15,8 +16,9 @@ from foilwind.formulations import (
 )
 from foilwind.materials import JcKim, power_law
 from foilwind.mesh import MU0
+from foilwind.runner import build_mesh
 from foilwind.solver import SolverConfig, run_transient
-from foilwind.spaces import eval_field
+from foilwind.spaces import build_dof_layout, eval_field
 from foilwind.variants import FormulationVariant
 from foilwind.vtk_io import snapshot_fields
 
@@ -150,7 +152,7 @@ def _sparse_algebra_jacobian(ctx, dt, d_tan):
     """The full Jacobian written as sparse-matrix algebra (the fill's oracle)."""
     d = np.zeros(ctx.mesh.n_cells)
     d[ctx.coil] = d_tan
-    a = ctx.mass / dt + ctx.cbt @ sp.diags(d) @ ctx.cb
+    a = ctx.mass / dt + ctx.cb.T.tocsr() @ sp.diags(d) @ ctx.cb
     if ctx.air_matrix is not None:
         a = a + ctx.air_matrix
     return sp.bmat([[a, ctx.coupling], [ctx.coupling.T, None]], format="csc")
@@ -193,6 +195,15 @@ def _eliminations(ctx):
     return ctx.elimination, Elimination(ctx, np.zeros(0, dtype=int))
 
 
+def _in_unknowns(a, numbering, n):
+    """``a``, whose row and column i is unknown numbering[i], in the unknowns'
+    own numbering and without exact zeros, as canonical CSC."""
+    a = a.tocoo()
+    keep = a.data != 0
+    rows, cols = numbering[a.row[keep]], numbering[a.col[keep]]
+    return sp.csc_matrix((a.data[keep], (rows, cols)), shape=(n, n))
+
+
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_matrix_data_is_the_affine_combination_of_its_parts(variant):
     ctx = small_context(variant, n_turns=2)
@@ -205,9 +216,18 @@ def test_matrix_data_is_the_affine_combination_of_its_parts(variant):
                 got = elim.matrix(dt, d_tan)
                 if want.all():
                     assert np.array_equal(got.data, want)
-                else:
+                    assert elim.numbering is elim.unknowns
+                elif elim.order != {}:
                     # the exact zeros are pruned, the order of the rest kept
                     assert np.array_equal(got.data, want[want != 0])
+                else:
+                    # pruned and numbered in the order of its own pattern
+                    assert got.data.all() and got.nnz == np.count_nonzero(want)
+                    whole = sp.csc_matrix((want, elim.indices, elim.indptr), shape=got.shape)
+                    want_own = _in_unknowns(whole, elim.unknowns, ctx.layout.n_dofs)
+                    got_own = _in_unknowns(got, elim.numbering, ctx.layout.n_dofs)
+                    for attr in ("data", "indices", "indptr"):
+                        assert np.array_equal(getattr(got_own, attr), getattr(want_own, attr))
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
@@ -262,7 +282,7 @@ def _all_cell_assembly(ctx, w, w_prev, dt, t, exc):
     rho = power_law(j, ctx.jc_effective(w_prev), ctx.materials).rho
     d = np.zeros(ctx.mesh.n_cells)
     d[ctx.coil] = rho * ctx.coil_dweight
-    res_term = ctx.cbt @ (d * x)
+    res_term = ctx.cb.T.tocsr() @ (d * x)
     mass_term = np.zeros(nf)
     mass_term[elim.kept] = elim.schur @ ((u - u_prev)[elim.kept] / dt)
     coup_term = ctx.coupling @ v
@@ -321,7 +341,8 @@ def test_fill_pattern_equals_the_unique_key_construction(variant, monkeypatch):
     ctx = small_context(variant, n_turns=2)
     ctx.elimination, ctx.jacobian(1e-4, np.ones(ctx.coil.size))
     # the elimination, which the Jacobian reads too, filled again in its
-    # order where it eliminates unknowns
+    # order where it eliminates unknowns; h-full's order is applied by
+    # ``_relabelled``
     assert len(calls) == (1 if variant is FormulationVariant.FCM_H_FULL else 2)
     rng = np.random.default_rng(71)
     # repeated entries, empty parts, and empty rows and columns
@@ -334,6 +355,26 @@ def test_fill_pattern_equals_the_unique_key_construction(variant, monkeypatch):
         for a, b in [*zip(got[:2], want[:2]), *zip(got[2], want[2])]:
             assert a.dtype == b.dtype and np.array_equal(a, b)
         assert len(got[2]) == len(want[2]) == len(parts)
+
+
+def test_relabelled_pattern_is_the_symmetric_permutation():
+    rng = np.random.default_rng(89)
+    m = 40
+    a = sp.random(m, m, density=0.15, format="csc", random_state=rng, dtype=float)
+    a.data += 1.0  # no stored zeros
+    indices, indptr = a.indices.astype(np.int32), a.indptr.astype(np.int32)
+    rank = rng.permutation(m).astype(np.int32)
+    dense = np.zeros((m, m))
+    dense[np.ix_(rank, rank)] = a.toarray()  # row and column i move to rank[i]
+    rows, ptr, gather = formulations._relabelled(indices, indptr, rank)
+    assert rows.dtype == ptr.dtype == np.int32
+    b = sp.csc_matrix((a.data[gather], rows, ptr), shape=(m, m))
+    b.has_canonical_format = True  # as the elimination marks it: nothing sorts it
+    assert np.array_equal(b.toarray(), dense)
+    # new column rank[j] holds old column j, its rows in their storage order
+    for j in range(m):
+        col = slice(ptr[rank[j]], ptr[rank[j] + 1])
+        assert np.array_equal(rows[col], rank[indices[indptr[j] : indptr[j + 1]]])
 
 
 def test_reference_ordering_keeps_the_newton_update():
@@ -401,6 +442,60 @@ def test_reference_order_is_the_same_with_unrelaxed_supernodes(monkeypatch):
     assert np.array_equal(perm_c, relaxed)
 
 
+# -- h-full: SuperLU's defaults in a COLAMD order computed once ------------------------
+
+
+@pytest.mark.parametrize("preset", [None, "pancake2d_fcm_hfull"])
+def test_full_factorization_in_its_order_equals_the_default_one(preset):
+    if preset is None:
+        ctx = small_context(FormulationVariant.FCM_H_FULL, n_turns=2)
+    else:
+        cfg = config_from_preset(preset)
+        layout = build_dof_layout(build_mesh(cfg), cfg.variant, cfg.voltage_order)
+        ctx = formulations.AssemblyContext(layout, cfg.materials)
+    elim = ctx.elimination
+    own = Elimination(ctx, np.zeros(0, dtype=int))  # the unknowns' own numbering, no order
+    assert elim.order == {} and own.order is None
+    assert not np.array_equal(elim.unknowns, own.unknowns)
+    rng = np.random.default_rng(101)
+    n = ctx.coil.size
+    d_tans = {
+        "zero start state": np.zeros(n),
+        "uniform": np.full(n, 3.7),
+        "random 1e-8..1e4": 10.0 ** rng.uniform(-8.0, 4.0, n),
+    }
+    for dt in (1e-5, 2e-4):
+        for name, d_tan in d_tans.items():
+            b = rng.standard_normal(ctx.layout.n_dofs)
+            lu = splu(elim.matrix(dt, d_tan), **elim.factor_options)
+            got = elim.solve(lu, b)
+            default = splu(own.matrix(dt, d_tan))  # SuperLU's defaults, COLAMD per call
+            assert np.array_equal(got, own.solve(default, b)), (name, dt)
+            assert lu.L.nnz == default.L.nnz and lu.U.nnz == default.U.nnz, (name, dt)
+
+
+def test_full_order_is_computed_once_per_pattern(monkeypatch):
+    calls = []
+    splu_ = formulations.splu
+    monkeypatch.setattr(formulations, "splu", lambda *a, **kw: calls.append(kw) or splu_(*a, **kw))
+    order = NEWTON_LINEAR_SOLVE[FormulationVariant.FCM_H_FULL].order
+    ctx = small_context(FormulationVariant.FCM_H_FULL, n_turns=2)
+    exc = Excitation(amplitude=96.0, frequency=50.0)
+    trace = run_transient(SolverConfig(periods=0.05), ctx, exc, store_states=False)
+    assert trace.linsys_count > 1
+    # one for the pattern with every entry stored, one for the zero start state
+    assert calls.count(order) == 2
+    elim = ctx.elimination
+    n = ctx.coil.size
+    half = np.where(np.arange(n) % 2 == 0, 0.0, 3.7)
+    nnz = set()
+    for dt in (1e-5, 2e-4):
+        for d_tan in (np.zeros(n), np.full(n, 3.7), half):
+            nnz.add(elim.matrix(dt, d_tan).nnz)
+    # a tangent that is zero on half of the cells stores a third pattern
+    assert len(nnz) == 3 and calls.count(order) == 3
+
+
 # -- elimination of the curl-free unknowns ----------------------------------------------
 
 
@@ -452,12 +547,14 @@ def test_condensed_newton_update_equals_the_full_solve(variant):
             step = elim.lift(w + update) - w
             assert np.linalg.norm(step - full) <= 1e-10 * np.linalg.norm(full)
             if not condensed:
-                # the full Jacobian itself, factored with the defaults, and
-                # the solve is the plain solve of it
-                assert elim.factor_options == {} and elim.lift(w) is w
+                # the full Jacobian itself, numbered in its COLAMD order and
+                # factored in it, and the solve is bit for bit the plain
+                # solve of it with SuperLU's defaults
+                assert elim.factor_options == {"permc_spec": "NATURAL"} and elim.lift(w) is w
                 jac = ctx.jacobian(sys.dt, sys.d_tan)
+                own = _in_unknowns(reduced, elim.numbering, ctx.layout.n_dofs)
                 for attr in ("data", "indices", "indptr"):
-                    assert np.array_equal(getattr(reduced, attr), getattr(jac, attr))
+                    assert np.array_equal(getattr(own, attr), getattr(jac, attr))
                 assert np.array_equal(update, splu(jac).solve(b))
 
 
@@ -471,7 +568,7 @@ def _full_space_residual(ctx, w, w_prev, dt, t, exc):
     rho = power_law(j, ctx.jc_effective(w_prev), ctx.materials).rho
     d = np.zeros(ctx.mesh.n_cells)
     d[ctx.coil] = rho * ctx.coil_dweight
-    r_u = ctx.mass @ (u - u_prev) / dt + ctx.cbt @ (d * x) + ctx.coupling @ v
+    r_u = ctx.mass @ (u - u_prev) / dt + ctx.cb.T.tocsr() @ (d * x) + ctx.coupling @ v
     if ctx.air_matrix is not None:
         r_u = r_u + ctx.air_matrix @ u
     r_v = ctx.coupling.T @ u - 0.5 * impose_excitation(ctx.layout, exc, t)

@@ -3,10 +3,12 @@
 import json
 import re
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from foilwind import runner
 from foilwind.config import PRESET_VERSION, ConfigError, parse_config_text, serialize_config
 from foilwind.formulations import AssemblyContext
 from foilwind.materials import JcKim
@@ -157,6 +159,29 @@ def test_parallel_sweep_writes_the_serial_table(tmp_path):
     assert parallel == serial
     table = (tmp_path / "serial" / "sweep.csv").read_bytes()
     assert (tmp_path / "parallel" / "sweep.csv").read_bytes() == table
+
+
+@pytest.mark.parametrize("values, periods", [([4.0, 6.0], 0.99), ([4.0], 0.49)])
+def test_sweep_too_short_to_evaluate_is_refused_before_running(
+    tmp_path, monkeypatch, values, periods
+):
+    # several runs are compared over a full period, a lone run is averaged
+    # over the last half period
+    def no_run(task):
+        raise AssertionError("a sweep too short to evaluate started a run")
+
+    monkeypatch.setattr(runner, "_sweep_worker", no_run)
+    cfg = _fast(FormulationVariant.FCM_T_OMEGA)
+    cfg = replace(cfg, solver=replace(cfg.solver, periods=periods))
+    with pytest.raises(ConfigError, match="solver.periods"):
+        run_sweep(cfg, "n_alpha", values, tmp_path / "sweep")
+    assert not (tmp_path / "sweep").exists()
+
+
+def test_single_value_sweep_needs_half_a_period(tmp_path):
+    cfg = small_config(FormulationVariant.FCM_T_OMEGA, periods=0.5, dt_max=2e-4)
+    (row,) = run_sweep(cfg, "n_alpha", [4.0], tmp_path / "sweep")
+    assert row["P"] > 0 and row["one_minus_r2"] == 0.0
 
 
 def test_sweep_rejects_empty_values(tmp_path):

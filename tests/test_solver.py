@@ -452,13 +452,15 @@ def test_one_factorization_per_linear_solve(variant, monkeypatch):
     assert (ctx.elimination.size < ctx.layout.n_dofs) == condensed
     # every eliminating variant is renumbered in a minimum-degree order of
     # A^T + A, once, and factored in that order in symmetric mode, with
-    # unrelaxed supernodes and a small diagonal-pivot threshold; h-full keeps
-    # SuperLU's defaults
+    # unrelaxed supernodes and a small diagonal-pivot threshold; h-full is
+    # renumbered in SuperLU's default COLAMD order, once, and factored in it
+    # with SuperLU's other defaults
     symmetric = {"relax": 1, "options": {"SymmetricMode": True}}
     assert NEWTON_LINEAR_SOLVE[variant].order == (
-        {"permc_spec": "MMD_AT_PLUS_A", **symmetric} if condensed else None
+        {"permc_spec": "MMD_AT_PLUS_A", **symmetric} if condensed else {}
     )
-    expected = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.1, **symmetric} if condensed else {}
+    natural = {"permc_spec": "NATURAL"}
+    expected = {**natural, "diag_pivot_thresh": 0.1, **symmetric} if condensed else natural
     assert NEWTON_LINEAR_SOLVE[variant].factor_options == expected
     assert all(kwargs == expected for kwargs in calls["splu"])
 

@@ -21,18 +21,18 @@ resistive weights, and G couples voltages to currents:
 Internally all constraints act on the half model, so targets are halved and
 every reported quantity is scaled back to the full device elsewhere.
 
-The eliminated unknowns E of a variant (``NEWTON_LINEAR_SOLVE``) are the ones
-that neither the curl basis nor the coupling reaches: every gradient unknown
-for the homogenized scalar-potential variants (h-phi, t-omega), the gradient
-unknowns of the exterior air for the reference model, none for h-full. Their
-rows are the linear mass rows M_E (u - u_prev) / dt, so from the zero state
-on, u_E = -M_EE^-1 M_EK u_K is a fixed linear function of the kept field
-unknowns K. Every state the solver keeps satisfies it (``Elimination.lift``),
-the residual is evaluated at that lifted state, where its E rows vanish and
-the K rows see the mass through the Schur complement S0 = M_KK - M_KE M_EE^-1
-M_EK, and Newton iterates on K and the voltages only. Its tangent is affine
-in (1/dt, d_tan), so an assembly hands the solver those two, and the
-``Elimination`` fills them into a fixed CSC pattern to be factored.
+The eliminated unknowns E are the same for every variant: the unknowns
+without curl whose basis columns touch no edge of a winding cell, the
+exterior air (none for h-full, whose every edge has curl). Neither the curl
+basis nor the coupling reaches them, so their rows are the linear mass rows
+M_E (u - u_prev) / dt, and from the zero state on, u_E = -M_EE^-1 M_EK u_K
+is a fixed linear function of the kept field unknowns K. Every state the
+solver keeps satisfies it (``Elimination.lift``), the residual is evaluated
+at that lifted state, where its E rows vanish and the K rows see the mass
+through the Schur complement S0 = M_KK - M_KE M_EE^-1 M_EK, and Newton
+iterates on K and the voltages only. Its tangent is affine in (1/dt, d_tan),
+so an assembly hands the solver those two, and the ``Elimination`` fills
+them into a fixed CSC pattern to be factored.
 """
 
 from __future__ import annotations
@@ -74,8 +74,7 @@ class Excitation:
 class LinearSolve(NamedTuple):
     """How the Newton tangent of one variant is factored."""
 
-    eliminate: str | None  # "curl-free", "exterior air", or None: the full Jacobian
-    order: dict | None  # splu options of the ordering computed once per elimination
+    order: dict  # splu options of the ordering computed once per elimination
     factor_options: dict  # splu options of every Newton factorization
 
 
@@ -83,48 +82,50 @@ _SYMMETRIC = {"options": {"SymmetricMode": True}}
 # splu options of the order computed once per elimination, and of each
 # factorization in that order
 _ORDER = {"permc_spec": "MMD_AT_PLUS_A", "relax": 1, **_SYMMETRIC}
-_IN_ORDER = {"permc_spec": "NATURAL", "relax": 1, "diag_pivot_thresh": 0.1, **_SYMMETRIC}
+_IN_ORDER = {"permc_spec": "NATURAL", "relax": 1, "diag_pivot_thresh": 1e-3, **_SYMMETRIC}
 
-# fcm-h-phi and fcm-t-omega eliminate every curl-free unknown. ref-h-phi
-# eliminates only the exterior air, the curl-free unknowns whose basis columns
-# touch no edge of a winding cell; the inter-turn and interface nodes stay, as
-# their complement would couple the turns densely. fcm-h-full eliminates
-# nothing: its air edges carry rho_air, so no row of its tangent is pure M/dt.
-# It keeps SuperLU's defaults (COLAMD, threshold 1.0, relax 10): the symmetric
-# ordering changed its step count and raised its loss by 0.36 %, and relax 1-8
-# saved only 2-4 % of a 10 ms factorization but moved its roundoff, which its
-# step sequence follows. Only the COLAMD order is taken out of the loop: it is
-# computed once per pattern (``order`` {}) and each factorization keeps it
-# (NATURAL), which repeats the factorization with the defaults bit for bit
-# (see ``Elimination``). On the 182 tangents of the fcm-hfull benchmark
-# workload (2-core x86 host, best of 3 each) that took a factorization from
-# 6.95 to 5.22 ms (median), and all 182 solutions were bit-equal.
+# Every variant eliminates the exterior air (``AssemblyContext.elimination``);
+# the potential inside the winding and on its rim stays. Eliminating it too
+# put every kept t-omega unknown on the border of S0 (158 unknowns, 95 %
+# dense at n_alpha 5, denser as n_alpha grows) and would couple ref's turns.
+# fcm-h-full has curl on every edge (its air carries rho_air), so it
+# eliminates nothing. It keeps SuperLU's defaults (COLAMD, threshold 1.0,
+# relax 10): the symmetric ordering changed its step count and raised its
+# loss by 0.36 %, and relax 1-8 saved only 2-4 % of a 10 ms factorization but
+# moved its roundoff, which its step sequence follows. Only the COLAMD order
+# is taken out of the loop: it is computed once per pattern (``order`` {}) and
+# each factorization keeps it (NATURAL), which repeats the factorization with
+# the defaults bit for bit (see ``Elimination``): on the 182 tangents of the
+# fcm-hfull benchmark workload, 6.95 -> 5.22 ms (median), all bit-equal.
 #
 # The other tangents are structurally symmetric, and a multiple-minimum-degree
 # ordering of A^T + A (Liu, ACM TOMS 11, 1985) halves ref's LU fill on the
 # tensor grid. The pattern is fixed, so that order is computed once and each
 # factorization keeps it (NATURAL) in symmetric mode, preferring diagonal
-# pivots (Li, ACM TOMS 31, 2005): a threshold of 0.1 in place of 1.0, and
-# relaxed supernodes of 1 column in place of 10. Measured on the tangents of a
-# run, 2-core x86 host, best of 3 each:
+# pivots (Li, ACM TOMS 31, 2005): a threshold of 1e-3 in place of 1.0, and
+# relaxed supernodes of 1 column in place of 10. On the tangents of a run
+# (2-core x86 host, best of 3 each):
 # - pancake2d_ref, 0.0125 period (73 tangents): 0.67x the time per
 #   factorization (quartiles 0.62-0.72x), median L+U 268k -> 256k, solutions
-#   equal to 1e-13. relax=1 alone gave 0.72x at the same fill; the threshold
-#   gave the fill. The order is the same with relax 1 and 10.
-# - pancake2d_fcm_hphi, 0.5 period (441 tangents of 279 unknowns, 23 % dense):
-#   median L+U 40.3k -> 23.8k, 1.77 -> 0.64 ms per factorization.
-# - pancake2d_fcm_tw, 0.5 period (428 tangents of 158 unknowns, 95 % dense):
-#   the same fill, 0.69 -> 0.55 ms.
+#   equal to 1e-13. relax=1 alone gave 0.72x at the same fill, the threshold
+#   the fill; the order is the same with relax 1 and 10.
+# - pancake2d_fcm_hphi, 0.5 period (441 tangents of 345 unknowns): 9, 8 and 2
+#   off-diagonal pivots at thresholds 0.1, 1e-2 and <= 1e-3; median L+U 25.9k,
+#   22.8k and 17.9k; 0.54, 0.50 and 0.38 ms (a unit d_tan fills 19.9k at 0.1).
+#   The backward error stays <= 1e-17; max|U| / max|A| grows from 14 to 1e4.
+# - pancake2d_fcm_tw (428 tangents of 344 unknowns, L+U 16.6k, 0.34 ms) and
+#   ref take the 8 and 40 off-diagonal pivots of their zero-diagonal voltage
+#   rows at every threshold from 0 to 0.1: their bits do not depend on it.
 # Keep relax small, and never raise it to get fewer supernodes: with
 # relax=256, SuperLU returned ref solutions with relative errors of 0.7 and
 # 1.1, and one such process later aborted with "double free or corruption".
 # Never pass panel_size: with 16 or 32, processes that factored ref's tangents
 # later died by a segfault or an abort.
 NEWTON_LINEAR_SOLVE = {
-    FormulationVariant.FCM_H_PHI: LinearSolve("curl-free", _ORDER, _IN_ORDER),
-    FormulationVariant.FCM_T_OMEGA: LinearSolve("curl-free", _ORDER, _IN_ORDER),
-    FormulationVariant.FCM_H_FULL: LinearSolve(None, {}, {"permc_spec": "NATURAL"}),
-    FormulationVariant.REF_H_PHI: LinearSolve("exterior air", _ORDER, _IN_ORDER),
+    FormulationVariant.FCM_H_PHI: LinearSolve(_ORDER, _IN_ORDER),
+    FormulationVariant.FCM_T_OMEGA: LinearSolve(_ORDER, _IN_ORDER),
+    FormulationVariant.FCM_H_FULL: LinearSolve({}, {"permc_spec": "NATURAL"}),
+    FormulationVariant.REF_H_PHI: LinearSolve(_ORDER, _IN_ORDER),
 }
 
 
@@ -431,14 +432,12 @@ class AssemblyContext:
     @cached_property
     def elimination(self) -> "Elimination":
         """The elimination behind every residual and Newton solve, built on first use."""
-        eliminate, order, factor_options = NEWTON_LINEAR_SOLVE[self.layout.variant]
-        # cb stores no zeros, so its column indices are the unknowns with curl;
-        # abs(cb) would sort the shared layout.curl_basis in place
-        free = np.full(self.layout.n_field_dofs, eliminate is not None)
+        # E: no curl (cb stores no zeros, and abs(cb) would sort the shared
+        # layout.curl_basis in place), and no basis entry on a winding edge
+        free = np.ones(self.layout.n_field_dofs, dtype=bool)
         free[self.cb.indices] = False
-        if eliminate == "exterior air":
-            free[self.layout.basis[self.mesh.cell_edges[self.coil].ravel()].indices] = False
-        return Elimination(self, np.flatnonzero(free), order, factor_options)
+        free[self.layout.basis[self.mesh.cell_edges[self.coil].ravel()].indices] = False
+        return Elimination(self, np.flatnonzero(free), *NEWTON_LINEAR_SOLVE[self.layout.variant])
 
     def dissipation(self, w: np.ndarray, w_prev: np.ndarray) -> float:
         """Instantaneous resistive power of the half model [W]."""

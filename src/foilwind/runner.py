@@ -231,8 +231,9 @@ def run_sweep(
     ]
     out_root.mkdir(parents=True, exist_ok=True)
 
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks))  # a pool starts all its workers at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             list(pool.map(_sweep_worker, tasks))
     else:
         for task in tasks:

@@ -2,10 +2,9 @@
 
 Every Newton iteration factors its linear system directly, which is robust
 against the power-law's extreme stiffness; no iterative solvers are
-attempted. The context's one elimination leaves out a set of field unknowns
-that only the mass matrix reaches (the curl-free unknowns of the homogenized
-scalar-potential variants, the exterior air of the reference model, none
-for fcm-h-full, which factors the full sparse Jacobian in a COLAMD order
+attempted. The context's one elimination leaves out, for every variant, the
+field unknowns that only the mass matrix reaches, the exterior air (none on
+fcm-h-full, which factors the full sparse Jacobian in a COLAMD order
 computed once, bit for bit as with SuperLU's defaults). They follow the
 other field unknowns linearly, so Newton iterates on the rest: each
 iteration factors the elimination's ``matrix`` with its SuperLU

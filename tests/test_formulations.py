@@ -1,5 +1,7 @@
 """Assembly: residuals, Jacobians, excitation targets, energy bookkeeping."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -390,7 +392,7 @@ def test_reference_ordering_keeps_the_newton_update():
         w = elim.lift(_random_state(ctx, rng))
         sys = ctx.assemble(w, w_prev, dt, 1e-3, exc)
         symmetric = {"permc_spec": "NATURAL", "options": {"SymmetricMode": True}}
-        assert elim.factor_options == {**symmetric, "relax": 1, "diag_pivot_thresh": 0.1}
+        assert elim.factor_options == {**symmetric, "relax": 1, "diag_pivot_thresh": 1e-3}
         b = -sys.residual
         reduced = elim.matrix(sys.dt, sys.d_tan)
         lu = splu(reduced, **elim.factor_options)
@@ -515,21 +517,18 @@ def test_condensed_newton_update_equals_the_full_solve(variant):
     exc = Excitation(amplitude=96.0, frequency=50.0)
     rng = np.random.default_rng(53)
     elim = ctx.elimination
-    condensed = variant is not FormulationVariant.FCM_H_FULL
-    assert (NEWTON_LINEAR_SOLVE[variant].eliminate is not None) == condensed
+    # one rule for every variant: every curl-free unknown whose basis column
+    # touches no edge of a winding cell
     curl_free = _curl_free(ctx)
-    assert curl_free.size > 0 or not condensed
-    if variant is FormulationVariant.REF_H_PHI:
-        # the exterior air only: every curl-free unknown whose basis column
-        # touches no edge of a winding cell
-        winding = ctx.layout.basis[_winding_edges(ctx)].tocsc()
-        assert winding[:, elim.eliminated].count_nonzero() == 0
-        touching = np.flatnonzero(np.diff(winding.indptr))
-        assert np.array_equal(elim.eliminated, np.setdiff1d(curl_free, touching))
-        assert 0 < elim.eliminated.size < curl_free.size
-    else:
-        # h-full eliminates nothing: it factors the full Jacobian
-        assert np.array_equal(elim.eliminated, curl_free if condensed else [])
+    winding = ctx.layout.basis[_winding_edges(ctx)].tocsc()
+    assert winding[:, elim.eliminated].count_nonzero() == 0
+    touching = np.flatnonzero(np.diff(winding.indptr))
+    assert np.array_equal(elim.eliminated, np.setdiff1d(curl_free, touching))
+    # every edge of h-full has curl, so it eliminates nothing and factors the
+    # full Jacobian; the others keep the potential inside the winding
+    condensed = variant is not FormulationVariant.FCM_H_FULL
+    assert (curl_free.size > 0) == condensed
+    assert 0 < elim.eliminated.size < curl_free.size or not condensed
     assert np.array_equal(np.union1d(elim.kept, elim.eliminated), np.arange(ctx.layout.n_field_dofs))
     for dt in (1e-5, 2e-4):
         for _ in range(2):
@@ -634,6 +633,25 @@ def test_sparse_schur_complement_equals_the_dense_one(variant):
     # the voltage rows and columns hold no mass
     volt = row[ctx.layout.n_field_dofs :]
     assert not s0[volt].any() and not s0[:, volt].any()
+
+
+def test_t_omega_condensed_system_stays_sparse_as_the_stack_is_refined():
+    # the potential inside the winding is kept, so the Schur complement of the
+    # eliminated air is confined to the winding's rim: twice the cells across
+    # the stack give about twice the kept unknowns, not a dense block of them
+    kept, nnz = [], []
+    for n_alpha in (5, 10):
+        cfg = config_from_preset("pancake2d_fcm_tw")
+        cfg = replace(cfg, mesh=replace(cfg.mesh, n_alpha=n_alpha))
+        layout = build_dof_layout(build_mesh(cfg), cfg.variant, cfg.voltage_order)
+        elim = formulations.AssemblyContext(layout, cfg.materials).elimination
+        assert elim.schur.nnz < 0.1 * elim.kept.size**2
+        kept.append(elim.kept.size)
+        nnz.append(elim.schur.nnz)
+    assert kept[0] == 340
+    assert 1.8 <= kept[1] / kept[0] <= 2.0
+    # and its entries grow no faster than the kept unknowns
+    assert nnz[1] / nnz[0] <= kept[1] / kept[0]
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)

@@ -161,6 +161,33 @@ def test_parallel_sweep_writes_the_serial_table(tmp_path):
     assert (tmp_path / "parallel" / "sweep.csv").read_bytes() == table
 
 
+@pytest.mark.parametrize("values, workers", [([4.0, 6.0], [2]), ([4.0], [])])
+def test_sweep_pool_has_no_more_workers_than_runs(tmp_path, monkeypatch, values, workers):
+    # the pool forks all its workers at once; this one records its size and
+    # runs the tasks in this process, so that no process is started
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
+    cfg = _fast(FormulationVariant.FCM_T_OMEGA)
+    rows = run_sweep(cfg, "n_alpha", values, tmp_path / "sweep", jobs=500)
+    # a lone run needs no pool
+    assert sizes == workers
+    assert [row["value"] for row in rows] == values
+
+
 @pytest.mark.parametrize("values, periods", [([4.0, 6.0], 0.99), ([4.0], 0.49)])
 def test_sweep_too_short_to_evaluate_is_refused_before_running(
     tmp_path, monkeypatch, values, periods

@@ -1,5 +1,7 @@
 """Transient driver: Newton loop, adaptive stepping, trace bookkeeping."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,8 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from foilwind import formulations, solver
+from foilwind.config import config_from_preset
 from foilwind.formulations import NEWTON_LINEAR_SOLVE, AssembledSystem, Excitation
 from foilwind.postprocess import LossSeries, mean_losses
+from foilwind.runner import build_mesh
 from foilwind.materials import JcKim
 from foilwind.solver import (
     BlockScales,
@@ -20,6 +24,7 @@ from foilwind.solver import (
     run_transient,
     step,
 )
+from foilwind.spaces import build_dof_layout
 from foilwind.variants import FormulationVariant
 
 from helpers import pancake_materials, small_context
@@ -452,7 +457,7 @@ def test_one_factorization_per_linear_solve(variant, monkeypatch):
     assert (ctx.elimination.size < ctx.layout.n_dofs) == condensed
     # every eliminating variant is renumbered in a minimum-degree order of
     # A^T + A, once, and factored in that order in symmetric mode, with
-    # unrelaxed supernodes and a small diagonal-pivot threshold; h-full is
+    # unrelaxed supernodes and a diagonal-pivot threshold of 1e-3; h-full is
     # renumbered in SuperLU's default COLAMD order, once, and factored in it
     # with SuperLU's other defaults
     symmetric = {"relax": 1, "options": {"SymmetricMode": True}}
@@ -460,9 +465,40 @@ def test_one_factorization_per_linear_solve(variant, monkeypatch):
         {"permc_spec": "MMD_AT_PLUS_A", **symmetric} if condensed else {}
     )
     natural = {"permc_spec": "NATURAL"}
-    expected = {**natural, "diag_pivot_thresh": 0.1, **symmetric} if condensed else natural
+    expected = {**natural, "diag_pivot_thresh": 1e-3, **symmetric} if condensed else natural
     assert NEWTON_LINEAR_SOLVE[variant].factor_options == expected
     assert all(kwargs == expected for kwargs in calls["splu"])
+
+
+@pytest.mark.parametrize(
+    "preset, periods",
+    [("pancake2d_fcm_hphi", 0.1), ("pancake2d_fcm_tw", 0.1), ("pancake2d_ref", 0.0125)],
+)
+def test_newton_factorizations_are_backward_stable(preset, periods, monkeypatch):
+    # a diagonal-pivot threshold of 1e-3 accepts small diagonal pivots, and
+    # on fcm-h-phi max|U| / max|A| grows to about 1e4; every factorization of
+    # a run must still solve its system to a normwise backward error of the
+    # order of the unit roundoff
+    errors = []
+    splu = solver.splu
+    rng = np.random.default_rng(7)
+
+    def checked_splu(a, **kwargs):
+        lu = splu(a, **kwargs)
+        b = rng.standard_normal(a.shape[0])
+        x = lu.solve(b)
+        a_norm = np.bincount(a.indices, weights=np.abs(a.data), minlength=a.shape[0]).max()
+        residual = np.abs(a @ x - b).max()
+        errors.append(residual / (a_norm * np.abs(x).max() + np.abs(b).max()))
+        return lu
+
+    monkeypatch.setattr(solver, "splu", checked_splu)
+    cfg = config_from_preset(preset)
+    layout = build_dof_layout(build_mesh(cfg), cfg.variant, cfg.voltage_order)
+    ctx = formulations.AssemblyContext(layout, cfg.materials)
+    trace = run_transient(replace(cfg.solver, periods=periods), ctx, cfg.excitation, False)
+    assert len(errors) == trace.linsys_count > 50
+    assert max(errors) <= 1e-14
 
 
 @pytest.mark.parametrize("variant", [FormulationVariant.FCM_T_OMEGA, FormulationVariant.REF_H_PHI])

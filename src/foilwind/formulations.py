@@ -32,7 +32,8 @@ at that lifted state, where its E rows vanish and the K rows see the mass
 through the Schur complement S0 = M_KK - M_KE M_EE^-1 M_EK, and Newton
 iterates on K and the voltages only. Its tangent is affine in (1/dt, d_tan),
 so an assembly hands the solver those two, and the ``Elimination`` fills
-them into a fixed CSC pattern to be factored.
+them into a fixed CSC pattern to be factored, the winding terms
+C_K^T diag(d_tan) C_K by one sparse matrix-vector product.
 """
 
 from __future__ import annotations
@@ -40,13 +41,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .materials import MaterialParams, JcKim, jc_eval, power_law
+from .materials import MaterialParams, JcKim, power_law
 from .mesh import MU0, Mesh
 from .spaces import DofLayout, VoltageBasis
 from .variants import FormulationVariant
@@ -71,19 +71,6 @@ class Excitation:
         return self.amplitude * math.sin(2.0 * math.pi * self.frequency * t)
 
 
-class LinearSolve(NamedTuple):
-    """How the Newton tangent of one variant is factored."""
-
-    order: dict  # splu options of the ordering computed once per elimination
-    factor_options: dict  # splu options of every Newton factorization
-
-
-_SYMMETRIC = {"options": {"SymmetricMode": True}}
-# splu options of the order computed once per elimination, and of each
-# factorization in that order
-_ORDER = {"permc_spec": "MMD_AT_PLUS_A", "relax": 1, **_SYMMETRIC}
-_IN_ORDER = {"permc_spec": "NATURAL", "relax": 1, "diag_pivot_thresh": 1e-3, **_SYMMETRIC}
-
 # Every variant eliminates the exterior air (``AssemblyContext.elimination``);
 # the potential inside the winding and on its rim stays. Eliminating it too
 # put every kept t-omega unknown on the border of S0 (158 unknowns, 95 %
@@ -93,8 +80,9 @@ _IN_ORDER = {"permc_spec": "NATURAL", "relax": 1, "diag_pivot_thresh": 1e-3, **_
 # relax 10): the symmetric ordering changed its step count and raised its
 # loss by 0.36 %, and relax 1-8 saved only 2-4 % of a 10 ms factorization but
 # moved its roundoff, which its step sequence follows. Only the COLAMD order
-# is taken out of the loop: it is computed once per pattern (``order`` {}) and
-# each factorization keeps it (NATURAL), which repeats the factorization with
+# is taken out of the loop: it is computed once for the pattern (``order``
+# {}), and again for the pruned fill of the zero start state, and each
+# factorization keeps it (NATURAL), which repeats the factorization with
 # the defaults bit for bit (see ``Elimination``): on the 182 tangents of the
 # fcm-hfull benchmark workload, 6.95 -> 5.22 ms (median), all bit-equal.
 #
@@ -121,12 +109,11 @@ _IN_ORDER = {"permc_spec": "NATURAL", "relax": 1, "diag_pivot_thresh": 1e-3, **_
 # 1.1, and one such process later aborted with "double free or corruption".
 # Never pass panel_size: with 16 or 32, processes that factored ref's tangents
 # later died by a segfault or an abort.
-NEWTON_LINEAR_SOLVE = {
-    FormulationVariant.FCM_H_PHI: LinearSolve(_ORDER, _IN_ORDER),
-    FormulationVariant.FCM_T_OMEGA: LinearSolve(_ORDER, _IN_ORDER),
-    FormulationVariant.FCM_H_FULL: LinearSolve({}, {"permc_spec": "NATURAL"}),
-    FormulationVariant.REF_H_PHI: LinearSolve(_ORDER, _IN_ORDER),
-}
+_SYMMETRIC = {"options": {"SymmetricMode": True}}
+# splu options of the order computed once per elimination, and of each
+# factorization in that order
+_ORDER = {"permc_spec": "MMD_AT_PLUS_A", "relax": 1, **_SYMMETRIC}
+_IN_ORDER = {"permc_spec": "NATURAL", "relax": 1, "diag_pivot_thresh": 1e-3, **_SYMMETRIC}
 
 
 @dataclass
@@ -222,28 +209,6 @@ def _relabelled(indices: np.ndarray, indptr: np.ndarray, rank: np.ndarray):
     return rank[indices[gather]].astype(np.int32), new_indptr, gather
 
 
-class _TangentFill:
-    """Data of C^T diag(d) C over a fixed CSC pattern, from ``_product_terms``.
-
-    Term k adds factors[k] * d[cells[k]] at data position pos[k]; each entry
-    sums its terms from zero in ascending cell order.
-    """
-
-    def __init__(self, pos, cells, factors, nnz: int):
-        order = np.lexsort((cells, pos))
-        self.pos, self.cells, self.factors = pos[order], cells[order], factors[order]
-        self.nnz = nnz
-
-    def __call__(self, d: np.ndarray) -> np.ndarray:
-        return np.bincount(self.pos, weights=self.factors * d[self.cells], minlength=self.nnz)
-
-    def moved(self, gather: np.ndarray) -> "_TangentFill":
-        """The same fill over a data array whose entry p is this one's entry gather[p]."""
-        where = np.empty(gather.size, dtype=np.int32)
-        where[gather] = np.arange(gather.size)
-        return _TangentFill(where[self.pos], self.cells, self.factors, self.nnz)
-
-
 class AssemblyContext:
     """Cached per-layout operators shared across time steps.
 
@@ -328,12 +293,10 @@ class AssemblyContext:
         state (a lagged jc), which keeps the Newton tangent the plain
         power-law tangent; the reported |j|/jc figures pass the state itself.
         """
-        model = self.materials.jc_model
-        if not isinstance(model, JcKim):
+        if not isinstance(self.materials.jc_model, JcKim):
             return np.full(self.coil.size, self.materials.jc_engineering())
         b_r, b_z = self.flux_density(w)
-        jc = jc_eval(model, b_r[self.coil], b_z[self.coil])
-        return self.materials.lambda_fill * jc
+        return self.materials.jc_engineering(b_r[self.coil], b_z[self.coil])
 
     def cell_currents(self, w: np.ndarray) -> np.ndarray:
         """Azimuthal current density per winding cell."""
@@ -437,7 +400,10 @@ class AssemblyContext:
         free = np.ones(self.layout.n_field_dofs, dtype=bool)
         free[self.cb.indices] = False
         free[self.layout.basis[self.mesh.cell_edges[self.coil].ravel()].indices] = False
-        return Elimination(self, np.flatnonzero(free), *NEWTON_LINEAR_SOLVE[self.layout.variant])
+        # fcm-h-full alone keeps SuperLU's COLAMD defaults (see _ORDER)
+        if self.layout.variant is FormulationVariant.FCM_H_FULL:
+            return Elimination(self, np.flatnonzero(free), {}, {"permc_spec": "NATURAL"})
+        return Elimination(self, np.flatnonzero(free), _ORDER, _IN_ORDER)
 
     def dissipation(self, w: np.ndarray, w_prev: np.ndarray) -> float:
         """Instantaneous resistive power of the half model [W]."""
@@ -483,9 +449,11 @@ class Elimination:
     The correction of S0 is dense, but only on the border, the kept unknowns
     that M_ke reaches; elsewhere S0 is M_kk. A Newton iteration refills one
     CSC matrix over a fixed pattern of the tangent in place, as
-    (S0 * (1/dt) + T) + A, T the tangent and A the constant air and border
-    terms, to be factored with ``factor_options`` (splu options); a fill
-    with exact zeros is pruned on a copy. ``solve`` leaves E unchanged, and
+    (S0 * (1/dt) + T) + A, to be factored with ``factor_options`` (splu
+    options). A holds the constant air and coupling terms. T = C_k^T D C_k is
+    ``tangent @ d_tan``: ``tangent`` has a row per pattern entry and a column
+    per winding cell. A fill with exact zeros, which a run meets only at the
+    zero start state, is pruned on a copy. ``solve`` leaves E unchanged, and
     the solver lifts each accepted state with one M_ee solve.
 
     With ``order`` (splu options), the fill-reducing column order SuperLU
@@ -495,7 +463,7 @@ class Elimination:
     symmetric orders list each column's rows by their new labels. With
     ``order`` {}, SuperLU's default COLAMD order, each column keeps the rows
     in the order the own numbering stores them, and a fill with exact zeros
-    is numbered in the order of its own pattern, computed once per pattern:
+    is numbered in the order of its own pattern, computed for that fill:
     SuperLU's depth-first search and its updates follow the storage order,
     and it takes row perm_c^-1[j] as column j's diagonal, so a factorization
     with ``{"permc_spec": "NATURAL"}`` is then the one with SuperLU's
@@ -572,7 +540,11 @@ class Elimination:
             )
             self.s0 = np.zeros(self.indices.size)
             self.s0[s_pos] = s0.data
-            self.tangent = _TangentFill(t_pos, cells, factors, self.indices.size)
+            # term k adds factors[k] * d[cells[k]] to data[t_pos[k]]; the CSC
+            # matvec sums each entry's terms from zero in ascending cell order
+            self.tangent = sp.csc_matrix(
+                (factors, (t_pos, cells)), shape=(self.indices.size, ctx.coil.size)
+            )
             # the constant terms are added in full: a scatter-add costs 20x more
             self.const = np.zeros(self.indices.size)
             self.const[air_pos] = air.data
@@ -580,11 +552,10 @@ class Elimination:
 
         fill(np.arange(m))
         self.order, self.rank = order, None
-        self._orders = {}  # the orders of pruned fills, by their stored entries
         if order is not None:
             # the order depends on the pattern alone: factor once with every
             # entry stored, at dt = 1 and a unit tangent
-            data = self.s0 + self.tangent(np.ones(ctx.coil.size)) + self.const
+            data = self.s0 + self.tangent @ np.ones(ctx.coil.size) + self.const
             rank = splu(
                 sp.csc_matrix((data, self.indices, self.indptr), shape=(m, m)), **order
             ).perm_c
@@ -596,7 +567,7 @@ class Elimination:
                 # order of its rows
                 self.indices, self.indptr, gather = _relabelled(self.indices, self.indptr, rank)
                 self.s0, self.const = self.s0[gather], self.const[gather]
-                self.tangent = self.tangent.moved(gather)
+                self.tangent = self.tangent[gather]
                 self.rank = rank.copy()  # perm_c is a view that keeps the whole factor alive
         self.numbering = self.unknowns
         # one matrix over the pattern, refilled by each ``matrix`` call: SciPy
@@ -616,7 +587,7 @@ class Elimination:
         jac = self._matrix
         data = jac.data
         np.multiply(self.s0, 1.0 / dt, out=data)
-        data += self.tangent(d_tan)
+        data += self.tangent @ d_tan
         data += self.const
         self.numbering = self.unknowns
         if not data.all():  # a check costs a quarter of the pruning pass it saves
@@ -631,18 +602,16 @@ class Elimination:
         """The fill ``data`` without its exact zeros, numbered in the order of its own pattern.
 
         That order is the one SuperLU's defaults compute for the pruned matrix
-        in the unknowns' own numbering; it is computed once per pattern.
+        in the unknowns' own numbering. A run meets one such fill, at the zero
+        start state, so the order is computed for each call.
         """
         stored = data != 0
         kept = np.flatnonzero(stored)
         indptr = np.concatenate([[0], np.cumsum(stored)])[self.indptr].astype(np.int32)
         # back in the own numbering, where row and column i is unknown unknowns[rank][i]
         indices, indptr, back = _relabelled(self.indices[kept], indptr, np.argsort(self.rank))
-        key = np.packbits(stored).tobytes()
-        if key not in self._orders:
-            own = sp.csc_matrix((data[kept[back]], indices, indptr), shape=self._matrix.shape)
-            self._orders[key] = splu(own, **self.order).perm_c.copy()
-        rank = self._orders[key]
+        own = sp.csc_matrix((data[kept[back]], indices, indptr), shape=self._matrix.shape)
+        rank = splu(own, **self.order).perm_c.copy()
         indices, indptr, gather = _relabelled(indices, indptr, rank)
         self.numbering = self.unknowns[self.rank][np.argsort(rank)]
         jac = sp.csc_matrix((data[kept[back[gather]]], indices, indptr), shape=self._matrix.shape)

@@ -27,7 +27,7 @@ from .config import (
 )
 from .formulations import AssemblyContext
 from .mesh import Mesh, mesh_structured
-from .solver import SolutionTrace, run_transient
+from .solver import NonConvergenceError, SolutionTrace, run_transient
 from .spaces import build_dof_layout
 from .vtk_io import snapshot_fields, write_vtk
 
@@ -47,7 +47,8 @@ def build_mesh(cfg: RunConfig) -> Mesh:
 def execute_run(
     cfg: RunConfig, out_dir: str | Path | None = None, preset: str | None = None
 ) -> tuple[SolutionTrace, dict]:
-    """Run the transient problem of ``cfg`` and write all artifacts."""
+    """Run the transient problem of ``cfg`` and write all artifacts; a run that
+    fails writes its config and a "failed" summary, then raises."""
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -63,7 +64,16 @@ def execute_run(
         mesh.n_cells,
         layout.n_dofs,
     )
-    trace = run_transient(cfg.solver, ctx, cfg.excitation)
+    (out / "config.txt").write_text(serialize_config(cfg))
+    try:
+        trace = run_transient(cfg.solver, ctx, cfg.excitation)
+    except NonConvergenceError as exc:
+        _write_summary(out, cfg, layout, preset, "failed", {
+            "wall_time_s": time.perf_counter() - wall0,
+            "reason": str(exc),
+            "residual_history": exc.stats.residual_norms if exc.stats else [],
+        })
+        raise
     wall = time.perf_counter() - wall0
 
     series = postprocess.LossSeries(trace.times, trace.p, cfg.excitation.frequency)
@@ -74,33 +84,12 @@ def execute_run(
         else None
     )
 
-    (out / "config.txt").write_text(serialize_config(cfg))
     postprocess.write_trace_csv(out / TRACE_NAME, trace)
     postprocess.write_slice_csv(out / SLICE_NAME, trace)
     snap_times = _write_snapshots(out, trace, ctx, cfg)
     max_j_norm = _max_normalized_j(trace, ctx)
 
-    blocks = {name: sl.stop - sl.start for name, sl in layout.blocks.items()}
-    blocks["voltage"] = layout.n_voltage_dofs
-    summary = {
-        "preset": preset,
-        "preset_version": PRESET_VERSION,
-        "variant": cfg.variant.value,
-        "n_dofs": layout.n_dofs,
-        "dof_blocks": blocks,
-        "mesh": {
-            "n_r": mesh.n_r,
-            "n_z": mesh.n_z,
-            "n_cells": mesh.n_cells,
-            "n_alpha": mesh.n_alpha,
-            "n_beta": mesh.n_beta,
-        },
-        "n_turns": cfg.geometry.n_turns,
-        "excitation": {
-            "amplitude": cfg.excitation.amplitude,
-            "frequency": cfg.excitation.frequency,
-        },
-        "periods": cfg.solver.periods,
+    summary = _write_summary(out, cfg, layout, preset, "ok", {
         "accepted_steps": int(len(trace.times) - 1),
         "linsys_count": int(trace.linsys_count),
         "wall_time_s": wall,
@@ -108,10 +97,31 @@ def execute_run(
         "peak_losses_w": float(trace.p.max(initial=0.0)),
         "max_j_over_jc_eng": max_j_norm,
         "snapshot_times": snap_times,
-    }
-    (out / SUMMARY_NAME).write_text(json.dumps(summary, indent=2) + "\n")
+    })
     log.info("run artifacts written to %s (P=%s W)", out, mean_p)
     return trace, summary
+
+
+def _write_summary(out: Path, cfg: RunConfig, layout, preset, status: str, outcome: dict) -> dict:
+    """Write and return summary.json: what ``cfg`` and ``layout`` fix, then ``outcome``."""
+    mesh, excitation = layout.mesh, cfg.excitation
+    blocks = {name: sl.stop - sl.start for name, sl in layout.blocks.items()}
+    blocks["voltage"] = layout.n_voltage_dofs
+    summary = {
+        "status": status,
+        "preset": preset,
+        "preset_version": PRESET_VERSION,
+        "variant": cfg.variant.value,
+        "n_dofs": layout.n_dofs,
+        "dof_blocks": blocks,
+        "mesh": {k: getattr(mesh, k) for k in ("n_r", "n_z", "n_cells", "n_alpha", "n_beta")},
+        "n_turns": cfg.geometry.n_turns,
+        "excitation": {"amplitude": excitation.amplitude, "frequency": excitation.frequency},
+        "periods": cfg.solver.periods,
+        **outcome,
+    }
+    (out / SUMMARY_NAME).write_text(json.dumps(summary, indent=2) + "\n")
+    return summary
 
 
 def _write_snapshots(out, trace, ctx, cfg) -> list[float]:
@@ -144,17 +154,37 @@ def _max_normalized_j(trace, ctx) -> float:
     return peak
 
 
+# the summary fields that compare and sweep read, and their types
+_SUMMARY_FIELDS = {"excitation.frequency": (int, float), "excitation.amplitude": (int, float),
+                   "variant": str, "n_dofs": int, "linsys_count": int}
+
+
 def load_run(run_dir: str | Path) -> tuple[dict, postprocess.LossSeries]:
+    """The summary and loss series of a finished run; ConfigError if ``run_dir`` holds none."""
     run_dir = Path(run_dir)
     try:
         summary = json.loads((run_dir / SUMMARY_NAME).read_text())
-        data = postprocess.read_trace_csv(run_dir / TRACE_NAME)
-        frequency = summary["excitation"]["frequency"]
-    except (OSError, KeyError) as exc:
-        raise ConfigError(
-            f"{run_dir} is not a run directory: {type(exc).__name__} {exc}"
-        ) from exc
+        problem = _summary_problem(summary)
+        data = None if problem else postprocess.read_trace_csv(run_dir / TRACE_NAME)
+    except (OSError, ValueError) as exc:  # ValueError: a malformed JSON or CSV file
+        problem = f"{type(exc).__name__} {exc}"
+    if problem:
+        raise ConfigError(f"{run_dir} is not a run directory: {problem}")
+    frequency = summary["excitation"]["frequency"]
     return summary, postprocess.LossSeries(data["t"], data["p"], frequency)
+
+
+def _summary_problem(summary) -> str | None:
+    """Why ``summary`` is not the summary of a finished run, or None."""
+    if not isinstance(summary, dict):
+        return f"{SUMMARY_NAME} is not an object"
+    for name, kind in _SUMMARY_FIELDS.items():
+        value = summary
+        for key in name.split("."):
+            value = value.get(key) if isinstance(value, dict) else None
+        if not isinstance(value, kind) or isinstance(value, bool):
+            return f"{SUMMARY_NAME} field {name} is missing or has the wrong type"
+    return None
 
 
 def compare_runs(run_dir: str | Path, ref_dir: str | Path) -> dict:

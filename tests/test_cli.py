@@ -69,7 +69,7 @@ def test_run_reports_power_and_artifacts(finished_run):
     assert "linear solves" in lines[0]
     assert "P = " in lines[0] and lines[0].endswith(" W")
     assert lines[1] == f"artifacts in {out_dir}"
-    assert (out_dir / "summary.json").is_file()
+    assert json.loads((out_dir / "summary.json").read_text())["status"] == "ok"
     assert (out_dir / "trace.csv").is_file()
 
 
@@ -94,9 +94,23 @@ def test_run_solver_failure_exits_1(tmp_path):
         max_newton_iters=1,
     )
     config_path = _write_config(tmp_path / "hard.cfg", cfg)
-    code, _, stderr = run_cli("run", "--config", config_path, "--out", str(tmp_path / "o"))
+    out = tmp_path / "o"
+    code, _, stderr = run_cli("run", "--config", config_path, "--out", str(out))
     assert code == 1
     assert stderr.startswith("solver failure: ")
+    # the failed run still says what it ran and why it stopped
+    assert (out / "config.txt").read_text() == serialize_config(cfg)
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "failed"
+    assert summary["reason"] in stderr
+    # the last attempt's residuals: the start point and its one iteration
+    history = summary["residual_history"]
+    assert len(history) == 2 and all(r > 0 for r in history)
+    assert f"{history[-1]:.3e}" in summary["reason"]
+    assert summary["variant"] == "fcm-t-omega" and summary["n_dofs"] > 0
+    # compare refuses it, and names it
+    code, _, stderr = run_cli("compare", str(out), str(out))
+    assert code == 2 and stderr.startswith(f"error: {out} is not a run directory")
 
 
 def test_bad_config_exits_2(tmp_path):
@@ -142,6 +156,62 @@ def test_compare_rejects_non_run_dir(tmp_path, finished_run):
         code, _, stderr = run_cli("compare", str(broken), str(out_dir))
         assert code == 2
         assert "not a run directory" in stderr
+
+
+def _drop(*path):
+    def edit(summary):
+        for key in path[:-1]:
+            summary = summary[key]
+        del summary[path[-1]]
+    return edit
+
+
+def _set(*path, value):
+    def edit(summary):
+        for key in path[:-1]:
+            summary = summary[key]
+        summary[path[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "broken",
+    [
+        lambda text, summary: "[]",
+        lambda text, summary: text[: len(text) // 2],  # truncated
+        *[
+            lambda text, summary, edit=edit: edit(summary) or json.dumps(summary)
+            for edit in (
+                _set("excitation", "frequency", value="50"),
+                _set("excitation", "amplitude", value=None),
+                _drop("excitation", "amplitude"),
+                _drop("variant"),
+                _set("variant", value=3),
+                _drop("n_dofs"),
+                _set("n_dofs", value="1892"),
+                _drop("linsys_count"),
+                _set("linsys_count", value=1.5),
+            )
+        ],
+    ],
+    ids=[
+        "list", "truncated", "frequency-str", "amplitude-null", "no-amplitude",
+        "no-variant", "variant-int", "no-n_dofs", "n_dofs-str", "no-linsys_count",
+        "linsys_count-float",
+    ],
+)
+def test_compare_rejects_a_malformed_summary_naming_its_directory(finished_run, tmp_path, broken):
+    # a missing excitation is test_compare_rejects_non_run_dir's case
+    out_dir, _, _ = finished_run
+    text = (out_dir / "summary.json").read_text()
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    (bad / "trace.csv").write_text((out_dir / "trace.csv").read_text())
+    (bad / "summary.json").write_text(broken(text, json.loads(text)))
+    for run_dir, ref_dir in ((bad, out_dir), (out_dir, bad)):
+        code, _, stderr = run_cli("compare", str(run_dir), str(ref_dir), "--out", str(tmp_path))
+        assert code == 2
+        assert stderr.startswith(f"error: {bad} is not a run directory")
 
 
 def test_compare_trace_without_data_rows_exits_2(finished_run, tmp_path):

@@ -10,7 +10,6 @@ from scipy.sparse.linalg import splu
 from foilwind import formulations
 from foilwind.config import config_from_preset
 from foilwind.formulations import (
-    NEWTON_LINEAR_SOLVE,
     Elimination,
     Excitation,
     impose_excitation,
@@ -214,7 +213,7 @@ def test_matrix_data_is_the_affine_combination_of_its_parts(variant):
     for elim in _eliminations(ctx):
         for dt in (1e-5, 2e-4):
             for d_tan in (np.zeros(n), np.full(n, 3.7), 10.0 ** rng.uniform(-8.0, 4.0, n)):
-                want = elim.s0 * (1.0 / dt) + elim.tangent(d_tan) + elim.const
+                want = elim.s0 * (1.0 / dt) + elim.tangent @ d_tan + elim.const
                 got = elim.matrix(dt, d_tan)
                 if want.all():
                     assert np.array_equal(got.data, want)
@@ -416,7 +415,7 @@ def test_reference_order_is_computed_once_per_elimination(monkeypatch):
     trace = run_transient(SolverConfig(periods=0.05), ctx, exc, store_states=False)
     assert trace.linsys_count > 1
     # one factorization of M_ee and one for the order, however many matrices
-    order = NEWTON_LINEAR_SOLVE[FormulationVariant.REF_H_PHI].order
+    order = ctx.elimination.order
     assert len(calls) == 2 and calls.count(order) == 1
     elim = ctx.elimination
     for dt in (1e-5, 2e-4):
@@ -425,7 +424,7 @@ def test_reference_order_is_computed_once_per_elimination(monkeypatch):
 
 
 def test_reference_order_is_the_same_with_unrelaxed_supernodes(monkeypatch):
-    order = NEWTON_LINEAR_SOLVE[FormulationVariant.REF_H_PHI].order
+    order = formulations._ORDER
     assert order["relax"] == 1
     default = {k: v for k, v in order.items() if k != "relax"}
     orders = []
@@ -480,22 +479,34 @@ def test_full_order_is_computed_once_per_pattern(monkeypatch):
     calls = []
     splu_ = formulations.splu
     monkeypatch.setattr(formulations, "splu", lambda *a, **kw: calls.append(kw) or splu_(*a, **kw))
-    order = NEWTON_LINEAR_SOLVE[FormulationVariant.FCM_H_FULL].order
     ctx = small_context(FormulationVariant.FCM_H_FULL, n_turns=2)
     exc = Excitation(amplitude=96.0, frequency=50.0)
     trace = run_transient(SolverConfig(periods=0.05), ctx, exc, store_states=False)
     assert trace.linsys_count > 1
     # one for the pattern with every entry stored, one for the zero start state
-    assert calls.count(order) == 2
-    elim = ctx.elimination
-    n = ctx.coil.size
-    half = np.where(np.arange(n) % 2 == 0, 0.0, 3.7)
-    nnz = set()
-    for dt in (1e-5, 2e-4):
-        for d_tan in (np.zeros(n), np.full(n, 3.7), half):
-            nnz.add(elim.matrix(dt, d_tan).nnz)
-    # a tangent that is zero on half of the cells stores a third pattern
-    assert len(nnz) == 3 and calls.count(order) == 3
+    order = ctx.elimination.order
+    assert order == {} and calls.count(order) == 2
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_only_the_first_fill_of_a_run_has_exact_zeros(variant, monkeypatch):
+    # the pruned fills that h-full orders one by one: a run meets one, from
+    # the zero start state, so a cache of their orders would never be read
+    fills = []
+    matrix = Elimination.matrix
+
+    def recorded(elim, dt, d_tan):
+        a = matrix(elim, dt, d_tan)
+        fills.append((a.nnz < elim.indices.size, not d_tan.any()))
+        return a
+
+    monkeypatch.setattr(Elimination, "matrix", recorded)
+    ctx = small_context(variant, n_turns=2)
+    exc = Excitation(amplitude=96.0, frequency=50.0)
+    trace = run_transient(SolverConfig(periods=0.05), ctx, exc, store_states=False)
+    assert len(fills) == trace.linsys_count > 1
+    assert fills[0] == (True, True)
+    assert not any(pruned or zero for pruned, zero in fills[1:])
 
 
 # -- elimination of the curl-free unknowns ----------------------------------------------

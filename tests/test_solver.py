@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from foilwind import formulations, solver
 from foilwind.config import config_from_preset
-from foilwind.formulations import NEWTON_LINEAR_SOLVE, AssembledSystem, Excitation
+from foilwind.formulations import AssembledSystem, Excitation
 from foilwind.postprocess import LossSeries, mean_losses
 from foilwind.runner import build_mesh
 from foilwind.materials import JcKim
@@ -461,12 +461,12 @@ def test_one_factorization_per_linear_solve(variant, monkeypatch):
     # renumbered in SuperLU's default COLAMD order, once, and factored in it
     # with SuperLU's other defaults
     symmetric = {"relax": 1, "options": {"SymmetricMode": True}}
-    assert NEWTON_LINEAR_SOLVE[variant].order == (
+    assert ctx.elimination.order == (
         {"permc_spec": "MMD_AT_PLUS_A", **symmetric} if condensed else {}
     )
     natural = {"permc_spec": "NATURAL"}
     expected = {**natural, "diag_pivot_thresh": 1e-3, **symmetric} if condensed else natural
-    assert NEWTON_LINEAR_SOLVE[variant].factor_options == expected
+    assert ctx.elimination.factor_options == expected
     assert all(kwargs == expected for kwargs in calls["splu"])
 
 
@@ -519,15 +519,15 @@ def test_stored_states_keep_the_eliminated_mass_rows_at_zero(variant):
 
 
 def test_kim_jc_is_evaluated_once_per_accepted_step(monkeypatch):
-    from foilwind import formulations
+    from foilwind import materials
 
     mats = pancake_materials(jc_model=JcKim(1e10, 0.05))
     exc = Excitation(amplitude=96.0, frequency=50.0)
     cfg = SolverConfig(periods=0.1)
     ctx = small_context(FormulationVariant.FCM_T_OMEGA, n_turns=2, materials=mats)
     evals = []
-    jc_eval = formulations.jc_eval
-    monkeypatch.setattr(formulations, "jc_eval", lambda *a: evals.append(1) or jc_eval(*a))
+    jc_eval = materials.jc_eval
+    monkeypatch.setattr(materials, "jc_eval", lambda *a: evals.append(1) or jc_eval(*a))
     trace = run_transient(cfg, ctx, exc, store_states=False)
     # every assembly and the dissipation of a step share the step's lagged jc
     assert len(evals) == len(trace.times) - 1

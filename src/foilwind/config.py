@@ -56,6 +56,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.voltage_order < 0:
             raise ValueError("formulation.voltage_order must be >= 0")
+        # the variant alone decides whether the winding is one homogenized annulus
+        self.geometry = replace(self.geometry, homogenized=self.variant.is_fcm)
 
 
 _JC_MODELS = {"constant": JcConstant, "kim": JcKim}
@@ -179,7 +181,7 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     try:
         run = kwargs[RunConfig]
         return RunConfig(
-            geometry=CoilGeometry(**kwargs[CoilGeometry], homogenized=run["variant"].is_fcm),
+            geometry=CoilGeometry(**kwargs[CoilGeometry]),
             mesh=MeshConfig(**kwargs[MeshConfig]),
             materials=MaterialParams(jc_model=jc_class(**kwargs["jc"]), **kwargs[MaterialParams]),
             excitation=Excitation(**kwargs[Excitation]),
@@ -229,7 +231,6 @@ def _pancake(variant: FormulationVariant, n_alpha: int, n_beta: int) -> RunConfi
             n_turns=20,
             cc_thickness=1e-4,
             cc_width=12e-3,
-            homogenized=variant.is_fcm,
         ),
         mesh=MeshConfig(n_alpha=n_alpha, n_beta=n_beta),
         materials=MaterialParams(),

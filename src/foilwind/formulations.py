@@ -47,7 +47,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .materials import MaterialParams, JcKim, power_law
-from .mesh import MU0, Mesh
+from .mesh import MU0
 from .spaces import DofLayout, VoltageBasis
 from .variants import FormulationVariant
 
@@ -60,7 +60,7 @@ class Excitation:
     frequency: float
 
     def __post_init__(self) -> None:
-        if self.frequency <= 0:
+        if not self.frequency > 0:
             raise ValueError("frequency must be positive")
 
     @property
@@ -145,21 +145,6 @@ def impose_excitation(layout: DofLayout, excitation: Excitation, t: float) -> np
     return tgt
 
 
-def spurious_air_term(mesh: Mesh, layout: DofLayout, rho_air: float = 1e-3) -> sp.csr_matrix:
-    """Air-region resistive matrix for the all-edge variant.
-
-    The all-edge space cannot represent an exactly curl-free air region, so
-    a finite air resistivity keeps stray currents negligible; the scalar
-    potential variants reject this term because their air is curl-free by
-    construction.
-    """
-    if layout.variant is not FormulationVariant.FCM_H_FULL:
-        raise ValueError("air resistivity applies to the all-edge variant only")
-    cb = layout.curl_basis
-    d = np.where(mesh.coil_mask, 0.0, rho_air * 2.0 * np.pi * mesh.rbar / mesh.area)
-    return (cb.T @ sp.diags(d) @ cb).tocsr()
-
-
 def _product_terms(c: sp.spmatrix):
     """Terms of C^T diag(d) C: each row k of C adds c_ki c_kj d_k to entry (i, j).
 
@@ -230,10 +215,14 @@ class AssemblyContext:
         # resistive diagonal weight rho -> rho * volume / area^2, half model
         self.coil_dweight = 2.0 * np.pi * mesh.rbar[self.coil] / self.coil_area
 
+        # the all-edge space cannot represent an exactly curl-free air region,
+        # so a finite air resistivity keeps stray currents negligible; the
+        # scalar potential variants are curl-free in air by construction
+        self.air_matrix: sp.csr_matrix | None = None
         if layout.variant is FormulationVariant.FCM_H_FULL:
-            self.air_matrix = spurious_air_term(mesh, layout, materials.rho_spurious_air)
-        else:
-            self.air_matrix = None
+            rho = materials.rho_spurious_air
+            d = np.where(mesh.coil_mask, 0.0, rho * 2.0 * np.pi * mesh.rbar / mesh.area)
+            self.air_matrix = (self.cb.T @ sp.diags(d) @ self.cb).tocsr()
 
         self.coupling = self._build_coupling()
         self._jc_lag: tuple[np.ndarray, np.ndarray] | None = None  # (w_prev, jc)
@@ -244,13 +233,7 @@ class AssemblyContext:
         layout = self.layout
         mesh = self.mesh
         if layout.variant is FormulationVariant.REF_H_PHI:
-            cut_block = layout.blocks["cut"]
-            rows = np.arange(cut_block.start, cut_block.stop)
-            cols = np.arange(layout.n_voltage_dofs)
-            return sp.csr_matrix(
-                (np.ones(rows.size), (rows, cols)),
-                shape=(layout.n_field_dofs, layout.n_voltage_dofs),
-            )
+            return sp.identity(layout.n_field_dofs, format="csr")[:, layout.blocks["cut"]]
         vb: VoltageBasis = layout.voltage_basis
         spans = mesh.alpha_spans
         means = vb.cell_means(spans[:, 0], spans[:, 1])  # (n_alpha, p+1)

@@ -371,6 +371,19 @@ class Mesh:
         vals = np.tile(np.array([-1.0, 1.0, 1.0, -1.0]), self.n_cells)
         return sp.csr_matrix((vals, (rows, cols)), shape=(self.n_cells, self.n_edges))
 
+    @property
+    def gradient(self) -> sp.csr_matrix:
+        """Edge-by-node incidence: -1 at the tail, +1 at the head of each edge.
+
+        The companion of ``curl`` (``curl @ gradient`` is zero). Built on
+        each access: a layout reads it once.
+        """
+        rows = np.repeat(np.arange(self.n_edges), 2)
+        vals = np.tile(np.array([-1.0, 1.0]), self.n_edges)
+        return sp.csr_matrix(
+            (vals, (rows, self.edge_nodes.ravel())), shape=(self.n_edges, self.n_nodes)
+        )
+
     def mass_matrix(self, mu: float = MU0) -> sp.csr_matrix:
         """Edge mass matrix with the axisymmetric 2*pi*r weight.
 

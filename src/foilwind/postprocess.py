@@ -35,7 +35,7 @@ class LossSeries:
             raise ValueError("times must be strictly increasing")
         if np.any(self.p < 0):
             raise ValueError("instantaneous losses must be non-negative")
-        if self.frequency <= 0:
+        if not self.frequency > 0:
             raise ValueError("frequency must be positive")
 
     @property
@@ -120,36 +120,29 @@ def turns_per_slice(mesh: Mesh, layout: DofLayout) -> float:
 # -- CSV export ---------------------------------------------------------------
 
 
-def write_trace_csv(path: str | Path, trace) -> Path:
-    """Time series of full-device losses and drive (header always written)."""
+def _write_rows(path: str | Path, header, rows) -> Path:
     path = Path(path)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        for k in range(len(trace.times)):
-            writer.writerow(
-                [
-                    f"{trace.times[k]:.12e}",
-                    f"{trace.p[k]:.12e}",
-                    f"{trace.i_target[k]:.12e}",
-                    int(trace.newton_iters[k]),
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
     return path
+
+
+def write_trace_csv(path: str | Path, trace) -> Path:
+    """Time series of full-device losses and drive (header always written)."""
+    return _write_rows(path, TRACE_COLUMNS, (
+        [f"{t:.12e}", f"{p:.12e}", f"{i:.12e}", int(n)]
+        for t, p, i, n in zip(trace.times, trace.p, trace.i_target, trace.newton_iters)
+    ))
 
 
 def write_slice_csv(path: str | Path, trace) -> Path:
-    path = Path(path)
     n_slices = trace.slice_currents.shape[1] if trace.slice_currents.size else 0
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"slice_{i}" for i in range(n_slices)])
-        for k in range(len(trace.times)):
-            writer.writerow(
-                [f"{trace.times[k]:.12e}"]
-                + [f"{v:.12e}" for v in trace.slice_currents[k]]
-            )
-    return path
+    return _write_rows(path, ["t"] + [f"slice_{i}" for i in range(n_slices)], (
+        [f"{t:.12e}"] + [f"{v:.12e}" for v in currents]
+        for t, currents in zip(trace.times, trace.slice_currents)
+    ))
 
 
 def read_trace_csv(path: str | Path) -> dict[str, np.ndarray]:
@@ -166,18 +159,8 @@ def read_trace_csv(path: str | Path) -> dict[str, np.ndarray]:
 
 def write_sweep_csv(path: str | Path, rows: list[dict]) -> Path:
     """Sweep summary: one row per parameter value."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["value", "P", "one_minus_r2", "n_dofs", "linsys_count"])
-        for row in rows:
-            writer.writerow(
-                [
-                    row["value"],
-                    f"{row['P']:.12e}",
-                    f"{row['one_minus_r2']:.12e}",
-                    int(row["n_dofs"]),
-                    int(row["linsys_count"]),
-                ]
-            )
-    return path
+    return _write_rows(path, ["value", "P", "one_minus_r2", "n_dofs", "linsys_count"], (
+        [row["value"], f"{row['P']:.12e}", f"{row['one_minus_r2']:.12e}",
+         int(row["n_dofs"]), int(row["linsys_count"])]
+        for row in rows
+    ))

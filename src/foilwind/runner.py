@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -51,6 +52,11 @@ def execute_run(
     fails writes its config and a "failed" summary, then raises."""
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # the directory holds this run's files only, a failed run's included;
+    # _write_snapshots writes at most two field files
+    stale = ("config.txt", SUMMARY_NAME, TRACE_NAME, SLICE_NAME, "fields_0.vtk", "fields_1.vtk")
+    for name in stale:
+        (out / name).unlink(missing_ok=True)
 
     wall0 = time.perf_counter()
     mesh = build_mesh(cfg)
@@ -126,8 +132,6 @@ def _write_summary(out: Path, cfg: RunConfig, layout, preset, status: str, outco
 
 def _write_snapshots(out, trace, ctx, cfg) -> list[float]:
     """Field exports at peak drive of the last period and at the final time."""
-    if trace.states is None or not len(trace.times):
-        return []
     period = trace.excitation.period
     t_peak = trace.times[-1] - 0.75 * period
     picks = {int(np.argmin(np.abs(trace.times - t_peak))), len(trace.times) - 1}
@@ -146,8 +150,6 @@ def _write_snapshots(out, trace, ctx, cfg) -> list[float]:
 
 def _max_normalized_j(trace, ctx) -> float:
     """Largest |j|/jc(b) over the stored states, jc at each state's own field."""
-    if trace.states is None:
-        return float("nan")
     peak = 0.0
     for w in trace.states:
         peak = max(peak, float(np.max(np.abs(ctx.cell_currents(w)) / ctx.jc_effective(w))))
@@ -184,6 +186,9 @@ def _summary_problem(summary) -> str | None:
             value = value.get(key) if isinstance(value, dict) else None
         if not isinstance(value, kind) or isinstance(value, bool):
             return f"{SUMMARY_NAME} field {name} is missing or has the wrong type"
+    frequency, amplitude = summary["excitation"]["frequency"], summary["excitation"]["amplitude"]
+    if not (math.isfinite(frequency) and frequency > 0 and math.isfinite(amplitude)):
+        return f"{SUMMARY_NAME} needs a finite positive frequency and a finite amplitude"
     return None
 
 

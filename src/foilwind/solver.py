@@ -243,7 +243,7 @@ def step(
 
 @dataclass
 class SolutionTrace:
-    """Accepted-step history of one transient run (full-device quantities)."""
+    """Accepted-step history of one transient run: full-device quantities, every state."""
 
     times: np.ndarray
     p: np.ndarray
@@ -251,7 +251,7 @@ class SolutionTrace:
     slice_currents: np.ndarray  # (n_samples, n_slices)
     newton_iters: np.ndarray
     dt: np.ndarray
-    states: list[np.ndarray] | None
+    states: list[np.ndarray]
     linsys_count: int
     excitation: Excitation
 
@@ -264,7 +264,6 @@ def run_transient(
     config: SolverConfig,
     formulation: AssemblyContext,
     excitation: Excitation,
-    store_states: bool = True,
 ) -> SolutionTrace:
     """Simulate ``config.periods`` periods from the zero state."""
     layout = formulation.layout
@@ -283,7 +282,7 @@ def run_transient(
     slices = [formulation.slice_currents(w)]
     iters = [0]
     dts = [config.dt_init]
-    states = [w.copy()] if store_states else None
+    states = [w.copy()]
     linsys = 0
     # dt control: grow by DT_GROWTH after a step of at most FAST_STEP_ITERS
     # Newton iterations, up to dt_max; after a halving, restart from the dt
@@ -313,8 +312,7 @@ def run_transient(
         slices.append(formulation.slice_currents(w_new))
         iters.append(stats.iterations)
         dts.append(t_new - t)
-        if store_states:
-            states.append(w_new.copy())
+        states.append(w_new.copy())
         log.info(
             "step %d: t=%.6e dt=%.3e newton=%d residual=%.3e",
             len(times) - 1,

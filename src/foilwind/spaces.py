@@ -4,9 +4,11 @@ Every variant is expressed through one common object: a sparse basis matrix
 ``B`` mapping the free unknown vector to circulations on *all* mesh edges.
 Columns are, in block order,
 
-* edge unknowns: unit vectors on the edges that carry their own circulation,
-* nodal unknowns: discrete gradients (+1 on edges entering the node, -1 on
-  edges leaving it, in the canonical +r/+z edge orientation),
+* edge unknowns: columns of the identity, one per edge that carries its own
+  circulation,
+* nodal unknowns: columns of the discrete gradient ``Mesh.gradient`` (+1 on
+  edges entering the node, -1 on edges leaving it, in the canonical +r/+z
+  edge orientation), one per free node,
 * cut unknowns: unit-circulation generators around winding holes, realized
   as radial jump sheets running from the axis into the winding,
 * carrier unknowns (current-potential variant only): voltage-basis-weighted
@@ -180,33 +182,6 @@ def _inside_conductor(mesh: Mesh, incidence: np.ndarray, full: int) -> np.ndarra
     return (count == full) & (lo == hi) & (lo >= 0)
 
 
-def _gradient_columns(mesh: Mesh, nodes: np.ndarray) -> sp.csr_matrix:
-    """Edge-circulation columns of nodal gradients for the given nodes."""
-    en = mesh.edge_nodes
-    n_edges = mesh.n_edges
-    col_of = np.full(mesh.n_nodes, -1)
-    col_of[nodes] = np.arange(nodes.size)
-    rows, cols, vals = [], [], []
-    head = col_of[en[:, 1]]
-    tail = col_of[en[:, 0]]
-    e_ids = np.arange(n_edges)
-    m = head >= 0
-    rows.append(e_ids[m]); cols.append(head[m]); vals.append(np.ones(m.sum()))
-    m = tail >= 0
-    rows.append(e_ids[m]); cols.append(tail[m]); vals.append(-np.ones(m.sum()))
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_edges, nodes.size),
-    )
-
-
-def _unit_columns(n_edges: int, edges: np.ndarray) -> sp.csr_matrix:
-    return sp.csr_matrix(
-        (np.ones(edges.size), (edges, np.arange(edges.size))),
-        shape=(n_edges, edges.size),
-    )
-
-
 def build_dof_layout(
     mesh: Mesh, variant: FormulationVariant, voltage_order: int = 3
 ) -> DofLayout:
@@ -230,6 +205,7 @@ def build_dof_layout(
         raise ValueError(f"unknown variant {variant!r}")
 
     n_edges = mesh.n_edges
+    edge_columns = sp.identity(n_edges, format="csr")
     vb = VoltageBasis(voltage_order)
     if variant.is_fcm and mesh.n_alpha < vb.n_funcs:
         # fewer radial columns than voltage functions -> rank-deficient coupling
@@ -253,7 +229,7 @@ def build_dof_layout(
     if variant is FormulationVariant.FCM_H_FULL:
         free_edges = np.ones(n_edges, dtype=bool)
         free_edges[mesh.constrained_edges] = False
-        add_block("edge", _unit_columns(n_edges, np.nonzero(free_edges)[0]))
+        add_block("edge", edge_columns[:, free_edges])
         n_voltage = vb.n_funcs
     else:
         # edge unknowns inside a conductor, the gradient of a scalar potential
@@ -265,8 +241,8 @@ def build_dof_layout(
         else:
             free_nodes &= ~_inside_conductor(mesh, mesh.quads, 4)
         free_nodes[mesh.dirichlet_nodes] = False
-        add_block("edge", _unit_columns(n_edges, np.nonzero(inside)[0]))
-        add_block("nodal", _gradient_columns(mesh, np.nonzero(free_nodes)[0]))
+        add_block("edge", edge_columns[:, inside])
+        add_block("nodal", mesh.gradient[:, free_nodes])
 
         if variant is FormulationVariant.FCM_T_OMEGA:
             # modal net-current carriers: per-column sheets contracted with the

@@ -3,6 +3,8 @@
 import io
 import json
 import logging
+import os
+import shutil
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -81,7 +83,7 @@ def test_run_too_short_for_mean(tmp_path):
     assert "P = n/a (run shorter than half a period)" in stdout
 
 
-def test_run_solver_failure_exits_1(tmp_path):
+def test_run_solver_failure_exits_1(finished_run, tmp_path):
     # a one-iteration Newton budget with no room to shrink dt cannot track
     # the nonlinear peak
     cfg = small_config(
@@ -95,9 +97,13 @@ def test_run_solver_failure_exits_1(tmp_path):
     )
     config_path = _write_config(tmp_path / "hard.cfg", cfg)
     out = tmp_path / "o"
+    # into a directory that holds a finished run, which the failure replaces
+    shutil.copytree(finished_run[0], out)
+    assert {"trace.csv", "slices.csv", "fields_0.vtk", "fields_1.vtk"} < set(os.listdir(out))
     code, _, stderr = run_cli("run", "--config", config_path, "--out", str(out))
     assert code == 1
     assert stderr.startswith("solver failure: ")
+    assert sorted(os.listdir(out)) == ["config.txt", "summary.json"]
     # the failed run still says what it ran and why it stopped
     assert (out / "config.txt").read_text() == serialize_config(cfg)
     summary = json.loads((out / "summary.json").read_text())
@@ -183,7 +189,12 @@ def _set(*path, value):
             lambda text, summary, edit=edit: edit(summary) or json.dumps(summary)
             for edit in (
                 _set("excitation", "frequency", value="50"),
+                _set("excitation", "frequency", value=float("nan")),
+                _set("excitation", "frequency", value=float("inf")),
+                _set("excitation", "frequency", value=-50.0),
                 _set("excitation", "amplitude", value=None),
+                _set("excitation", "amplitude", value=float("nan")),
+                _set("excitation", "amplitude", value=float("-inf")),
                 _drop("excitation", "amplitude"),
                 _drop("variant"),
                 _set("variant", value=3),
@@ -195,7 +206,9 @@ def _set(*path, value):
         ],
     ],
     ids=[
-        "list", "truncated", "frequency-str", "amplitude-null", "no-amplitude",
+        "list", "truncated", "frequency-str", "frequency-NaN", "frequency-Infinity",
+        "frequency-negative", "amplitude-null", "amplitude-NaN", "amplitude-minus-Infinity",
+        "no-amplitude",
         "no-variant", "variant-int", "no-n_dofs", "n_dofs-str", "no-linsys_count",
         "linsys_count-float",
     ],

@@ -1,5 +1,7 @@
 """Config parsing: strict schema, presets, round trips, sweep points."""
 
+from dataclasses import replace
+
 import pytest
 
 from foilwind.config import (
@@ -12,6 +14,8 @@ from foilwind.config import (
     serialize_config,
 )
 from foilwind.materials import JcKim
+from foilwind.runner import build_mesh
+from foilwind.spaces import build_dof_layout
 from foilwind.variants import FormulationVariant
 
 from helpers import small_config
@@ -153,6 +157,28 @@ def test_round_trip_identity():
         cfg = config_from_preset(name)
         again = parse_config_text(serialize_config(cfg))
         assert again == cfg
+
+
+@pytest.mark.parametrize("variant", list(FormulationVariant), ids=lambda v: v.value)
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_echo_of_any_variant_reproduces_the_run(preset, variant):
+    # the echo in config.txt names no geometry.homogenized, so the variant must
+    # decide it in the config itself, not only where a preset or file sets it
+    cfg = replace(config_from_preset(preset), variant=variant)
+    echo = parse_config_text(serialize_config(cfg))
+    assert echo == cfg
+    built = []
+    for c in (cfg, echo):
+        try:
+            built.append(build_dof_layout(build_mesh(c), c.variant, c.voltage_order))
+        except ValueError as exc:  # a detailed winding needs n_alpha divisible by n_turns
+            built.append(str(exc))
+    a, b = built
+    if isinstance(a, str):
+        assert a == b
+    else:
+        assert a.blocks == b.blocks and a.n_voltage_dofs == b.n_voltage_dofs
+        assert (a.basis != b.basis).nnz == 0
 
 
 def test_round_trip_preserves_overrides():

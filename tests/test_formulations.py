@@ -13,7 +13,6 @@ from foilwind.formulations import (
     Elimination,
     Excitation,
     impose_excitation,
-    spurious_air_term,
 )
 from foilwind.materials import JcKim, power_law
 from foilwind.mesh import MU0
@@ -412,7 +411,7 @@ def test_reference_order_is_computed_once_per_elimination(monkeypatch):
     monkeypatch.setattr(formulations, "splu", lambda *a, **kw: calls.append(kw) or splu_(*a, **kw))
     ctx = small_context(FormulationVariant.REF_H_PHI, n_turns=2)
     exc = Excitation(amplitude=96.0, frequency=50.0)
-    trace = run_transient(SolverConfig(periods=0.05), ctx, exc, store_states=False)
+    trace = run_transient(SolverConfig(periods=0.05), ctx, exc)
     assert trace.linsys_count > 1
     # one factorization of M_ee and one for the order, however many matrices
     order = ctx.elimination.order
@@ -481,7 +480,7 @@ def test_full_order_is_computed_once_per_pattern(monkeypatch):
     monkeypatch.setattr(formulations, "splu", lambda *a, **kw: calls.append(kw) or splu_(*a, **kw))
     ctx = small_context(FormulationVariant.FCM_H_FULL, n_turns=2)
     exc = Excitation(amplitude=96.0, frequency=50.0)
-    trace = run_transient(SolverConfig(periods=0.05), ctx, exc, store_states=False)
+    trace = run_transient(SolverConfig(periods=0.05), ctx, exc)
     assert trace.linsys_count > 1
     # one for the pattern with every entry stored, one for the zero start state
     order = ctx.elimination.order
@@ -503,7 +502,7 @@ def test_only_the_first_fill_of_a_run_has_exact_zeros(variant, monkeypatch):
     monkeypatch.setattr(Elimination, "matrix", recorded)
     ctx = small_context(variant, n_turns=2)
     exc = Excitation(amplitude=96.0, frequency=50.0)
-    trace = run_transient(SolverConfig(periods=0.05), ctx, exc, store_states=False)
+    trace = run_transient(SolverConfig(periods=0.05), ctx, exc)
     assert len(fills) == trace.linsys_count > 1
     assert fills[0] == (True, True)
     assert not any(pruned or zero for pruned, zero in fills[1:])
@@ -671,7 +670,7 @@ def test_runs_leave_the_shared_curl_basis_untouched(variant):
     cb = ctx.layout.curl_basis
     before = [cb.data.copy(), cb.indices.copy(), cb.indptr.copy(), cb.has_sorted_indices]
     exc = Excitation(amplitude=96.0, frequency=50.0)
-    run_transient(SolverConfig(periods=0.02), ctx, exc, store_states=False)
+    run_transient(SolverConfig(periods=0.02), ctx, exc)
     assert ctx.cb is cb
     for a, b in zip(before, [cb.data, cb.indices, cb.indptr, cb.has_sorted_indices]):
         assert np.array_equal(a, b)
@@ -697,16 +696,17 @@ def test_elimination_rejects_unknowns_with_curl():
 
 
 def test_air_term_only_for_all_edge_variant():
-    mesh, layout = small_layout(FormulationVariant.FCM_H_PHI, n_turns=2)
-    with pytest.raises(ValueError, match="all-edge"):
-        spurious_air_term(mesh, layout, 1e-3)
+    for variant in ALL_VARIANTS:
+        if variant is not FormulationVariant.FCM_H_FULL:
+            assert small_context(variant, n_turns=2).air_matrix is None
 
 
 def test_air_term_linear_in_resistivity_and_zero_in_winding():
-    mesh, layout = small_layout(FormulationVariant.FCM_H_FULL, n_turns=2)
-    a1 = spurious_air_term(mesh, layout, 1e-3)
-    a2 = spurious_air_term(mesh, layout, 2e-3)
-    assert abs(a2 - 2.0 * a1).max() < 1e-18
+    variant = FormulationVariant.FCM_H_FULL
+    ctx1 = small_context(variant, n_turns=2, materials=pancake_materials(rho_spurious_air=1e-3))
+    ctx2 = small_context(variant, n_turns=2, materials=pancake_materials(rho_spurious_air=2e-3))
+    mesh, layout, a1 = ctx1.mesh, ctx1.layout, ctx1.air_matrix
+    assert abs(ctx2.air_matrix - 2.0 * a1).max() < 1e-18
     # a state whose curl lives only in winding cells feels no air resistivity
     rng = np.random.default_rng(41)
     u = rng.standard_normal(layout.n_field_dofs)
@@ -781,7 +781,7 @@ def test_unit_cut_slice_currents():
 def test_power_balance_closes_at_converged_states():
     ctx = small_context(FormulationVariant.FCM_T_OMEGA, n_turns=2)
     exc = Excitation(amplitude=96.0, frequency=50.0)
-    trace = run_transient(SolverConfig(periods=0.3), ctx, exc, store_states=True)
+    trace = run_transient(SolverConfig(periods=0.3), ctx, exc)
     assert trace.p.max() > 0  # the power law actually dissipated
     w, w_prev = trace.states[-1], trace.states[-2]
     dt = trace.times[-1] - trace.times[-2]
@@ -798,7 +798,7 @@ def test_single_turn_reference_and_homogenized_coincide():
     traces = {}
     for variant in (FormulationVariant.REF_H_PHI, FormulationVariant.FCM_H_PHI):
         ctx = small_context(variant, voltage_order=0, n_turns=1, n_alpha=2, n_beta=4)
-        traces[variant] = run_transient(cfg, ctx, exc, store_states=False)
+        traces[variant] = run_transient(cfg, ctx, exc)
     a = traces[FormulationVariant.REF_H_PHI]
     b = traces[FormulationVariant.FCM_H_PHI]
     assert a.p.max() > 1e-4  # through the nonlinear peak

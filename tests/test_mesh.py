@@ -140,6 +140,18 @@ def test_curl_row_gives_enclosed_current():
     assert circ == pytest.approx(np.sum(c[cells]), rel=1e-12)
 
 
+def test_gradient_rows_run_from_tail_to_head_and_have_no_curl():
+    mesh = small_mesh(n_turns=2, n_alpha=4, n_beta=8)
+    g = mesh.gradient
+    assert g.shape == (mesh.n_edges, mesh.n_nodes)
+    assert np.all(np.diff(g.indptr) == 2)
+    rows = np.arange(mesh.n_edges)
+    tail, head = mesh.edge_nodes.T
+    assert np.all(g[rows, tail] == -1.0) and np.all(g[rows, head] == 1.0)
+    # a potential's gradient carries no current: the discrete curl of it is zero
+    assert (mesh.curl @ g).count_nonzero() == 0
+
+
 def test_winding_loop_encloses_exactly_the_coil():
     mesh = small_mesh(n_turns=2, n_alpha=4, n_beta=8)
     edges, signs = mesh.winding_loop()

@@ -56,7 +56,7 @@ def test_trace_requires_increasing_times():
             slice_currents=np.zeros((3, 1)),
             newton_iters=np.zeros(3, dtype=int),
             dt=np.full(3, 1e-5),
-            states=None,
+            states=[],
             linsys_count=0,
             excitation=Excitation(1.0, 50.0),
         )
@@ -83,7 +83,7 @@ def test_already_converged_state_takes_no_iterations():
 def test_restarting_from_a_converged_step_is_cheap():
     ctx = small_context(FormulationVariant.FCM_H_PHI, n_turns=2)
     exc = Excitation(amplitude=96.0, frequency=50.0)
-    trace = run_transient(SolverConfig(periods=0.2), ctx, exc, store_states=True)
+    trace = run_transient(SolverConfig(periods=0.2), ctx, exc)
     dt = trace.times[-1] - trace.times[-2]
     t = trace.times[-1]
     w_prev = trace.states[-2]
@@ -100,7 +100,7 @@ def test_restarting_from_a_converged_step_is_cheap():
 def test_newton_residual_history_is_monotone():
     ctx = small_context(FormulationVariant.FCM_H_PHI, n_turns=2)
     exc = Excitation(amplitude=96.0, frequency=50.0)
-    trace = run_transient(SolverConfig(periods=0.26), ctx, exc, store_states=True)
+    trace = run_transient(SolverConfig(periods=0.26), ctx, exc)
     # redo the last accepted step from its starting point
     dt = trace.times[-1] - trace.times[-2]
     w_prev = trace.states[-2]
@@ -282,7 +282,7 @@ def test_block_scales_two_unit_families():
 def test_zero_drive_stays_at_zero_state():
     ctx = small_context(FormulationVariant.FCM_T_OMEGA, n_turns=2)
     exc = Excitation(amplitude=0.0, frequency=50.0)
-    trace = run_transient(SolverConfig(periods=0.1), ctx, exc, store_states=True)
+    trace = run_transient(SolverConfig(periods=0.1), ctx, exc)
     assert np.all(trace.p == 0.0)
     assert all(np.all(s == 0.0) for s in trace.states)
     assert np.all(trace.newton_iters <= 1)
@@ -292,11 +292,11 @@ def test_trace_covers_requested_horizon():
     ctx = small_context(FormulationVariant.FCM_T_OMEGA, n_turns=2)
     exc = Excitation(amplitude=9.6, frequency=50.0)
     cfg = SolverConfig(periods=0.25)
-    trace = run_transient(cfg, ctx, exc, store_states=False)
+    trace = run_transient(cfg, ctx, exc)
     assert trace.times[0] == 0.0  # initial sample included
     assert trace.times[-1] == pytest.approx(0.25 * exc.period, rel=1e-12)
     assert np.all(np.diff(trace.times) > 0)
-    assert trace.states is None
+    assert len(trace.states) == len(trace.times)
     # i_target samples the drive exactly
     assert np.allclose(trace.i_target, 9.6 * np.sin(2 * np.pi * 50.0 * trace.times))
 
@@ -305,7 +305,7 @@ def test_fast_steps_grow_dt_to_the_cap():
     ctx = small_context(FormulationVariant.FCM_T_OMEGA, n_turns=2)
     exc = Excitation(amplitude=9.6, frequency=50.0)
     cfg = SolverConfig(periods=0.3, dt_init=1e-5, dt_max=1e-4)
-    trace = run_transient(cfg, ctx, exc, store_states=False)
+    trace = run_transient(cfg, ctx, exc)
     assert trace.dt.max() == pytest.approx(1e-4)
     # growth is capped at 20% per step
     applied = trace.dt[1:]
@@ -330,7 +330,7 @@ def test_dt_controller_restarts_from_the_converged_dt_after_a_halving():
         return system
 
     ctx.assemble = flaky_assemble
-    trace = run_transient(cfg, ctx, exc, store_states=False)
+    trace = run_transient(cfg, ctx, exc)
 
     # an attempt was rejected when the next one starts from the same state
     rejected = [a[0] is b[0] for a, b in zip(attempts, attempts[1:])] + [False]
@@ -399,7 +399,7 @@ def test_stepper_properties(periods, dt_init, growth, halvings, max_newton_iters
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "newton_solve", counted)
         try:
-            trace = run_transient(cfg, ctx, exc, store_states=False)
+            trace = run_transient(cfg, ctx, exc)
         except NonConvergenceError as err:
             # only a failed landing step shorter than 2 dt_min may end the run
             _, t_new, dt = rejected[-1]
@@ -419,7 +419,7 @@ def test_stepper_properties(periods, dt_init, growth, halvings, max_newton_iters
 def test_linear_solve_audit():
     ctx = small_context(FormulationVariant.FCM_H_PHI, n_turns=2)
     exc = Excitation(amplitude=9.6, frequency=50.0)
-    trace = run_transient(SolverConfig(periods=0.2), ctx, exc, store_states=False)
+    trace = run_transient(SolverConfig(periods=0.2), ctx, exc)
     # no rejected steps in this benign run: every factorization is accounted
     # for by an accepted Newton iteration
     assert trace.linsys_count == int(trace.newton_iters.sum())
@@ -448,7 +448,7 @@ def test_one_factorization_per_linear_solve(variant, monkeypatch):
     monkeypatch.setattr(solver, "splu", counted_splu)
     monkeypatch.setattr(formulations.Elimination, "matrix", counted_matrix)
     exc = Excitation(amplitude=96.0, frequency=50.0)
-    trace = run_transient(SolverConfig(periods=0.1), ctx, exc, store_states=False)
+    trace = run_transient(SolverConfig(periods=0.1), ctx, exc)
     assert trace.linsys_count > 0
     assert len(calls["splu"]) == trace.linsys_count
     assert len(calls["matrix"]) == trace.linsys_count
@@ -496,7 +496,7 @@ def test_newton_factorizations_are_backward_stable(preset, periods, monkeypatch)
     cfg = config_from_preset(preset)
     layout = build_dof_layout(build_mesh(cfg), cfg.variant, cfg.voltage_order)
     ctx = formulations.AssemblyContext(layout, cfg.materials)
-    trace = run_transient(replace(cfg.solver, periods=periods), ctx, cfg.excitation, False)
+    trace = run_transient(replace(cfg.solver, periods=periods), ctx, cfg.excitation)
     assert len(errors) == trace.linsys_count > 50
     assert max(errors) <= 1e-14
 
@@ -507,7 +507,7 @@ def test_stored_states_keep_the_eliminated_mass_rows_at_zero(variant):
     # no step changes the mass rows of the eliminated unknowns
     ctx = small_context(variant, n_turns=2)
     exc = Excitation(amplitude=96.0, frequency=50.0)
-    trace = run_transient(SolverConfig(periods=0.1), ctx, exc, store_states=True)
+    trace = run_transient(SolverConfig(periods=0.1), ctx, exc)
     e = ctx.elimination.eliminated
     assert e.size > 0 and len(trace.states) > 10
     mass_e, abs_e = ctx.mass[e], ctx.abs_mass[e]
@@ -528,7 +528,7 @@ def test_kim_jc_is_evaluated_once_per_accepted_step(monkeypatch):
     evals = []
     jc_eval = materials.jc_eval
     monkeypatch.setattr(materials, "jc_eval", lambda *a: evals.append(1) or jc_eval(*a))
-    trace = run_transient(cfg, ctx, exc, store_states=False)
+    trace = run_transient(cfg, ctx, exc)
     # every assembly and the dissipation of a step share the step's lagged jc
     assert len(evals) == len(trace.times) - 1
     assert int(trace.newton_iters.sum()) > len(evals)
@@ -536,7 +536,7 @@ def test_kim_jc_is_evaluated_once_per_accepted_step(monkeypatch):
     # the same run with the lagged jc evaluated on every call
     fresh = small_context(FormulationVariant.FCM_T_OMEGA, n_turns=2, materials=mats)
     fresh._lagged_jc = fresh.jc_effective
-    ref = run_transient(cfg, fresh, exc, store_states=False)
+    ref = run_transient(cfg, fresh, exc)
     assert np.array_equal(ref.times, trace.times)
     assert np.array_equal(ref.p, trace.p)
     assert np.array_equal(ref.slice_currents, trace.slice_currents)
@@ -546,8 +546,8 @@ def test_runs_are_deterministic():
     ctx = small_context(FormulationVariant.FCM_H_FULL, n_turns=2)
     exc = Excitation(amplitude=96.0, frequency=50.0)
     cfg = SolverConfig(periods=0.2)
-    a = run_transient(cfg, ctx, exc, store_states=False)
-    b = run_transient(cfg, ctx, exc, store_states=False)
+    a = run_transient(cfg, ctx, exc)
+    b = run_transient(cfg, ctx, exc)
     assert np.array_equal(a.times, b.times)
     assert np.array_equal(a.p, b.p)
     assert np.array_equal(a.slice_currents, b.slice_currents)
@@ -556,7 +556,7 @@ def test_runs_are_deterministic():
 def test_losses_nonnegative_through_the_peak():
     ctx = small_context(FormulationVariant.FCM_H_PHI, n_turns=2)
     exc = Excitation(amplitude=96.0, frequency=50.0)
-    trace = run_transient(SolverConfig(periods=0.5), ctx, exc, store_states=False)
+    trace = run_transient(SolverConfig(periods=0.5), ctx, exc)
     assert np.all(trace.p >= 0.0)
     assert trace.p.max() > 0.0
 
@@ -567,7 +567,7 @@ def test_mean_losses_insensitive_to_dt_cap():
     means = []
     for dt_max in (1e-4, 5e-5):  # T/200 and T/400
         cfg = SolverConfig(periods=1.0, dt_init=1e-5, dt_max=dt_max)
-        trace = run_transient(cfg, ctx, exc, store_states=False)
+        trace = run_transient(cfg, ctx, exc)
         series = LossSeries(trace.times, trace.p, exc.frequency)
         means.append(mean_losses(series))
     assert means[1] == pytest.approx(means[0], rel=0.01)

@@ -117,12 +117,10 @@ def mesh_structured(
     """
     if n_alpha < 1 or n_beta < 1:
         raise ValueError("n_alpha and n_beta must be >= 1")
-    if not coil.homogenized:
-        if n_alpha < coil.n_turns or n_alpha % coil.n_turns:
-            raise ValueError(
-                f"detailed geometry needs n_alpha divisible by n_turns "
-                f"({n_alpha} vs {coil.n_turns})"
-            )
+    if not coil.homogenized and n_alpha % coil.n_turns:
+        raise ValueError(
+            f"detailed geometry needs n_alpha divisible by n_turns ({n_alpha} vs {coil.n_turns})"
+        )
 
     r_in, r_out = coil.inner_radius, coil.outer_radius
     z_top = coil.half_width
@@ -169,6 +167,13 @@ def mesh_structured(
     if np.any(mesh.area <= 0):
         raise ValueError("degenerate (zero-area) cell in generated mesh")
     return mesh
+
+
+def _incidence(ends: np.ndarray, signs: list[float], n_cols: int) -> sp.csr_matrix:
+    """CSR matrix with ``signs`` at the column ids ``ends[i]``, ascending, of each row i."""
+    n_rows, per_row = ends.shape
+    indptr = np.arange(0, ends.size + 1, per_row)
+    return sp.csr_matrix((np.tile(signs, n_rows), ends.ravel(), indptr), shape=(n_rows, n_cols))
 
 
 @dataclass(eq=False)
@@ -366,10 +371,7 @@ class Mesh:
         by the cell area gives the piecewise-constant azimuthal current
         density of the lowest-order edge interpolation.
         """
-        rows = np.repeat(np.arange(self.n_cells), 4)
-        cols = self.cell_edges.ravel()
-        vals = np.tile(np.array([-1.0, 1.0, 1.0, -1.0]), self.n_cells)
-        return sp.csr_matrix((vals, (rows, cols)), shape=(self.n_cells, self.n_edges))
+        return _incidence(self.cell_edges, [-1.0, 1.0, 1.0, -1.0], self.n_edges)
 
     @property
     def gradient(self) -> sp.csr_matrix:
@@ -378,18 +380,15 @@ class Mesh:
         The companion of ``curl`` (``curl @ gradient`` is zero). Built on
         each access: a layout reads it once.
         """
-        rows = np.repeat(np.arange(self.n_edges), 2)
-        vals = np.tile(np.array([-1.0, 1.0]), self.n_edges)
-        return sp.csr_matrix(
-            (vals, (rows, self.edge_nodes.ravel())), shape=(self.n_edges, self.n_nodes)
-        )
+        return _incidence(self.edge_nodes, [-1.0, 1.0], self.n_nodes)
 
     def mass_matrix(self, mu: float = MU0) -> sp.csr_matrix:
         """Edge mass matrix with the axisymmetric 2*pi*r weight.
 
-        Per-cell 4x4 blocks are integrated exactly (the integrands are at
+        Per-cell 2x2 blocks are integrated exactly (the integrands are at
         most cubic, which 2x2 Gauss reproduces); radial and axial edge
-        families do not couple on axis-aligned rectangles.
+        families do not couple on axis-aligned rectangles, so no entry
+        couples them. The conversion sums each entry's one or two cells.
         """
         dr, dz, r0, rb = self.dr, self.dz, self.r0, self.rbar
         c = 2.0 * np.pi * mu
@@ -401,22 +400,13 @@ class Mesh:
         m_lr = hv * (r0 / 6.0 + dr / 12.0)
         m_rr = hv * (r0 / 3.0 + dr / 4.0)
 
-        e = self.cell_edges
-        zero = np.zeros(self.n_cells)
-        block = np.array(
-            [
-                [m_bb, m_bt, zero, zero],
-                [m_bt, m_bb, zero, zero],
-                [zero, zero, m_ll, m_lr],
-                [zero, zero, m_lr, m_rr],
-            ]
-        )  # (4, 4, n_cells)
-        rows = np.repeat(e, 4, axis=1).ravel()
-        cols = np.tile(e, (1, 4)).ravel()
-        vals = block.transpose(2, 0, 1).ravel()
-        m = sp.csr_matrix((vals, (rows, cols)), shape=(self.n_edges, self.n_edges))
-        m.sum_duplicates()
-        return m
+        # per cell the radial pair (bottom, top) and the axial pair (left, right)
+        pairs = self.cell_edges.reshape(-1, 2, 2)
+        blocks = np.array([[[m_bb, m_bt], [m_bt, m_bb]], [[m_ll, m_lr], [m_lr, m_rr]]])
+        rows = np.repeat(pairs, 2, axis=2).ravel()
+        cols = np.tile(pairs, (1, 1, 2)).ravel()
+        vals = blocks.transpose(3, 0, 1, 2).ravel()
+        return sp.csr_matrix((vals, (rows, cols)), shape=(self.n_edges, self.n_edges))
 
     # ---- loops and frames ----------------------------------------------------
 

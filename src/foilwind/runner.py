@@ -77,7 +77,8 @@ def execute_run(
         _write_summary(out, cfg, layout, preset, "failed", {
             "wall_time_s": time.perf_counter() - wall0,
             "reason": str(exc),
-            "residual_history": exc.stats.residual_norms if exc.stats else [],
+            "residual_history": exc.stats.residual_norms,
+            **exc.progress,
         })
         raise
     wall = time.perf_counter() - wall0
@@ -180,6 +181,8 @@ def _summary_problem(summary) -> str | None:
     """Why ``summary`` is not the summary of a finished run, or None."""
     if not isinstance(summary, dict):
         return f"{SUMMARY_NAME} is not an object"
+    if summary.get("status", "ok") != "ok":
+        return f"{SUMMARY_NAME} has status {summary['status']!r}, not 'ok'"
     for name, kind in _SUMMARY_FIELDS.items():
         value = summary
         for key in name.split("."):

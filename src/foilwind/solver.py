@@ -42,9 +42,11 @@ FAST_STEP_ITERS = 3
 class NonConvergenceError(RuntimeError):
     """Newton failed to reach tolerance; the stepper may retry with smaller dt."""
 
-    def __init__(self, message: str, stats: "NewtonStats | None" = None):
+    def __init__(self, message: str, stats: "NewtonStats", solves: int = 0):
         super().__init__(message)
         self.stats = stats
+        self.solves = solves  # linear solves of every attempt of a step that gave up
+        self.progress: dict = {}  # how far run_transient got when it gave up
 
 
 class SingularMatrixError(NonConvergenceError):
@@ -213,7 +215,7 @@ def step(
     ``t_end`` and is shorter than 2 dt_min is not retried: no split of it
     keeps both parts at least dt_min long. Returns the new state, the dt
     taken, its Newton stats and the linear solves of all attempts, rejected
-    ones included.
+    ones included; the error it gives up with counts them in ``solves``.
     """
     solves = 0
     while True:
@@ -225,15 +227,15 @@ def step(
         try:
             w_new, stats = newton_solve(system_fn, w, config, scales)
         except NonConvergenceError as exc:
-            if exc.stats is not None:
-                solves += exc.stats.iterations
+            solves += exc.stats.iterations
             landing = dt == t_end - t and dt < 2 * config.dt_min
             if landing or dt <= config.dt_min * (1 + 1e-12):
                 raise NonConvergenceError(
                     f"dt underflow at t={t:.6e}: dt={dt:.3e} cannot be split into "
                     f"steps of at least dt_min={config.dt_min:.3e}; {exc}; residual history "
-                    f"{[f'{r:.3e}' for r in (exc.stats.residual_norms if exc.stats else [])]}",
+                    f"{[f'{r:.3e}' for r in exc.stats.residual_norms]}",
                     exc.stats,
+                    solves,
                 ) from exc
             dt = max(0.5 * dt, config.dt_min)
             log.info("newton failed at t=%.6e, retrying with dt=%.3e", t_new, dt)
@@ -295,9 +297,13 @@ def run_transient(
             # a step that would leave less than dt_min (or a roundoff sliver)
             # lands on t_end, so that no step is shorter than dt_min
             dt = t_end - t
-        w_new, dt_taken, stats, solves = step(
-            formulation, w, t, dt, excitation, config, scales, t_end
-        )
+        try:
+            w_new, dt_taken, stats, solves = step(formulation, w, t, dt, excitation, config,
+                                                  scales, t_end)
+        except NonConvergenceError as exc:
+            exc.progress = dict(accepted_steps=len(times) - 1, linsys_count=linsys + exc.solves,
+                                last_accepted_time_s=t)
+            raise
         linsys += solves
         if dt_taken < dt:
             dt_ctrl = dt_taken

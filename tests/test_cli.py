@@ -9,8 +9,9 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from foilwind import cli
+from foilwind import cli, solver
 from foilwind.config import serialize_config
+from foilwind.solver import newton_solve, splu
 from foilwind.variants import FormulationVariant
 
 from helpers import small_config
@@ -83,18 +84,22 @@ def test_run_too_short_for_mean(tmp_path):
     assert "P = n/a (run shorter than half a period)" in stdout
 
 
-def test_run_solver_failure_exits_1(finished_run, tmp_path):
+def _failing_config(amplitude=300.0):
     # a one-iteration Newton budget with no room to shrink dt cannot track
     # the nonlinear peak
-    cfg = small_config(
+    return small_config(
         FormulationVariant.FCM_T_OMEGA,
-        amplitude=300.0,
+        amplitude=amplitude,
         periods=0.5,
         dt_init=2e-4,
         dt_max=2e-4,
         dt_min=1.9e-4,
         max_newton_iters=1,
     )
+
+
+def test_run_solver_failure_exits_1(finished_run, tmp_path):
+    cfg = _failing_config()
     config_path = _write_config(tmp_path / "hard.cfg", cfg)
     out = tmp_path / "o"
     # into a directory that holds a finished run, which the failure replaces
@@ -117,6 +122,35 @@ def test_run_solver_failure_exits_1(finished_run, tmp_path):
     # compare refuses it, and names it
     code, _, stderr = run_cli("compare", str(out), str(out))
     assert code == 2 and stderr.startswith(f"error: {out} is not a run directory")
+
+
+# at 300 A the first step fails, at 30 A the ninth
+@pytest.mark.parametrize("amplitude", [300.0, 30.0])
+def test_failed_run_summary_says_how_far_it_got(tmp_path, monkeypatch, amplitude):
+    counts = {"splu": 0, "accepted": 0}
+
+    def counting_splu(*args, **kwargs):
+        counts["splu"] += 1
+        return splu(*args, **kwargs)
+
+    def counting_newton_solve(*args, **kwargs):
+        result = newton_solve(*args, **kwargs)
+        counts["accepted"] += 1
+        return result
+
+    monkeypatch.setattr(solver, "splu", counting_splu)
+    monkeypatch.setattr(solver, "newton_solve", counting_newton_solve)
+    cfg = _failing_config(amplitude)
+    code, _, _ = run_cli("run", "--config", _write_config(tmp_path / "hard.cfg", cfg),
+                         "--out", str(tmp_path / "o"))
+    assert code == 1
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["status"] == "failed"
+    # every factorization, the failing step's rejected attempts included
+    assert summary["linsys_count"] == counts["splu"] > 0
+    assert summary["accepted_steps"] == counts["accepted"]
+    # every accepted step is dt_max long
+    assert summary["last_accepted_time_s"] == pytest.approx(counts["accepted"] * cfg.solver.dt_max)
 
 
 def test_bad_config_exits_2(tmp_path):
@@ -202,6 +236,7 @@ def _set(*path, value):
                 _set("n_dofs", value="1892"),
                 _drop("linsys_count"),
                 _set("linsys_count", value=1.5),
+                _set("status", value="failed"),
             )
         ],
     ],
@@ -210,7 +245,7 @@ def _set(*path, value):
         "frequency-negative", "amplitude-null", "amplitude-NaN", "amplitude-minus-Infinity",
         "no-amplitude",
         "no-variant", "variant-int", "no-n_dofs", "n_dofs-str", "no-linsys_count",
-        "linsys_count-float",
+        "linsys_count-float", "status-failed",
     ],
 )
 def test_compare_rejects_a_malformed_summary_naming_its_directory(finished_run, tmp_path, broken):

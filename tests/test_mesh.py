@@ -2,12 +2,18 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from foilwind.config import PRESETS, config_from_preset
+from foilwind.formulations import AssemblyContext
 from foilwind.mesh import (
     MU0,
     CoilGeometry,
+    Mesh,
     mesh_structured,
 )
+from foilwind.runner import build_mesh
+from foilwind.spaces import build_dof_layout
 
 from helpers import pancake_geometry, small_mesh
 
@@ -188,6 +194,84 @@ def test_mass_matrix_mu_scaling():
     m1 = mesh.mass_matrix(mu=1.0)
     m2 = mesh.mass_matrix()  # default MU0
     assert abs(m2 - MU0 * m1).max() < 1e-18
+
+
+def _coo_curl(mesh):
+    """Reference curl: (cell, edge, sign) triplets over [bottom, top, left, right]."""
+    rows = np.repeat(np.arange(mesh.n_cells), 4)
+    vals = np.tile(np.array([-1.0, 1.0, 1.0, -1.0]), mesh.n_cells)
+    cols = mesh.cell_edges.ravel()
+    return sp.csr_matrix((vals, (rows, cols)), shape=(mesh.n_cells, mesh.n_edges))
+
+
+def _coo_gradient(mesh):
+    """Reference gradient: (edge, node, sign) triplets, -1 at the tail, +1 at the head."""
+    rows = np.repeat(np.arange(mesh.n_edges), 2)
+    vals = np.tile(np.array([-1.0, 1.0]), mesh.n_edges)
+    cols = mesh.edge_nodes.ravel()
+    return sp.csr_matrix((vals, (rows, cols)), shape=(mesh.n_edges, mesh.n_nodes))
+
+
+def _coo_mass_matrix(mesh, mu=MU0):
+    """Reference edge mass: a full 4x4 block per cell, cross-family entries zero."""
+    dr, dz, r0, rb = mesh.dr, mesh.dz, mesh.r0, mesh.rbar
+    c = 2.0 * np.pi * mu
+    hb = c * rb * dz / dr
+    hv = c * dr / dz
+    m_ll = hv * (r0 / 3.0 + dr / 12.0)
+    m_lr = hv * (r0 / 6.0 + dr / 12.0)
+    m_rr = hv * (r0 / 3.0 + dr / 4.0)
+    zero = np.zeros(mesh.n_cells)
+    block = np.array(
+        [
+            [hb / 3.0, hb / 6.0, zero, zero],
+            [hb / 6.0, hb / 3.0, zero, zero],
+            [zero, zero, m_ll, m_lr],
+            [zero, zero, m_lr, m_rr],
+        ]
+    )
+    e = mesh.cell_edges
+    rows = np.repeat(e, 4, axis=1).ravel()
+    cols = np.tile(e, (1, 4)).ravel()
+    m = sp.csr_matrix((block.transpose(2, 0, 1).ravel(), (rows, cols)), shape=(mesh.n_edges,) * 2)
+    m.sum_duplicates()
+    return m
+
+
+def _same_csr(a, b):
+    """Same shape, and the same data, indices and indptr, dtypes included."""
+    parts = ("data", "indices", "indptr")
+    return a.shape == b.shape and all(
+        np.array_equal(getattr(a, k), getattr(b, k)) and getattr(a, k).dtype == getattr(b, k).dtype
+        for k in parts
+    )
+
+
+def test_mass_matrix_stores_no_explicit_zeros():
+    m = small_mesh(n_turns=2, n_alpha=4, n_beta=8).mass_matrix()
+    assert m.nnz == m.count_nonzero()
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_operators_match_the_coo_construction_bit_for_bit(preset, monkeypatch):
+    cfg = config_from_preset(preset)
+    mesh = build_mesh(cfg)
+    layout = build_dof_layout(mesh, cfg.variant, cfg.voltage_order)
+    ctx = AssemblyContext(layout, cfg.materials)
+    built = [mesh.curl, mesh.gradient, mesh.mass_matrix(), layout.curl_basis, ctx.mass]
+    # the same set-up with every mesh operator built from COO triplets
+    monkeypatch.setattr(Mesh, "curl", property(_coo_curl))
+    monkeypatch.setattr(Mesh, "gradient", property(_coo_gradient))
+    monkeypatch.setattr(Mesh, "mass_matrix", _coo_mass_matrix)
+    ref_mesh = build_mesh(cfg)
+    ref_layout = build_dof_layout(ref_mesh, cfg.variant, cfg.voltage_order)
+    ref_mass = ref_mesh.mass_matrix()
+    ref_mass.eliminate_zeros()  # the values stay, only the zeros go
+    reference = [ref_mesh.curl, ref_mesh.gradient, ref_mass, ref_layout.curl_basis,
+                 AssemblyContext(ref_layout, cfg.materials).mass]
+    names = ("curl", "gradient", "mass_matrix", "curl_basis", "mass")
+    for name, a, b in zip(names, built, reference):
+        assert _same_csr(a, b), name
 
 
 def test_boundary_classification():

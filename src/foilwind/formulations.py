@@ -7,16 +7,14 @@ unknowns and ``V`` the voltage unknowns,
     R_V = G^T u - target(t)
 
 where CB maps field unknowns to cell currents, d holds the cellwise
-resistive weights, and G couples voltages to currents:
-
-* detailed reference: G columns are unit vectors on the per-turn cut
-  unknowns (a turn's net current equals its cut circulation exactly), so
-  each constraint row pins one turn current strongly and its multiplier is
-  the turn voltage.
-* homogenized variants: G = (CB)^T Phi with Phi the per-cell means of the
-  voltage distribution polynomials; row 0 pins the total winding current
-  (for the h-phi variant it reduces to a single entry on the coil cut, i.e.
-  the strong cut constraint), rows 1..p shape the current distribution.
+resistive weights, and G = (CB)^T Phi couples voltages to currents for every
+variant, with Phi the value of each voltage mode on each winding cell
+(``DofLayout``). Row k pins the current that mode k weighs to the mode's
+ampere-turns at time t. The detailed reference has one indicator mode per
+turn, so its G columns are unit vectors on the per-turn cut unknowns and
+each multiplier is a turn voltage; the homogenized modes are the voltage
+distribution polynomials, whose row 0 pins the total winding current and
+whose rows 1..p shape its distribution.
 
 Internally all constraints act on the half model, so targets are halved and
 every reported quantity is scaled back to the full device elsewhere.
@@ -48,7 +46,7 @@ from scipy.sparse.linalg import splu
 
 from .materials import MaterialParams, JcKim, power_law
 from .mesh import MU0
-from .spaces import DofLayout, VoltageBasis
+from .spaces import DofLayout
 from .variants import FormulationVariant
 
 
@@ -130,19 +128,15 @@ class AssembledSystem:
 
 
 def impose_excitation(layout: DofLayout, excitation: Excitation, t: float) -> np.ndarray:
-    """Full-device constraint targets at time ``t``.
+    """Full-device constraint targets at time ``t``: the ampere-turns of each voltage mode.
 
-    Reference variant: the net current of every turn (one entry per turn).
-    Homogenized variants: total winding ampere-turns in the first entry,
-    zeros for the distribution-shaping rows.
+    Reference variant: the net current of every turn. Homogenized variants:
+    the total winding ampere-turns for the constant mode, zero for the
+    distribution-shaping modes.
     """
-    i_t = excitation.current(t)
-    if layout.variant is FormulationVariant.REF_H_PHI:
-        return np.full(layout.n_voltage_dofs, i_t)
-    n_turns = layout.mesh.geom.n_turns
-    tgt = np.zeros(layout.n_voltage_dofs)
-    tgt[0] = n_turns * i_t
-    return tgt
+    turns = layout.mode_turns
+    # a mode without turns gets +0, not the -0 of 0 times a negative current
+    return np.where(turns != 0, turns * excitation.current(t), 0.0)
 
 
 def _product_terms(c: sp.spmatrix):
@@ -211,6 +205,12 @@ class AssemblyContext:
         self.mass: sp.csr_matrix = (layout.basis.T @ mesh.mass_matrix(MU0) @ layout.basis).tocsr()
         self.abs_mass: sp.csr_matrix = abs(self.mass)
         self.coil = mesh.coil_cells
+        # the rows of cb of the winding cells, and their transpose, both CSR;
+        # each row keeps its order, and the transpose lists the winding cells
+        # in ascending order, so its products are the sums over all cells less
+        # the exact zeros of the cells off the winding
+        cb_coil = self.cb[self.coil]
+        self.winding_curl = (cb_coil, cb_coil.T.tocsr())
         self.coil_area = mesh.area[self.coil]
         # resistive diagonal weight rho -> rho * volume / area^2, half model
         self.coil_dweight = 2.0 * np.pi * mesh.rbar[self.coil] / self.coil_area
@@ -224,38 +224,17 @@ class AssemblyContext:
             d = np.where(mesh.coil_mask, 0.0, rho * 2.0 * np.pi * mesh.rbar / mesh.area)
             self.air_matrix = (self.cb.T @ sp.diags(d) @ self.cb).tocsr()
 
-        self.coupling = self._build_coupling()
+        # G = (CB)^T Phi, with Phi the value of each voltage mode on each
+        # winding cell. SciPy's product stores no exact zeros, so the
+        # reference's indicator modes give one unit entry per turn, on its cut
+        phi = sp.csr_matrix(layout.mode_means)[layout.cell_slice]
+        self.coupling: sp.csr_matrix = self.winding_curl[1] @ phi
         self._jc_lag: tuple[np.ndarray, np.ndarray] | None = None  # (w_prev, jc)
-
-    # -- coupling ------------------------------------------------------------
-
-    def _build_coupling(self) -> sp.csr_matrix:
-        layout = self.layout
-        mesh = self.mesh
-        if layout.variant is FormulationVariant.REF_H_PHI:
-            return sp.identity(layout.n_field_dofs, format="csr")[:, layout.blocks["cut"]]
-        vb: VoltageBasis = layout.voltage_basis
-        spans = mesh.alpha_spans
-        means = vb.cell_means(spans[:, 0], spans[:, 1])  # (n_alpha, p+1)
-        phi_cells = np.zeros((mesh.n_cells, vb.n_funcs))
-        phi_cells[self.coil] = means[mesh.alpha_index[self.coil]]
-        return (self.cb.T.tocsr() @ sp.csr_matrix(phi_cells)).tocsr()
 
     # -- cell quantities ---------------------------------------------------------
     #
     # Every per-cell quantity of a state is evaluated here and nowhere else:
     # the circulation, the flux density, and the power-law resistivity.
-
-    @cached_property
-    def winding_curl(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-        """The rows of ``cb`` of the winding cells, and their transpose, both CSR.
-
-        Each row keeps its order, and the transpose lists the winding cells in
-        ascending order, so the resistive sums are those over all cells less
-        the exact zeros of the cells without resistance. Built on first use.
-        """
-        cb = self.cb[self.coil]
-        return cb, cb.T.tocsr()
 
     def _circulation(self, w: np.ndarray) -> np.ndarray:
         """Net azimuthal current j_phi * area of every winding cell, half model [A]."""
@@ -286,18 +265,13 @@ class AssemblyContext:
         return self._circulation(w) / self.coil_area
 
     def slice_currents(self, w: np.ndarray) -> np.ndarray:
-        """Net current per slice, scaled to the full device [A].
+        """Net current per slice of the voltage modes, scaled to the full device [A].
 
         Slices are turns for the detailed reference and radial mesh columns
         for the homogenized variants.
         """
-        mesh = self.mesh
         amps = self._circulation(w)
-        if self.layout.variant is FormulationVariant.REF_H_PHI:
-            key = mesh.region[self.coil]
-        else:
-            key = mesh.alpha_index[self.coil]
-        return mesh.symmetry_factor * np.bincount(key, weights=amps)
+        return self.mesh.symmetry_factor * np.bincount(self.layout.cell_slice, weights=amps)
 
     def _lagged_jc(self, w_prev: np.ndarray) -> np.ndarray:
         """``jc_effective(w_prev)``, evaluated once per previous state.

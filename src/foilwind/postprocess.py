@@ -13,7 +13,6 @@ import numpy as np
 
 from .mesh import Mesh
 from .spaces import DofLayout
-from .variants import FormulationVariant
 
 TRACE_COLUMNS = ("t", "p", "i_t", "newton_iters")
 
@@ -31,6 +30,8 @@ class LossSeries:
         self.p = np.asarray(self.p, dtype=float)
         if self.times.shape != self.p.shape:
             raise ValueError("times and p must have matching shapes")
+        if not (np.all(np.isfinite(self.times)) and np.all(np.isfinite(self.p))):
+            raise ValueError("times and p must be finite")
         if self.times.size and np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
         if np.any(self.p < 0):
@@ -111,10 +112,8 @@ def r_squared(series: LossSeries, reference: LossSeries) -> ComparisonReport:
 
 
 def turns_per_slice(mesh: Mesh, layout: DofLayout) -> float:
-    """How many physical turns one slice stands for."""
-    if layout.variant is FormulationVariant.REF_H_PHI:
-        return 1.0
-    return mesh.geom.n_turns / mesh.n_alpha
+    """How many physical turns one slice of the voltage modes stands for."""
+    return mesh.geom.n_turns / layout.mode_means.shape[0]
 
 
 # -- CSV export ---------------------------------------------------------------
@@ -152,7 +151,12 @@ def read_trace_csv(path: str | Path) -> dict[str, np.ndarray]:
         header = next(reader)
         if tuple(header) != TRACE_COLUMNS:
             raise ValueError(f"{path}: unexpected columns {header}")
-        rows = [[float(v) for v in row] for row in reader if row]
+        rows = []
+        for row in filter(None, reader):
+            if len(row) != len(TRACE_COLUMNS):
+                raise ValueError(f"{path}: line {reader.line_num} has {len(row)} fields, "
+                                 f"not {len(TRACE_COLUMNS)}")
+            rows.append([float(v) for v in row])
     data = np.array(rows) if rows else np.empty((0, len(TRACE_COLUMNS)))
     return {name: data[:, i] for i, name in enumerate(TRACE_COLUMNS)}
 

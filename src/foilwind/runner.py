@@ -168,13 +168,15 @@ def load_run(run_dir: str | Path) -> tuple[dict, postprocess.LossSeries]:
     try:
         summary = json.loads((run_dir / SUMMARY_NAME).read_text())
         problem = _summary_problem(summary)
-        data = None if problem else postprocess.read_trace_csv(run_dir / TRACE_NAME)
-    except (OSError, ValueError) as exc:  # ValueError: a malformed JSON or CSV file
+        if not problem:
+            data = postprocess.read_trace_csv(run_dir / TRACE_NAME)
+            frequency = summary["excitation"]["frequency"]
+            series = postprocess.LossSeries(data["t"], data["p"], frequency)
+    except (OSError, ValueError) as exc:  # ValueError: a malformed JSON or CSV file or series
         problem = f"{type(exc).__name__} {exc}"
     if problem:
         raise ConfigError(f"{run_dir} is not a run directory: {problem}")
-    frequency = summary["excitation"]["frequency"]
-    return summary, postprocess.LossSeries(data["t"], data["p"], frequency)
+    return summary, series
 
 
 def _summary_problem(summary) -> str | None:

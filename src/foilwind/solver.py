@@ -90,7 +90,6 @@ class SolverConfig:
 class NewtonStats:
     iterations: int = 0
     residual_norms: list[float] = field(default_factory=list)
-    converged: bool = False
 
     @property
     def final_residual(self) -> float:
@@ -160,7 +159,6 @@ def newton_solve(
     tol = max(config.newton_tol_abs, config.newton_tol_rel * r_norm)
     elimination = system.context.elimination
     if r_norm <= tol:
-        stats.converged = True
         return elimination.lift(u), stats
 
     for _ in range(config.max_newton_iters):
@@ -188,7 +186,6 @@ def newton_solve(
         u, system, r_norm = u_trial, system_trial, r_trial
         stats.residual_norms.append(r_norm)
         if r_norm <= tol:
-            stats.converged = True
             return elimination.lift(u), stats
 
     raise NonConvergenceError(
@@ -252,7 +249,6 @@ class SolutionTrace:
     i_target: np.ndarray
     slice_currents: np.ndarray  # (n_samples, n_slices)
     newton_iters: np.ndarray
-    dt: np.ndarray
     states: list[np.ndarray]
     linsys_count: int
     excitation: Excitation
@@ -283,7 +279,6 @@ def run_transient(
     i_target = [excitation.current(0.0)]
     slices = [formulation.slice_currents(w)]
     iters = [0]
-    dts = [config.dt_init]
     states = [w.copy()]
     linsys = 0
     # dt control: grow by DT_GROWTH after a step of at most FAST_STEP_ITERS
@@ -317,7 +312,6 @@ def run_transient(
         i_target.append(excitation.current(t_new))
         slices.append(formulation.slice_currents(w_new))
         iters.append(stats.iterations)
-        dts.append(t_new - t)
         states.append(w_new.copy())
         log.info(
             "step %d: t=%.6e dt=%.3e newton=%d residual=%.3e",
@@ -342,7 +336,6 @@ def run_transient(
         i_target=np.array(i_target),
         slice_currents=np.array(slices),
         newton_iters=np.array(iters),
-        dt=np.array(dts),
         states=states,
         linsys_count=linsys,
         excitation=excitation,

@@ -135,17 +135,28 @@ class DofLayout:
     """Numbering of all unknowns of one variant on one mesh.
 
     ``basis`` maps the free field vector (edge | nodal | cut | carrier
-    blocks) to circulations on every mesh edge; the separate voltage
-    unknowns (per-turn voltages or distribution coefficients) are appended
-    by the solver after the field blocks.
+    blocks) to circulations on every mesh edge; the voltage unknowns, one
+    per voltage mode, are appended by the solver after the field blocks.
+
+    The voltage modes constrain the winding current: mode k takes the value
+    ``mode_means[s, k]`` on the winding cells of slice s (``cell_slice``),
+    and its row pins the current it weighs to ``mode_turns[k]`` times the
+    drive. The reference has one indicator mode per turn, each carrying its
+    turn's current; the homogenized variants have the voltage basis over
+    the radial columns, whose constant mode carries the ampere-turns.
     """
 
     mesh: Mesh
     variant: FormulationVariant
     basis: sp.csr_matrix
     blocks: dict[str, slice]
-    n_voltage_dofs: int
-    voltage_basis: VoltageBasis | None
+    cell_slice: np.ndarray  # slice of each winding cell, in ``mesh.coil_cells`` order
+    mode_means: np.ndarray  # (n_slices, n_voltage_dofs)
+    mode_turns: np.ndarray  # (n_voltage_dofs,)
+
+    @property
+    def n_voltage_dofs(self) -> int:
+        return self.mode_means.shape[1]
 
     @property
     def n_field_dofs(self) -> int:
@@ -191,13 +202,15 @@ def build_dof_layout(
 
     * detailed reference: edge unknowns on edges whose every incident cell
       belongs to one and the same turn, nodal unknowns elsewhere (air,
-      inter-turn and interface nodes), one cut per turn; voltage unknowns
-      are the per-turn voltages.
+      inter-turn and interface nodes), one cut per turn; one indicator
+      voltage mode per turn.
     * h-full: edge unknowns on every unconstrained edge, nothing else.
     * h-phi: edge unknowns strictly inside the bulk winding, nodal in air
       and on the interface, one cut for the winding.
     * t-omega: nodal unknowns everywhere, radial-edge unknowns strictly
       inside the winding, and voltage-order + 1 modal current carriers.
+
+    The homogenized variants have voltage-order + 1 voltage modes.
     """
     if not np.any(mesh.coil_mask):
         raise ValueError("mesh has no winding region")
@@ -207,12 +220,24 @@ def build_dof_layout(
     n_edges = mesh.n_edges
     edge_columns = sp.identity(n_edges, format="csr")
     vb = VoltageBasis(voltage_order)
-    if variant.is_fcm and mesh.n_alpha < vb.n_funcs:
-        # fewer radial columns than voltage functions -> rank-deficient coupling
-        raise ValueError(
-            f"homogenized winding needs n_alpha >= voltage_order + 1 "
-            f"({mesh.n_alpha} < {vb.n_funcs})"
-        )
+    coil = mesh.coil_cells
+    holes = np.unique(mesh.region[coil])  # the turns, or the bulk winding
+    if variant.is_fcm:
+        if mesh.n_alpha < vb.n_funcs:
+            # fewer radial columns than voltage functions -> rank-deficient coupling
+            raise ValueError(
+                f"homogenized winding needs n_alpha >= voltage_order + 1 "
+                f"({mesh.n_alpha} < {vb.n_funcs})"
+            )
+        spans = mesh.alpha_spans
+        cell_slice = mesh.alpha_index[coil]
+        mode_means = vb.cell_means(spans[:, 0], spans[:, 1])  # (n_alpha, p+1)
+        mode_turns = np.zeros(vb.n_funcs)
+        mode_turns[0] = mesh.geom.n_turns
+    else:
+        cell_slice = mesh.region[coil]  # the turn tags 0 .. n_turns - 1
+        mode_means = np.identity(holes.size)
+        mode_turns = np.ones(holes.size)
 
     columns: list[sp.csr_matrix] = []
     blocks: dict[str, slice] = {}
@@ -230,7 +255,6 @@ def build_dof_layout(
         free_edges = np.ones(n_edges, dtype=bool)
         free_edges[mesh.constrained_edges] = False
         add_block("edge", edge_columns[:, free_edges])
-        n_voltage = vb.n_funcs
     else:
         # edge unknowns inside a conductor, the gradient of a scalar potential
         # wherever they do not own the field
@@ -248,15 +272,10 @@ def build_dof_layout(
             # modal net-current carriers: per-column sheets contracted with the
             # voltage basis; the pure radial-edge field carries zero net current
             # per column, so these close the space at minimal extra cost
-            spans = mesh.alpha_spans
-            weights = vb.cell_means(spans[:, 0], spans[:, 1])  # (n_alpha, p+1)
             sheets = [(mesh.coil_col0 + j, 0) for j in range(mesh.n_alpha)]
-            add_block("carrier", (_sheet_columns(mesh, sheets) @ sp.csr_matrix(weights)).tocsr())
-            n_voltage = vb.n_funcs
+            add_block("carrier", (_sheet_columns(mesh, sheets) @ sp.csr_matrix(mode_means)).tocsr())
         else:
-            holes = np.unique(mesh.region[mesh.coil_mask])
             add_block("cut", _cut_columns(mesh, holes))
-            n_voltage = vb.n_funcs if variant.is_fcm else holes.size
 
     basis = sp.hstack(columns, format="csr") if columns else sp.csr_matrix((n_edges, 0))
     return DofLayout(
@@ -264,8 +283,9 @@ def build_dof_layout(
         variant=variant,
         basis=basis,
         blocks=blocks,
-        n_voltage_dofs=n_voltage,
-        voltage_basis=vb,
+        cell_slice=cell_slice,
+        mode_means=mode_means,
+        mode_turns=mode_turns,
     )
 
 

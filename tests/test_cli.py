@@ -276,6 +276,40 @@ def test_compare_trace_without_data_rows_exits_2(finished_run, tmp_path):
     assert not (tmp_path / "comparison.json").exists()
 
 
+def _edit_last_row(column, value):
+    def edit(rows):
+        rows[-1][column] = value(rows)
+        return rows
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, detail",
+    [
+        (lambda rows: [row[:3] for row in rows], "line 2 has 3 fields, not 4"),
+        (_edit_last_row(1, lambda rows: "nan"), "finite"),
+        (_edit_last_row(0, lambda rows: "nan"), "finite"),
+        (_edit_last_row(0, lambda rows: rows[-2][0]), "increasing"),
+        (_edit_last_row(1, lambda rows: "-1e-3"), "non-negative"),
+    ],
+    ids=["rows-of-3-fields", "p-NaN", "t-NaN", "t-repeated", "p-negative"],
+)
+def test_compare_rejects_a_malformed_trace_naming_its_directory(finished_run, tmp_path, edit,
+                                                               detail):
+    out_dir, _, _ = finished_run
+    header, *lines = (out_dir / "trace.csv").read_text().splitlines()
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    (bad / "summary.json").write_text((out_dir / "summary.json").read_text())
+    rows = edit([line.split(",") for line in lines])
+    (bad / "trace.csv").write_text("\n".join([header, *map(",".join, rows)]) + "\n")
+    for run_dir, ref_dir in ((bad, out_dir), (out_dir, bad)):
+        code, _, stderr = run_cli("compare", str(run_dir), str(ref_dir), "--out", str(tmp_path))
+        assert code == 2
+        assert stderr.startswith(f"error: {bad} is not a run directory") and detail in stderr
+    assert not (tmp_path / "comparison.json").exists()
+
+
 def test_sweep_single_value(finished_run, tmp_path):
     _, _, config_path = finished_run
     code, stdout, _ = run_cli(

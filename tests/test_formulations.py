@@ -18,7 +18,7 @@ from foilwind.materials import JcKim, power_law
 from foilwind.mesh import MU0
 from foilwind.runner import build_mesh
 from foilwind.solver import SolverConfig, run_transient
-from foilwind.spaces import build_dof_layout, eval_field
+from foilwind.spaces import VoltageBasis, build_dof_layout, eval_field
 from foilwind.variants import FormulationVariant
 from foilwind.vtk_io import snapshot_fields
 
@@ -67,6 +67,68 @@ def test_homogenized_targets_total_ampere_turns(variant):
     # periodic drive
     again = impose_excitation(layout, exc, 0.005 + exc.period)
     assert np.allclose(again, tgt, atol=1e-12 * 9.6)
+
+
+def _preset_context(name):
+    cfg = config_from_preset(name)
+    layout = build_dof_layout(build_mesh(cfg), cfg.variant, cfg.voltage_order)
+    return formulations.AssemblyContext(layout, cfg.materials), cfg.voltage_order
+
+
+def _per_variant_voltage_terms(ctx, voltage_order, exc, times, w):
+    """Coupling, targets and slice currents as each variant used to build them."""
+    layout, mesh, coil = ctx.layout, ctx.mesh, ctx.coil
+    n_voltage = layout.n_voltage_dofs
+    if layout.variant is FormulationVariant.REF_H_PHI:
+        coupling = sp.identity(layout.n_field_dofs, format="csr")[:, layout.blocks["cut"]]
+        targets = [np.full(n_voltage, exc.current(t)) for t in times]
+        key = mesh.region[coil]
+    else:
+        vb = VoltageBasis(voltage_order)
+        spans = mesh.alpha_spans
+        phi_cells = np.zeros((mesh.n_cells, vb.n_funcs))
+        phi_cells[coil] = vb.cell_means(spans[:, 0], spans[:, 1])[mesh.alpha_index[coil]]
+        coupling = (ctx.cb.T.tocsr() @ sp.csr_matrix(phi_cells)).tocsr()
+        targets = []
+        for t in times:
+            tgt = np.zeros(n_voltage)
+            tgt[0] = mesh.geom.n_turns * exc.current(t)
+            targets.append(tgt)
+        key = mesh.alpha_index[coil]
+    amps = ctx.cb[coil] @ w[: layout.n_field_dofs]
+    return coupling, targets, mesh.symmetry_factor * np.bincount(key, weights=amps)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        *[lambda p=p: _preset_context(p) for p in ("pancake2d_ref", "pancake2d_fcm_hphi",
+                                                   "pancake2d_fcm_hfull", "pancake2d_fcm_tw")],
+        *[lambda v=v: (small_context(v), 3) for v in ALL_VARIANTS],
+        # one to four turns; with 2 rows, the cuts of three and four turns share rows
+        *[lambda n=n: (small_context(FormulationVariant.REF_H_PHI, n_turns=n, n_alpha=12,
+                                     n_beta=2), 3) for n in (1, 3, 4)],
+    ],
+    ids=["preset-ref", "preset-hphi", "preset-hfull", "preset-tw",
+         *[f"small-{v.value}" for v in ALL_VARIANTS], "ref-1-turn", "ref-3-turns", "ref-4-turns"],
+)
+def test_voltage_modes_reproduce_the_per_variant_construction(build):
+    # the reference's per-turn constraints are its indicator voltage modes:
+    # G = (CB)^T Phi, the targets and the slice currents come out bit for bit
+    ctx, voltage_order = build()
+    exc = Excitation(amplitude=9.6, frequency=50.0)
+    times = (0.0, 0.25 * exc.period, 0.75 * exc.period)  # no, positive, negative drive
+    w = np.random.default_rng(7).standard_normal(ctx.layout.n_dofs)
+    coupling, targets, slices = _per_variant_voltage_terms(ctx, voltage_order, exc, times, w)
+    for name in ("data", "indices", "indptr"):
+        got, want = getattr(ctx.coupling, name), getattr(coupling, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert ctx.coupling.shape == coupling.shape and ctx.coupling.format == "csr"
+    for t, want in zip(times, targets):
+        got = impose_excitation(ctx.layout, exc, t)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert exc.current(times[2]) < 0 < exc.current(times[1])
+    assert np.array_equal(ctx.slice_currents(w), slices)
 
 
 # -- residual structure ------------------------------------------------------------

@@ -80,6 +80,18 @@ def test_public_names_without_callers_are_the_oracles():
     assert uncalled == ORACLES
 
 
+def test_only_the_layout_tells_the_reference_from_the_homogenized_variants():
+    """The reference's per-turn constraints are its indicator voltage modes,
+    which ``spaces.build_dof_layout`` decides; past the layout, no module
+    branches on the reference variant."""
+    readers = {
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if "REF_H_PHI" in _reads(ast.parse(path.read_text()))
+    }
+    assert readers <= {"variants.py", "spaces.py", "config.py"}
+
+
 def test_run_path_imports_only_sparse_and_linalg():
     """Every foilwind process pays for what its modules import. scipy.signal
     alone loads stats, optimize, interpolate and six more subpackages: about

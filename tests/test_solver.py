@@ -55,7 +55,6 @@ def test_trace_requires_increasing_times():
             i_target=np.zeros(3),
             slice_currents=np.zeros((3, 1)),
             newton_iters=np.zeros(3, dtype=int),
-            dt=np.full(3, 1e-5),
             states=[],
             linsys_count=0,
             excitation=Excitation(1.0, 50.0),
@@ -75,7 +74,6 @@ def test_already_converged_state_takes_no_iterations():
 
     scales = BlockScales(ctx.layout.n_field_dofs)
     u, stats = newton_solve(system_fn, w0, SolverConfig(), scales)
-    assert stats.converged
     assert stats.iterations == 0
     assert np.all(u == w0)
 
@@ -93,7 +91,6 @@ def test_restarting_from_a_converged_step_is_cheap():
 
     scales = BlockScales(ctx.layout.n_field_dofs)
     u, stats = newton_solve(system_fn, trace.states[-1], SolverConfig(), scales)
-    assert stats.converged
     assert stats.iterations <= 1
 
 
@@ -110,7 +107,6 @@ def test_newton_residual_history_is_monotone():
 
     scales = BlockScales(ctx.layout.n_field_dofs)
     u, stats = newton_solve(system_fn, w_prev, SolverConfig(), scales)
-    assert stats.converged
     r = stats.residual_norms
     assert all(b < a for a, b in zip(r, r[1:]))
     assert np.allclose(u, trace.states[-1], rtol=1e-6, atol=1e-12)
@@ -170,7 +166,6 @@ def test_nonconvergence_raises_with_stats():
         newton_solve(_stuck_system(), np.zeros(4), cfg, BlockScales(4))
     assert err.value.stats is not None
     assert err.value.stats.iterations == 3
-    assert not err.value.stats.converged
     # every backtrack was exhausted, the trial accepted anyway
     assert len(err.value.stats.residual_norms) == 4
 
@@ -180,7 +175,6 @@ def test_nonfinite_start_residual_raises_instead_of_converging():
     with pytest.raises(NonConvergenceError) as err:
         newton_solve(_constant_system(np.full(4, np.nan)), np.zeros(4), SolverConfig(), scales)
     assert err.value.stats is not None
-    assert not err.value.stats.converged
     assert err.value.stats.iterations == 0
     assert np.all(scales.scale == 0.0)  # the stopping test of later attempts is untouched
 
@@ -236,7 +230,6 @@ def test_singular_factorization_counts_as_an_iteration():
         )
     assert isinstance(err.value, NonConvergenceError)
     assert err.value.stats.iterations == 1
-    assert not err.value.stats.converged
 
 
 def test_step_retries_a_singular_factorization_with_half_the_dt(monkeypatch):
@@ -250,7 +243,7 @@ def test_step_retries_a_singular_factorization_with_half_the_dt(monkeypatch):
     w_new, dt_taken, stats, solves = step(form, w, 0.0, 8e-5, exc, cfg, BlockScales(4), t_end=1.0)
     assert form.attempted == [8e-5, 4e-5, 2e-5]
     assert dt_taken == 2e-5
-    assert stats.converged and stats.iterations == 1
+    assert stats.iterations == 1
     assert np.allclose(w_new, 1.0)
     # one failed factorization per rejected attempt, one for the accepted one
     assert solves == len(calls) == 3
@@ -306,9 +299,9 @@ def test_fast_steps_grow_dt_to_the_cap():
     exc = Excitation(amplitude=9.6, frequency=50.0)
     cfg = SolverConfig(periods=0.3, dt_init=1e-5, dt_max=1e-4)
     trace = run_transient(cfg, ctx, exc)
-    assert trace.dt.max() == pytest.approx(1e-4)
+    applied = np.diff(trace.times)
+    assert applied.max() == pytest.approx(1e-4)
     # growth is capped at 20% per step
-    applied = trace.dt[1:]
     assert np.all(applied[1:] <= applied[:-1] * 1.2 * (1 + 1e-9))
 
 
@@ -409,7 +402,6 @@ def test_stepper_properties(periods, dt_init, growth, halvings, max_newton_iters
     assert trace.times[-1] == t_end
     steps = np.diff(trace.times)
     assert steps.min() > 1e-12 * t_end  # no step is a roundoff sliver
-    assert np.array_equal(trace.dt[1:], steps)
     # no step is shorter than dt_min, the landing one included, but for the
     # roundoff of t + dt - t
     assert np.all(steps >= cfg.dt_min * (1 - 1e-12))

@@ -202,7 +202,9 @@ class AssemblyContext:
         mesh = layout.mesh
         self.mesh = mesh
         self.cb: sp.csr_matrix = layout.curl_basis
-        self.mass: sp.csr_matrix = (layout.basis.T @ mesh.mass_matrix(MU0) @ layout.basis).tocsr()
+        # the edge mass is symmetric to the bit and sorted, so its transpose is
+        # the CSC copy SciPy would make of it for this product: same bits
+        self.mass: sp.csr_matrix = (layout.basis.T @ mesh.mass_matrix(MU0).T @ layout.basis).tocsr()
         self.abs_mass: sp.csr_matrix = abs(self.mass)
         self.coil = mesh.coil_cells
         # the rows of cb of the winding cells, and their transpose, both CSR;

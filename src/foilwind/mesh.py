@@ -266,11 +266,9 @@ class Mesh:
     @cached_property
     def edge_nodes(self) -> np.ndarray:
         """Oriented node pairs, canonical +r / +z direction (low id -> high id)."""
-        izh, irh = np.divmod(np.arange(self.n_hedges), self.n_r - 1)
-        izv, irv = np.divmod(np.arange(self.n_vedges), self.n_r)
-        h = np.column_stack([self.node_id(irh, izh), self.node_id(irh + 1, izh)])
-        v = np.column_stack([self.node_id(irv, izv), self.node_id(irv, izv + 1)])
-        return np.vstack([h, v])
+        ids = np.arange(self.n_nodes).reshape(self.n_z, self.n_r)
+        h = np.column_stack([ids[:, :-1].ravel(), ids[:, 1:].ravel()])
+        return np.vstack([h, np.column_stack([ids[:-1].ravel(), ids[1:].ravel()])])
 
     @cached_property
     def cell_edges(self) -> np.ndarray:
@@ -387,26 +385,30 @@ class Mesh:
 
         Per-cell 2x2 blocks are integrated exactly (the integrands are at
         most cubic, which 2x2 Gauss reproduces); radial and axial edge
-        families do not couple on axis-aligned rectangles, so no entry
-        couples them. The conversion sums each entry's one or two cells.
+        families do not couple on axis-aligned rectangles. So the matrix has
+        five diagonals: a radial edge couples with the radial edges a cell
+        row above and below it, n_r - 1 ids away, and an axial edge with the
+        axial edges beside it. A diagonal entry sums its edge's one or two
+        cells, a sum whose IEEE value does not depend on the order; the
+        conversion to CSR drops the zeros where no cell couples two edges.
         """
-        dr, dz, r0, rb = self.dr, self.dz, self.r0, self.rbar
+        nr, h, n = self.n_r, self.n_hedges, self.n_edges
+        dr = np.diff(self.r_lines)[None, :]
+        dz = np.diff(self.z_lines)[:, None]
+        r0 = self.r_lines[None, :-1]
         c = 2.0 * np.pi * mu
-        hb = c * rb * dz / dr
-        m_bb = hb / 3.0
-        m_bt = hb / 6.0
+        hb = (c * (r0 + 0.5 * dr) * dz / dr).ravel()  # a cell's id is that of its bottom edge
         hv = c * dr / dz
-        m_ll = hv * (r0 / 3.0 + dr / 12.0)
-        m_lr = hv * (r0 / 6.0 + dr / 12.0)
-        m_rr = hv * (r0 / 3.0 + dr / 4.0)
-
-        # per cell the radial pair (bottom, top) and the axial pair (left, right)
-        pairs = self.cell_edges.reshape(-1, 2, 2)
-        blocks = np.array([[[m_bb, m_bt], [m_bt, m_bb]], [[m_ll, m_lr], [m_lr, m_rr]]])
-        rows = np.repeat(pairs, 2, axis=2).ravel()
-        cols = np.tile(pairs, (1, 1, 2)).ravel()
-        vals = blocks.transpose(3, 0, 1, 2).ravel()
-        return sp.csr_matrix((vals, (rows, cols)), shape=(self.n_edges, self.n_edges))
+        # the diagonals at offsets 1 - n_r, -1, 0, 1, n_r - 1, stored by column
+        diags = np.zeros((5, n))
+        diags[0, : hb.size] = diags[4, nr - 1 : h] = hb / 6.0
+        diags[2, : hb.size] = hb / 3.0
+        diags[2, nr - 1 : h] += hb / 3.0
+        lower, mid, upper = (d[h:].reshape(-1, nr) for d in diags[1:4])
+        lower[:, :-1] = upper[:, 1:] = hv * (r0 / 6.0 + dr / 12.0)
+        mid[:, :-1] = hv * (r0 / 3.0 + dr / 12.0)
+        mid[:, 1:] += hv * (r0 / 3.0 + dr / 4.0)
+        return sp.dia_matrix((diags, [1 - nr, -1, 0, 1, nr - 1]), shape=(n, n)).tocsr()
 
     # ---- loops and frames ----------------------------------------------------
 

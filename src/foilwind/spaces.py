@@ -23,12 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 
 import numpy as np
 import scipy.sparse as sp
 from numpy.polynomial import polynomial as P
 
-from .mesh import AIR, Mesh
+from .mesh import Mesh
 from .variants import FormulationVariant
 
 
@@ -50,18 +51,10 @@ class VoltageBasis:
         if order < 0:
             raise ValueError("polynomial order must be >= 0")
         self.order = int(order)
-        self._coeffs = [self._shifted(k) for k in range(order + 1)]
+        # monomial coefficients of P_k(2x - 1): integers, exact at every order
+        self._coeffs = [np.array([(-1) ** (k + j) * comb(k, j) * comb(k + j, j) for j in range(k + 1)],
+                                 dtype=float) for k in range(order + 1)]
         self._anti = [P.polyint(c) for c in self._coeffs]
-
-    @staticmethod
-    def _shifted(k: int) -> np.ndarray:
-        leg = np.zeros(k + 1)
-        leg[k] = 1.0
-        c = np.polynomial.legendre.leg2poly(leg)
-        shifted = np.zeros(1)
-        for i, ci in enumerate(c):
-            shifted = P.polyadd(shifted, ci * P.polypow([-1.0, 2.0], i))
-        return shifted
 
     @property
     def n_funcs(self) -> int:
@@ -87,8 +80,8 @@ class VoltageBasis:
 # --------------------------------------------------------------------------
 
 
-def _sheet_columns(mesh: Mesh, sheets: list[tuple[int, int]]) -> sp.csr_matrix:
-    """One column per jump sheet (terminal column, cell row) of the winding.
+def _sheets(mesh: Mesh, cols: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Edges, and sheet of each, of jump sheets ending in the cells (cols[k], rows[k]).
 
     A sheet is +1 on each vertical edge it crosses from the axis to its
     terminal cell, so its curl is +1 ampere (per unit DoF) in exactly that
@@ -96,33 +89,26 @@ def _sheet_columns(mesh: Mesh, sheets: list[tuple[int, int]]) -> sp.csr_matrix:
     truncation boundary carries a zero-tangential-field condition that a
     jump sheet may not pierce.
     """
-    rows, cols = [], []
-    for k, (col, row) in enumerate(sheets):
-        edges = mesh.vedge_id(np.arange(col + 1), np.full(col + 1, row))
-        rows.append(edges)
-        cols.append(np.full(edges.size, k))
-    rows = np.concatenate(rows)
-    return sp.csr_matrix(
-        (np.ones(rows.size), (rows, np.concatenate(cols))),
-        shape=(mesh.n_edges, len(sheets)),
-    )
+    sheet = np.repeat(np.arange(cols.size), cols + 1)
+    ir = np.arange(sheet.size) - np.repeat(np.cumsum(cols + 1) - (cols + 1), cols + 1)
+    return mesh.vedge_id(ir, rows[sheet]), sheet
 
 
-def _cut_columns(mesh: Mesh, holes: np.ndarray) -> sp.csr_matrix:
+def _cut_sheets(mesh: Mesh, holes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One unit-circulation cut per hole (turn id for the detailed model, 0 for the bulk).
 
     Rows are spread over the winding height so stacked sheets stay distinct;
     each terminal cell is the first winding column of its hole.
     """
-    sheets = []
-    for idx, hole in enumerate(holes):
-        cells = np.nonzero(mesh.region == hole)[0]
-        col = int(mesh.alpha_index[cells].min()) + mesh.coil_col0
-        row = (idx * mesh.n_beta) // len(holes)
-        if mesh.region[mesh.cell_id(col, row)] != hole:
-            raise ValueError(f"cut line for hole {hole} terminates outside it")
-        sheets.append((col, row))
-    return _sheet_columns(mesh, sheets)
+    coil = mesh.coil_cells
+    seen = np.zeros((holes.size, mesh.n_r - 1), dtype=bool)  # hole x cell column
+    seen[np.searchsorted(holes, mesh.region[coil]), mesh.alpha_index[coil] + mesh.coil_col0] = True
+    cols = seen.argmax(axis=1)
+    rows = (np.arange(holes.size) * mesh.n_beta) // holes.size
+    outside = mesh.region[mesh.cell_id(cols, rows)] != holes
+    if outside.any():
+        raise ValueError(f"cut line for hole {holes[outside][0]} terminates outside it")
+    return _sheets(mesh, cols, rows)
 
 
 # --------------------------------------------------------------------------
@@ -175,22 +161,35 @@ class DofLayout:
         return cb
 
 
-def _inside_conductor(mesh: Mesh, incidence: np.ndarray, full: int) -> np.ndarray:
-    """Mask of the edges or nodes inside one conductor region.
+def _inside_conductor(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the edges and of the nodes inside one conductor region.
 
-    ``incidence`` holds the edges (``mesh.cell_edges``) or nodes
-    (``mesh.quads``) of each cell. An entity is inside when all ``full`` of
-    its incident cells (2 for an edge, 4 for a node) carry one winding tag;
-    entities on the domain boundary have fewer incident cells.
+    An edge is inside when both its cells, a node when all four of its
+    cells, carry one winding tag; entities on the domain boundary have
+    fewer cells and are never inside.
     """
-    ids = incidence.ravel()
-    tags = np.repeat(mesh.region, incidence.shape[1])
-    count = np.bincount(ids)
-    lo = np.full(count.size, np.iinfo(tags.dtype).max)
-    hi = np.full(count.size, AIR)
-    np.minimum.at(lo, ids, tags)
-    np.maximum.at(hi, ids, tags)
-    return (count == full) & (lo == hi) & (lo >= 0)
+    nr, nz = mesh.n_r, mesh.n_z
+    tags = mesh.region.reshape(nz - 1, nr - 1)
+    across_z = (tags[:-1] == tags[1:]) & (tags[1:] >= 0)  # the two cells of each inner radial edge
+    across_r = (tags[:, :-1] == tags[:, 1:]) & (tags[:, 1:] >= 0)  # ... of each inner axial edge
+    edges = np.zeros(mesh.n_edges, dtype=bool)
+    edges[: mesh.n_hedges].reshape(nz, nr - 1)[1:-1] = across_z
+    edges[mesh.n_hedges :].reshape(nz - 1, nr)[:, 1:-1] = across_r
+    nodes = np.zeros((nz, nr), dtype=bool)
+    nodes[1:-1, 1:-1] = across_r[:-1] & across_r[1:] & across_z[:, :-1]
+    return edges, nodes.ravel()
+
+
+def _entries(mat: sp.csr_matrix):
+    """A block as its entries (row, column, value) in stored order, and its width."""
+    return np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr)), mat.indices, mat.data, mat.shape[1]
+
+
+def _columns(block, mask: np.ndarray):
+    """The columns of ``block`` (rows, columns, values, width) that ``mask`` picks, renumbered."""
+    rows, cols, vals, _ = block
+    keep = mask[cols]
+    return rows[keep], (np.cumsum(mask) - 1)[cols[keep]], vals[keep], int(np.count_nonzero(mask))
 
 
 def build_dof_layout(
@@ -217,12 +216,10 @@ def build_dof_layout(
     if not isinstance(variant, FormulationVariant):
         raise ValueError(f"unknown variant {variant!r}")
 
-    n_edges = mesh.n_edges
-    edge_columns = sp.identity(n_edges, format="csr")
-    vb = VoltageBasis(voltage_order)
     coil = mesh.coil_cells
     holes = np.unique(mesh.region[coil])  # the turns, or the bulk winding
     if variant.is_fcm:
+        vb = VoltageBasis(voltage_order)
         if mesh.n_alpha < vb.n_funcs:
             # fewer radial columns than voltage functions -> rank-deficient coupling
             raise ValueError(
@@ -239,54 +236,51 @@ def build_dof_layout(
         mode_means = np.identity(holes.size)
         mode_turns = np.ones(holes.size)
 
-    columns: list[sp.csr_matrix] = []
-    blocks: dict[str, slice] = {}
-    pos = 0
-
-    def add_block(name: str, mat: sp.csr_matrix):
-        nonlocal pos
-        if mat.shape[1] == 0:
-            return
-        columns.append(mat)
-        blocks[name] = slice(pos, pos + mat.shape[1])
-        pos += mat.shape[1]
-
+    # each block as its entries (edge, column, value) in row order, and its width
+    n_edges = mesh.n_edges
+    identity = (np.arange(n_edges), np.arange(n_edges), np.ones(n_edges), n_edges)
+    parts = {}
     if variant is FormulationVariant.FCM_H_FULL:
         free_edges = np.ones(n_edges, dtype=bool)
         free_edges[mesh.constrained_edges] = False
-        add_block("edge", edge_columns[:, free_edges])
+        parts["edge"] = _columns(identity, free_edges)
     else:
         # edge unknowns inside a conductor, the gradient of a scalar potential
         # wherever they do not own the field
-        inside = _inside_conductor(mesh, mesh.cell_edges, 2)
+        inside, inside_nodes = _inside_conductor(mesh)
         free_nodes = np.ones(mesh.n_nodes, dtype=bool)
         if variant is FormulationVariant.FCM_T_OMEGA:
             inside[mesh.n_hedges :] = False  # radial (alpha) edges only
         else:
-            free_nodes &= ~_inside_conductor(mesh, mesh.quads, 4)
+            free_nodes &= ~inside_nodes
         free_nodes[mesh.dirichlet_nodes] = False
-        add_block("edge", edge_columns[:, inside])
-        add_block("nodal", mesh.gradient[:, free_nodes])
+        parts["edge"] = _columns(identity, inside)
+        parts["nodal"] = _columns(_entries(mesh.gradient), free_nodes)
 
         if variant is FormulationVariant.FCM_T_OMEGA:
             # modal net-current carriers: per-column sheets contracted with the
             # voltage basis; the pure radial-edge field carries zero net current
             # per column, so these close the space at minimal extra cost
-            sheets = [(mesh.coil_col0 + j, 0) for j in range(mesh.n_alpha)]
-            add_block("carrier", (_sheet_columns(mesh, sheets) @ sp.csr_matrix(mode_means)).tocsr())
+            edges, sheet = _sheets(mesh, mesh.coil_col0 + np.arange(mesh.n_alpha), np.zeros(mesh.n_alpha, int))
+            per_column = sp.csr_matrix((np.ones(edges.size), (edges, sheet)), shape=(n_edges, mesh.n_alpha))
+            parts["carrier"] = _entries(per_column @ sp.csr_matrix(mode_means))
         else:
-            add_block("cut", _cut_columns(mesh, holes))
+            edges, sheet = _cut_sheets(mesh, holes)
+            parts["cut"] = edges, sheet, np.ones(edges.size), holes.size
 
-    basis = sp.hstack(columns, format="csr") if columns else sp.csr_matrix((n_edges, 0))
-    return DofLayout(
-        mesh=mesh,
-        variant=variant,
-        basis=basis,
-        blocks=blocks,
-        cell_slice=cell_slice,
-        mode_means=mode_means,
-        mode_turns=mode_turns,
-    )
+    # the blocks side by side, each row's entries block by block and in each
+    # block's own order, as sp.hstack lays them out; a block without columns
+    # has no span
+    starts = np.cumsum([0] + [part[3] for part in parts.values()]).tolist()
+    blocks = {name: slice(a, b) for name, a, b in zip(parts, starts[:-1], starts[1:]) if b > a}
+    rows = np.concatenate([part[0] for part in parts.values()])
+    order = np.argsort(rows, kind="stable")
+    cols = np.concatenate([part[1] + a for part, a in zip(parts.values(), starts)])
+    vals = np.concatenate([part[2] for part in parts.values()])
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_edges))])
+    basis = sp.csr_matrix((vals[order], cols[order], indptr), shape=(n_edges, starts[-1]))
+    return DofLayout(mesh=mesh, variant=variant, basis=basis, blocks=blocks,
+                     cell_slice=cell_slice, mode_means=mode_means, mode_turns=mode_turns)
 
 
 # --------------------------------------------------------------------------

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from numpy.polynomial import polynomial as P
 
 from foilwind.config import PRESETS, config_from_preset
 from foilwind.formulations import AssemblyContext
 from foilwind.mesh import (
+    AIR,
     MU0,
     CoilGeometry,
     Mesh,
@@ -14,8 +16,9 @@ from foilwind.mesh import (
 )
 from foilwind.runner import build_mesh
 from foilwind.spaces import build_dof_layout
+from foilwind.variants import FormulationVariant
 
-from helpers import pancake_geometry, small_mesh
+from helpers import pancake_geometry, small_config, small_mesh
 
 
 def test_turn_radii_arithmetic():
@@ -272,6 +275,103 @@ def test_operators_match_the_coo_construction_bit_for_bit(preset, monkeypatch):
     names = ("curl", "gradient", "mass_matrix", "curl_basis", "mass")
     for name, a, b in zip(names, built, reference):
         assert _same_csr(a, b), name
+
+
+def _ufunc_at_inside(mesh, incidence, full):
+    """Entities (edges or nodes) all ``full`` of whose cells carry one winding tag."""
+    ids = incidence.ravel()
+    tags = np.repeat(mesh.region, incidence.shape[1])
+    count = np.bincount(ids)
+    lo = np.full(count.size, np.iinfo(tags.dtype).max)
+    hi = np.full(count.size, AIR)
+    np.minimum.at(lo, ids, tags)
+    np.maximum.at(hi, ids, tags)
+    return (count == full) & (lo == hi) & (lo >= 0)
+
+
+def _sheet_columns(mesh, sheets):
+    """One column per jump sheet (terminal column, cell row), from COO triplets."""
+    rows, cols = [], []
+    for k, (col, row) in enumerate(sheets):
+        rows.append(mesh.vedge_id(np.arange(col + 1), np.full(col + 1, row)))
+        cols.append(np.full(col + 1, k))
+    rows = np.concatenate(rows)
+    return sp.csr_matrix((np.ones(rows.size), (rows, np.concatenate(cols))), shape=(mesh.n_edges, len(sheets)))
+
+
+def _legendre_means(mesh, order):
+    """Cell means of the shifted Legendre polynomials, coefficients by Legendre-to-power series."""
+    a0, a1 = mesh.alpha_spans.T
+    means = []
+    for k in range(order + 1):
+        shifted = np.zeros(1)
+        for i, ci in enumerate(np.polynomial.legendre.leg2poly(np.eye(k + 1)[k])):
+            shifted = P.polyadd(shifted, ci * P.polypow([-1.0, 2.0], i))
+        anti = P.polyint(shifted)
+        means.append((P.polyval(a1, anti) - P.polyval(a0, anti)) / (a1 - a0))
+    return np.stack(means, axis=-1)
+
+
+def _hstack_layout(mesh, variant, order):
+    """(basis, cell_slice, mode_means, mode_turns) of build_dof_layout, built from
+    identity-matrix column picks, ufunc.at masks, a loop over the holes and one hstack."""
+    coil = mesh.coil_cells
+    holes = np.unique(mesh.region[coil])
+    if variant.is_fcm:
+        cell_slice, mode_means = mesh.alpha_index[coil], _legendre_means(mesh, order)
+        mode_turns = np.zeros(order + 1)
+        mode_turns[0] = mesh.geom.n_turns
+    else:
+        cell_slice, mode_means, mode_turns = mesh.region[coil], np.identity(holes.size), np.ones(holes.size)
+    identity = sp.identity(mesh.n_edges, format="csr")
+    if variant is FormulationVariant.FCM_H_FULL:
+        free_edges = np.ones(mesh.n_edges, dtype=bool)
+        free_edges[mesh.constrained_edges] = False
+        columns = [identity[:, free_edges]]
+    else:
+        inside = _ufunc_at_inside(mesh, mesh.cell_edges, 2)
+        free_nodes = np.ones(mesh.n_nodes, dtype=bool)
+        if variant is FormulationVariant.FCM_T_OMEGA:
+            inside[mesh.n_hedges :] = False
+        else:
+            free_nodes &= ~_ufunc_at_inside(mesh, mesh.quads, 4)
+        free_nodes[mesh.dirichlet_nodes] = False
+        columns = [identity[:, inside], mesh.gradient[:, free_nodes]]
+        if variant is FormulationVariant.FCM_T_OMEGA:
+            sheets = _sheet_columns(mesh, [(mesh.coil_col0 + j, 0) for j in range(mesh.n_alpha)])
+            columns.append((sheets @ sp.csr_matrix(mode_means)).tocsr())
+        else:
+            cuts = []
+            for idx, hole in enumerate(holes):
+                col = int(mesh.alpha_index[mesh.region == hole].min()) + mesh.coil_col0
+                cuts.append((col, (idx * mesh.n_beta) // len(holes)))
+            columns.append(_sheet_columns(mesh, cuts))
+    basis = sp.hstack([c for c in columns if c.shape[1]], format="csr")
+    return basis, cell_slice, mode_means, mode_turns
+
+
+SETUP_CASES = sorted(PRESETS) + [v.value for v in FormulationVariant]
+
+
+@pytest.mark.parametrize("case", SETUP_CASES)
+def test_setup_matches_the_hstack_construction_bit_for_bit(case):
+    # a full preset, or a 2-turn case of a variant
+    cfg = config_from_preset(case) if case in PRESETS else small_config(FormulationVariant(case))
+    mesh = build_mesh(cfg)
+    layout = build_dof_layout(mesh, cfg.variant, cfg.voltage_order)
+    ctx = AssemblyContext(layout, cfg.materials)
+    basis, cell_slice, mode_means, mode_turns = _hstack_layout(mesh, cfg.variant, cfg.voltage_order)
+    mass = _coo_mass_matrix(mesh)
+    mass.eliminate_zeros()
+    curl_basis = (mesh.curl @ basis).tocsr()
+    curl_basis.eliminate_zeros()
+    built = [layout.basis, layout.curl_basis, mesh.mass_matrix(), ctx.mass]
+    reference = [basis, curl_basis, mass, (basis.T @ mass @ basis).tocsr()]
+    for name, a, b in zip(("basis", "curl_basis", "mass_matrix", "mass"), built, reference):
+        assert _same_csr(a, b), name
+    for a, b in ((layout.cell_slice, cell_slice), (layout.mode_means, mode_means),
+                 (layout.mode_turns, mode_turns)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_boundary_classification():

@@ -1,5 +1,8 @@
 """Discrete spaces: voltage polynomials, cut functions, DoF layouts."""
 
+from dataclasses import replace
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -72,6 +75,25 @@ def test_voltage_basis_validation():
         VoltageBasis(-1)
 
 
+@pytest.mark.parametrize("order", range(11))
+def test_voltage_basis_is_exact_at_every_order(order):
+    # P_k(2x - 1) has the integer coefficients (-1)^(k+j) C(k, j) C(k+j, j)
+    vb = VoltageBasis(order)
+    for k, coeffs in enumerate(vb._coeffs):
+        assert coeffs.tolist() == [(-1) ** (k + j) * comb(k, j) * comb(k + j, j) for j in range(k + 1)]
+    # the width-weighted products of the means over a uniform tiling are the
+    # Gram matrix diag(1/(2k+1)) less the products of the errors of the
+    # piecewise-constant projection, each error at most (h/pi) |P_k'| with
+    # |P_k'|^2 = 2k(k+1) on [0, 1]
+    n = 64
+    edges = np.linspace(0.0, 1.0, n + 1)
+    means = vb.cell_means(edges[:-1], edges[1:])
+    gram = means.T @ means / n
+    k = np.arange(order + 1)
+    slope = np.sqrt(2.0 * k * (k + 1)) / (np.pi * n)
+    assert np.all(np.abs(gram - np.diag(1.0 / (2 * k + 1))) <= np.outer(slope, slope) + 1e-12)
+
+
 # -- cut functions --------------------------------------------------------------
 
 
@@ -101,6 +123,18 @@ def test_fcm_hphi_single_cut():
     mesh, layout = small_layout(FormulationVariant.FCM_H_PHI, n_turns=2)
     edges, signs = mesh.winding_loop()
     assert _cut_circulations(layout, edges, signs) == pytest.approx([1.0])
+
+
+def test_a_cut_line_ending_outside_its_turn_is_refused():
+    mesh = small_mesh(FormulationVariant.REF_H_PHI, n_turns=2)
+    # the cut of turn 1 ends in its first column, half-way up the winding;
+    # give that cell to turn 0
+    terminal = mesh.cell_id(mesh.coil_col0 + mesh.n_alpha // 2, mesh.n_beta // 2)
+    assert mesh.region[terminal] == 1
+    region = mesh.region.copy()
+    region[terminal] = 0
+    with pytest.raises(ValueError, match="cut line for hole 1 terminates outside it"):
+        build_dof_layout(replace(mesh, region=region), FormulationVariant.REF_H_PHI)
 
 
 # -- DoF layouts ----------------------------------------------------------------

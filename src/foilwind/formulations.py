@@ -236,7 +236,7 @@ class AssemblyContext:
     # -- cell quantities ---------------------------------------------------------
     #
     # Every per-cell quantity of a state is evaluated here and nowhere else:
-    # the circulation, the flux density, and the power-law resistivity.
+    # the circulation, the flux density, |j|/jc and the power-law resistivity.
 
     def _circulation(self, w: np.ndarray) -> np.ndarray:
         """Net azimuthal current j_phi * area of every winding cell, half model [A]."""
@@ -255,7 +255,7 @@ class AssemblyContext:
 
         Any state may be passed. The solver passes the previous converged
         state (a lagged jc), which keeps the Newton tangent the plain
-        power-law tangent; the reported |j|/jc figures pass the state itself.
+        power-law tangent; ``j_over_jc`` passes the state itself.
         """
         if not isinstance(self.materials.jc_model, JcKim):
             return np.full(self.coil.size, self.materials.jc_engineering())
@@ -265,6 +265,10 @@ class AssemblyContext:
     def cell_currents(self, w: np.ndarray) -> np.ndarray:
         """Azimuthal current density per winding cell."""
         return self._circulation(w) / self.coil_area
+
+    def j_over_jc(self, w: np.ndarray) -> np.ndarray:
+        """|j|/jc(b) per winding cell, jc at the field of ``w`` itself."""
+        return np.abs(self.cell_currents(w)) / self.jc_effective(w)
 
     def slice_currents(self, w: np.ndarray) -> np.ndarray:
         """Net current per slice of the voltage modes, scaled to the full device [A].

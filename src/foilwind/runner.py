@@ -133,7 +133,7 @@ def _write_summary(out: Path, cfg: RunConfig, layout, preset, status: str, outco
 
 def _write_snapshots(out, trace, ctx, cfg) -> list[float]:
     """Field exports at peak drive of the last period and at the final time."""
-    period = trace.excitation.period
+    period = cfg.excitation.period
     t_peak = trace.times[-1] - 0.75 * period
     picks = {int(np.argmin(np.abs(trace.times - t_peak))), len(trace.times) - 1}
     times = []
@@ -153,7 +153,7 @@ def _max_normalized_j(trace, ctx) -> float:
     """Largest |j|/jc(b) over the stored states, jc at each state's own field."""
     peak = 0.0
     for w in trace.states:
-        peak = max(peak, float(np.max(np.abs(ctx.cell_currents(w)) / ctx.jc_effective(w))))
+        peak = max(peak, float(np.max(ctx.j_over_jc(w))))
     return peak
 
 

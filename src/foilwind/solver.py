@@ -10,8 +10,12 @@ other field unknowns linearly, so Newton iterates on the rest: each
 iteration factors the elimination's ``matrix`` with its SuperLU
 ``factor_options`` and ``solve`` returns an update that leaves them
 unchanged; the converged state is then ``lift``-ed once. A factorization
-that fails is a Newton failure like any other: the step is retried with
-half the dt.
+that fails is a Newton failure like any other.
+
+``run_transient`` is the one stepping loop: it owns the dt controller, the
+halving of a failed attempt's dt, the landing on t_end, the dt_min floor,
+the linear-solve count of every attempt, and the NonConvergenceError that
+records how far a run got when it gives up.
 
 Convergence is judged on a block-scaled Euclidean residual norm: field rows
 and current-constraint rows carry different units, so each block is
@@ -40,20 +44,27 @@ FAST_STEP_ITERS = 3
 
 
 class NonConvergenceError(RuntimeError):
-    """Newton failed to reach tolerance; the stepper may retry with smaller dt."""
+    """Newton failed to reach tolerance; run_transient may retry with smaller dt.
 
-    def __init__(self, message: str, stats: "NewtonStats", solves: int = 0):
+    ``progress`` says how far the run got when it gave up: its accepted steps,
+    its linear solves (rejected attempts included) and its last accepted time.
+    """
+
+    def __init__(self, message: str, stats: "NewtonStats", progress: dict | None = None):
         super().__init__(message)
         self.stats = stats
-        self.solves = solves  # linear solves of every attempt of a step that gave up
-        self.progress: dict = {}  # how far run_transient got when it gave up
+        self.progress = progress or {}
+
+    def __reduce__(self):
+        # whole across a process boundary: the default would call cls(message)
+        return type(self), (str(self), self.stats, self.progress)
 
 
 class SingularMatrixError(NonConvergenceError):
     """The linearized system factorization failed.
 
     The failed factorization counts as a Newton iteration of the attempt, and
-    the stepper retries with a smaller dt as for any other Newton failure.
+    run_transient retries with a smaller dt as for any other Newton failure.
     """
 
 
@@ -195,51 +206,6 @@ def newton_solve(
     )
 
 
-def step(
-    formulation: AssemblyContext,
-    w: np.ndarray,
-    t: float,
-    dt: float,
-    excitation: Excitation,
-    config: SolverConfig,
-    scales: BlockScales,
-    t_end: float,
-) -> tuple[np.ndarray, float, NewtonStats, int]:
-    """One backward-Euler step from state ``w`` at time ``t``.
-
-    Halves dt (not below dt_min) on Newton failure, a singular factorization
-    included, until an attempt converges. A failed step that lands on
-    ``t_end`` and is shorter than 2 dt_min is not retried: no split of it
-    keeps both parts at least dt_min long. Returns the new state, the dt
-    taken, its Newton stats and the linear solves of all attempts, rejected
-    ones included; the error it gives up with counts them in ``solves``.
-    """
-    solves = 0
-    while True:
-        t_new = t + dt
-
-        def system_fn(u, _t=t_new, _dt=dt):
-            return formulation.assemble(u, w, _dt, _t, excitation)
-
-        try:
-            w_new, stats = newton_solve(system_fn, w, config, scales)
-        except NonConvergenceError as exc:
-            solves += exc.stats.iterations
-            landing = dt == t_end - t and dt < 2 * config.dt_min
-            if landing or dt <= config.dt_min * (1 + 1e-12):
-                raise NonConvergenceError(
-                    f"dt underflow at t={t:.6e}: dt={dt:.3e} cannot be split into "
-                    f"steps of at least dt_min={config.dt_min:.3e}; {exc}; residual history "
-                    f"{[f'{r:.3e}' for r in exc.stats.residual_norms]}",
-                    exc.stats,
-                    solves,
-                ) from exc
-            dt = max(0.5 * dt, config.dt_min)
-            log.info("newton failed at t=%.6e, retrying with dt=%.3e", t_new, dt)
-            continue
-        return w_new, dt, stats, solves + stats.iterations
-
-
 @dataclass
 class SolutionTrace:
     """Accepted-step history of one transient run: full-device quantities, every state."""
@@ -251,7 +217,6 @@ class SolutionTrace:
     newton_iters: np.ndarray
     states: list[np.ndarray]
     linsys_count: int
-    excitation: Excitation
 
     def __post_init__(self) -> None:
         if np.any(np.diff(self.times) <= 0):
@@ -263,7 +228,17 @@ def run_transient(
     formulation: AssemblyContext,
     excitation: Excitation,
 ) -> SolutionTrace:
-    """Simulate ``config.periods`` periods from the zero state."""
+    """Simulate ``config.periods`` periods from the zero state.
+
+    Each backward-Euler step is attempted with the controller's dt, or lands
+    on t_end when it would leave less than dt_min (or a roundoff sliver) to
+    go. A failed Newton solve, a singular factorization included, is retried
+    with half the dt, not below dt_min. The run gives up with a
+    NonConvergenceError carrying its progress when a failed attempt is at
+    dt_min, or lands on t_end and is shorter than 2 dt_min: no split of it
+    keeps both parts at least dt_min long. ``linsys_count`` counts the
+    linear solves of every attempt, rejected ones included.
+    """
     layout = formulation.layout
     t_end = config.periods * excitation.period
     t0 = time.perf_counter()
@@ -289,23 +264,34 @@ def run_transient(
     while t < t_end:
         dt = min(dt_ctrl, t_end - t)
         if t_end - (t + dt) < max(config.dt_min, 1e-12 * t_end):
-            # a step that would leave less than dt_min (or a roundoff sliver)
-            # lands on t_end, so that no step is shorter than dt_min
             dt = t_end - t
-        try:
-            w_new, dt_taken, stats, solves = step(formulation, w, t, dt, excitation, config,
-                                                  scales, t_end)
-        except NonConvergenceError as exc:
-            exc.progress = dict(accepted_steps=len(times) - 1, linsys_count=linsys + exc.solves,
-                                last_accepted_time_s=t)
-            raise
-        linsys += solves
-        if dt_taken < dt:
-            dt_ctrl = dt_taken
+        while True:  # attempts of this step, each with half the dt of the last
+
+            def system_fn(u, _w=w, _dt=dt, _t=t + dt):
+                return formulation.assemble(u, _w, _dt, _t, excitation)
+
+            try:
+                w_new, stats = newton_solve(system_fn, w, config, scales)
+                break
+            except NonConvergenceError as exc:
+                linsys += exc.stats.iterations
+                landing = dt == t_end - t and dt < 2 * config.dt_min
+                if landing or dt <= config.dt_min * (1 + 1e-12):
+                    raise NonConvergenceError(
+                        f"dt underflow at t={t:.6e}: dt={dt:.3e} cannot be split into "
+                        f"steps of at least dt_min={config.dt_min:.3e}; {exc}; residual history "
+                        f"{[f'{r:.3e}' for r in exc.stats.residual_norms]}",
+                        exc.stats,
+                        dict(accepted_steps=len(times) - 1, linsys_count=linsys,
+                             last_accepted_time_s=t),
+                    ) from exc
+                log.info("newton failed at t=%.6e with dt=%.3e, retrying", t + dt, dt)
+                dt_ctrl = dt = max(0.5 * dt, config.dt_min)
+        linsys += stats.iterations
         if stats.iterations <= FAST_STEP_ITERS:
             dt_ctrl = min(dt_ctrl * DT_GROWTH, config.dt_max)
         # t + (t_end - t) can round off t_end; the landing step ends on it
-        t_new = t_end if dt_taken == t_end - t else t + dt_taken
+        t_new = t_end if dt == t_end - t else t + dt
 
         times.append(t_new)
         p.append(formulation.mesh.symmetry_factor * formulation.dissipation(w_new, w))
@@ -338,5 +324,4 @@ def run_transient(
         newton_iters=np.array(iters),
         states=states,
         linsys_count=linsys,
-        excitation=excitation,
     )

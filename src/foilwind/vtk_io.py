@@ -49,5 +49,5 @@ def snapshot_fields(ctx, w: np.ndarray) -> dict[str, np.ndarray]:
     the winding); ``b_mag`` is |b| from the cell-centre field.
     """
     j_norm = np.zeros(ctx.mesh.n_cells)
-    j_norm[ctx.coil] = np.abs(ctx.cell_currents(w)) / ctx.jc_effective(w)
+    j_norm[ctx.coil] = ctx.j_over_jc(w)
     return {"j_norm": j_norm, "b_mag": np.hypot(*ctx.flux_density(w))}

@@ -6,6 +6,7 @@ import logging
 import os
 import shutil
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 
 import pytest
 
@@ -330,6 +331,19 @@ def test_sweep_single_value(finished_run, tmp_path):
     assert ",0.000000e+00," in lines[1]
     assert lines[2] == f"sweep table in {tmp_path / 'sweep.csv'}"
     assert (tmp_path / "voltage_order_3" / "summary.json").is_file()
+
+
+def test_parallel_sweep_reports_a_solver_failure(tmp_path):
+    # the worker's NonConvergenceError crosses the process boundary whole
+    cfg = _failing_config()
+    cfg = replace(cfg, solver=replace(cfg.solver, periods=1.0))
+    out = tmp_path / "sweep"
+    code, _, stderr = run_cli(
+        "sweep", "--config", _write_config(tmp_path / "hard.cfg", cfg), "--param", "n_alpha",
+        "--values", "4,6", "--jobs", "2", "--out", str(out),
+    )
+    assert code == 1
+    assert stderr.startswith("solver failure: ")
 
 
 def test_sweep_empty_values_exits_2(finished_run, tmp_path):

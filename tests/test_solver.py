@@ -1,6 +1,8 @@
 """Transient driver: Newton loop, adaptive stepping, trace bookkeeping."""
 
+import pickle
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,13 +18,13 @@ from foilwind.runner import build_mesh
 from foilwind.materials import JcKim
 from foilwind.solver import (
     BlockScales,
+    NewtonStats,
     NonConvergenceError,
     SingularMatrixError,
     SolutionTrace,
     SolverConfig,
     newton_solve,
     run_transient,
-    step,
 )
 from foilwind.spaces import build_dof_layout
 from foilwind.variants import FormulationVariant
@@ -57,7 +59,6 @@ def test_trace_requires_increasing_times():
             newton_iters=np.zeros(3, dtype=int),
             states=[],
             linsys_count=0,
-            excitation=Excitation(1.0, 50.0),
         )
 
 
@@ -179,33 +180,54 @@ def test_nonfinite_start_residual_raises_instead_of_converging():
     assert np.all(scales.scale == 0.0)  # the stopping test of later attempts is untouched
 
 
+class _Formulation:
+    """What run_transient reads of a formulation besides ``assemble``, for n unknowns."""
+
+    def __init__(self, n):
+        self.layout = SimpleNamespace(n_dofs=n, n_field_dofs=n)
+        self.elimination = None
+        self.mesh = SimpleNamespace(symmetry_factor=1.0)
+
+    def slice_currents(self, w):
+        return np.zeros(1)
+
+    def dissipation(self, w, w_prev):
+        return 0.0
+
+
 def test_step_halves_dt_then_gives_up_at_dt_min():
     attempted = []
 
-    class StuckFormulation:
+    class StuckFormulation(_Formulation):
         def assemble(self, u, u_prev, dt, t, excitation):
             attempted.append(dt)
             return _stuck_system(u.size)(u)
 
-    cfg = SolverConfig(max_newton_iters=2, dt_init=1e-5, dt_min=1e-5, dt_max=8e-5)
-    w = np.zeros(4)
+    # t_end = 1e-4: the first attempt, 8e-5, leaves more than dt_min to go
+    cfg = SolverConfig(max_newton_iters=2, dt_init=8e-5, dt_min=1e-5, dt_max=8e-5, periods=0.005)
     exc = Excitation(1.0, 50.0)
-    with pytest.raises(NonConvergenceError, match="dt underflow"):
-        step(StuckFormulation(), w, 0.0, 8e-5, exc, cfg, BlockScales(4), t_end=1.0)
+    with pytest.raises(NonConvergenceError, match="dt underflow") as err:
+        run_transient(cfg, StuckFormulation(4), exc)
     assert sorted(set(attempted), reverse=True) == [8e-5, 4e-5, 2e-5, 1e-5]
+    # four attempts of two iterations each, none accepted
+    assert err.value.progress == dict(accepted_steps=0, linsys_count=8, last_accepted_time_s=0.0)
 
     # a landing step shorter than 2 dt_min has no split into two steps of at
     # least dt_min, so it fails without a retry
     attempted.clear()
-    with pytest.raises(NonConvergenceError, match="dt underflow"):
-        step(StuckFormulation(), w, 0.0, 1.5e-5, exc, cfg, BlockScales(4), t_end=1.5e-5)
-    assert set(attempted) == {1.5e-5}
+    cfg = replace(cfg, dt_init=1e-5, periods=7.5e-4)
+    with pytest.raises(NonConvergenceError, match="dt underflow") as err:
+        run_transient(cfg, StuckFormulation(4), exc)
+    assert set(attempted) == {cfg.periods * exc.period}
+    assert 1e-5 < attempted[0] < 2e-5
+    assert err.value.progress == dict(accepted_steps=0, linsys_count=2, last_accepted_time_s=0.0)
 
 
-class _LinearFormulation:
+class _LinearFormulation(_Formulation):
     """Residual u - 1 with an identity tangent that is singular above ``dt_ok``."""
 
     def __init__(self, n, dt_ok):
+        super().__init__(n)
         self.context = _IdentityContext(n, dt_ok)
         self.attempted = []
 
@@ -237,23 +259,43 @@ def test_step_retries_a_singular_factorization_with_half_the_dt(monkeypatch):
     splu = solver.splu
     monkeypatch.setattr(solver, "splu", lambda *a, **kw: calls.append(a) or splu(*a, **kw))
     form = _LinearFormulation(4, dt_ok=2e-5)
-    cfg = SolverConfig(dt_init=1e-5, dt_min=1e-5, dt_max=8e-5)
-    w = np.zeros(4)
+    # t_end = 1e-4: the first attempt, 8e-5, leaves more than dt_min to go
+    cfg = SolverConfig(dt_init=8e-5, dt_min=1e-5, dt_max=8e-5, periods=0.005)
     exc = Excitation(1.0, 50.0)
-    w_new, dt_taken, stats, solves = step(form, w, 0.0, 8e-5, exc, cfg, BlockScales(4), t_end=1.0)
-    assert form.attempted == [8e-5, 4e-5, 2e-5]
-    assert dt_taken == 2e-5
-    assert stats.iterations == 1
-    assert np.allclose(w_new, 1.0)
+    trace = run_transient(cfg, form, exc)
+    assert form.attempted[:3] == [8e-5, 4e-5, 2e-5]
+    assert trace.times[1] == 2e-5
+    assert trace.newton_iters[1] == 1
+    assert np.allclose(trace.states[1], 1.0)
+    # the later steps start converged: no iteration, no retry
+    assert len(form.attempted) == 2 + len(trace.times) - 1
+    assert np.all(trace.newton_iters[2:] == 0)
     # one failed factorization per rejected attempt, one for the accepted one
-    assert solves == len(calls) == 3
+    assert trace.linsys_count == len(calls) == 3
 
-    # at dt_min the step gives up and names the failed factorization
+    # at dt_min the run gives up and names the failed factorization
+    calls.clear()
     form = _LinearFormulation(4, dt_ok=1e-6)
+    cfg = replace(cfg, dt_init=2e-5)
     with pytest.raises(NonConvergenceError, match="dt underflow.*factorization failed") as err:
-        step(form, w, 0.0, 2e-5, exc, cfg, BlockScales(4), t_end=1.0)
+        run_transient(cfg, form, exc)
     assert isinstance(err.value.__cause__, SingularMatrixError)
     assert form.attempted == [2e-5, 1e-5]
+    assert err.value.progress == dict(accepted_steps=0, linsys_count=len(calls),
+                                      last_accepted_time_s=0.0)
+    assert len(calls) == 2
+
+
+def test_nonconvergence_error_pickles_whole():
+    stats = NewtonStats(iterations=2, residual_norms=[1.0, 0.5, 0.25])
+    progress = dict(accepted_steps=3, linsys_count=7, last_accepted_time_s=1e-4)
+    for cls in (NonConvergenceError, SingularMatrixError):
+        err = cls("dt underflow at t=1.0", stats, progress)
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is cls
+        assert str(back) == str(err) == "dt underflow at t=1.0"
+        assert back.stats == stats
+        assert back.progress == progress
 
 
 def test_block_scales_two_unit_families():

@@ -240,39 +240,23 @@ def _pancake(variant: FormulationVariant, n_alpha: int, n_beta: int) -> RunConfi
     )
 
 
-def preset_pancake2d_ref() -> RunConfig:
-    """Detailed 20-turn pancake, per-turn reference formulation."""
-    return _pancake(FormulationVariant.REF_H_PHI, n_alpha=40, n_beta=48)
-
-
-def preset_pancake2d_fcm_hphi() -> RunConfig:
-    return _pancake(FormulationVariant.FCM_H_PHI, n_alpha=5, n_beta=31)
-
-
-def preset_pancake2d_fcm_hfull() -> RunConfig:
-    return _pancake(FormulationVariant.FCM_H_FULL, n_alpha=5, n_beta=31)
-
-
-def preset_pancake2d_fcm_tw() -> RunConfig:
-    return _pancake(FormulationVariant.FCM_T_OMEGA, n_alpha=5, n_beta=31)
-
-
+# name -> (variant, n_alpha, n_beta) of the 20-turn pancake
 PRESETS = {
-    "pancake2d_ref": preset_pancake2d_ref,
-    "pancake2d_fcm_hphi": preset_pancake2d_fcm_hphi,
-    "pancake2d_fcm_hfull": preset_pancake2d_fcm_hfull,
-    "pancake2d_fcm_tw": preset_pancake2d_fcm_tw,
+    "pancake2d_ref": (FormulationVariant.REF_H_PHI, 40, 48),
+    "pancake2d_fcm_hphi": (FormulationVariant.FCM_H_PHI, 5, 31),
+    "pancake2d_fcm_hfull": (FormulationVariant.FCM_H_FULL, 5, 31),
+    "pancake2d_fcm_tw": (FormulationVariant.FCM_T_OMEGA, 5, 31),
 }
 
 
 def config_from_preset(name: str) -> RunConfig:
     try:
-        factory = PRESETS[name]
+        variant, n_alpha, n_beta = PRESETS[name]
     except KeyError:
         raise ConfigError(
             f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
         ) from None
-    return factory()
+    return _pancake(variant, n_alpha=n_alpha, n_beta=n_beta)
 
 
 def apply_sweep_value(cfg: RunConfig, parameter: str, value: float) -> RunConfig:

@@ -7,7 +7,8 @@ unknowns and ``V`` the voltage unknowns,
     R_V = G^T u - target(t)
 
 where CB maps field unknowns to cell currents, d holds the cellwise
-resistive weights, and G = (CB)^T Phi couples voltages to currents for every
+power-law resistive weights at the jc the caller passes in (the solver lags
+it at u_prev), and G = (CB)^T Phi couples voltages to currents for every
 variant, with Phi the value of each voltage mode on each winding cell
 (``DofLayout``). Row k pins the current that mode k weighs to the mode's
 ampere-turns at time t. The detailed reference has one indicator mode per
@@ -47,7 +48,6 @@ from scipy.sparse.linalg import splu
 from .materials import MaterialParams, JcKim, power_law
 from .mesh import MU0
 from .spaces import DofLayout
-from .variants import FormulationVariant
 
 
 @dataclass(frozen=True)
@@ -74,15 +74,16 @@ class Excitation:
 # put every kept t-omega unknown on the border of S0 (158 unknowns, 95 %
 # dense at n_alpha 5, denser as n_alpha grows) and would couple ref's turns.
 # fcm-h-full has curl on every edge (its air carries rho_air), so it
-# eliminates nothing. It keeps SuperLU's defaults (COLAMD, threshold 1.0,
-# relax 10): the symmetric ordering changed its step count and raised its
-# loss by 0.36 %, and relax 1-8 saved only 2-4 % of a 10 ms factorization but
-# moved its roundoff, which its step sequence follows. Only the COLAMD order
-# is taken out of the loop: it is computed once for the pattern (``order``
-# {}), and again for the pruned fill of the zero start state, and each
-# factorization keeps it (NATURAL), which repeats the factorization with
-# the defaults bit for bit (see ``Elimination``): on the 182 tangents of the
-# fcm-hfull benchmark workload, 6.95 -> 5.22 ms (median), all bit-equal.
+# eliminates nothing, and an elimination of nothing keeps SuperLU's defaults
+# (COLAMD, threshold 1.0, relax 10): on fcm-h-full the symmetric ordering
+# changed the step count and raised the loss by 0.36 %, and relax 1-8 saved
+# only 2-4 % of a 10 ms factorization but moved its roundoff, which its step
+# sequence follows. Only the COLAMD order is taken out of the loop: it is
+# computed once for the pattern (``order`` {}), and again for the pruned fill
+# of the zero start state, and each factorization keeps it (NATURAL), which
+# repeats the factorization with the defaults bit for bit (see
+# ``Elimination``): on the 182 tangents of the fcm-hfull benchmark workload,
+# 6.95 -> 5.22 ms (median), all bit-equal.
 #
 # The other tangents are structurally symmetric, and a multiple-minimum-degree
 # ordering of A^T + A (Liu, ACM TOMS 11, 1985) halves ref's LU fill on the
@@ -217,11 +218,12 @@ class AssemblyContext:
         # resistive diagonal weight rho -> rho * volume / area^2, half model
         self.coil_dweight = 2.0 * np.pi * mesh.rbar[self.coil] / self.coil_area
 
-        # the all-edge space cannot represent an exactly curl-free air region,
-        # so a finite air resistivity keeps stray currents negligible; the
-        # scalar potential variants are curl-free in air by construction
+        # a space whose curl reaches an air cell (the all-edge one) cannot
+        # represent an exactly curl-free air region, so a finite air
+        # resistivity keeps stray currents negligible; the scalar potential
+        # spaces are curl-free in air by construction, and cb stores no zeros
         self.air_matrix: sp.csr_matrix | None = None
-        if layout.variant is FormulationVariant.FCM_H_FULL:
+        if np.diff(self.cb.indptr)[~mesh.coil_mask].any():
             rho = materials.rho_spurious_air
             d = np.where(mesh.coil_mask, 0.0, rho * 2.0 * np.pi * mesh.rbar / mesh.area)
             self.air_matrix = (self.cb.T @ sp.diags(d) @ self.cb).tocsr()
@@ -231,7 +233,6 @@ class AssemblyContext:
         # reference's indicator modes give one unit entry per turn, on its cut
         phi = sp.csr_matrix(layout.mode_means)[layout.cell_slice]
         self.coupling: sp.csr_matrix = self.winding_curl[1] @ phi
-        self._jc_lag: tuple[np.ndarray, np.ndarray] | None = None  # (w_prev, jc)
 
     # -- cell quantities ---------------------------------------------------------
     #
@@ -253,9 +254,11 @@ class AssemblyContext:
     def jc_effective(self, w: np.ndarray) -> np.ndarray:
         """Engineering critical current density per winding cell at the field of ``w``.
 
-        Any state may be passed. The solver passes the previous converged
-        state (a lagged jc), which keeps the Newton tangent the plain
-        power-law tangent; ``j_over_jc`` passes the state itself.
+        Any state may be passed. ``run_transient`` evaluates it once per time
+        step, at the step's previous converged state, and passes that lagged
+        jc to every assembly and to the dissipation of the step, which keeps
+        the Newton tangent the plain power-law tangent; ``j_over_jc`` passes
+        the state itself.
         """
         if not isinstance(self.materials.jc_model, JcKim):
             return np.full(self.coil.size, self.materials.jc_engineering())
@@ -279,29 +282,19 @@ class AssemblyContext:
         amps = self._circulation(w)
         return self.mesh.symmetry_factor * np.bincount(self.layout.cell_slice, weights=amps)
 
-    def _lagged_jc(self, w_prev: np.ndarray) -> np.ndarray:
-        """``jc_effective(w_prev)``, evaluated once per previous state.
-
-        All assemblies and the dissipation of a time step share its w_prev, so
-        a field-dependent jc is kept for the last w_prev seen.
-        """
-        if not isinstance(self.materials.jc_model, JcKim):
-            return self.jc_effective(w_prev)
-        if self._jc_lag is None or not np.array_equal(self._jc_lag[0], w_prev):
-            self._jc_lag = (w_prev.copy(), self.jc_effective(w_prev))
-        return self._jc_lag[1]
-
-    def _resistive(self, w: np.ndarray, w_prev: np.ndarray):
-        """Winding circulation, |j| and power-law resistivity at the lagged jc."""
+    def _resistive(self, w: np.ndarray, jc: np.ndarray):
+        """Winding circulation, |j| and power-law resistivity at critical density ``jc``."""
         x = self._circulation(w)
         j = np.abs(x) / self.coil_area
-        return x, j, power_law(j, self._lagged_jc(w_prev), self.materials)
+        return x, j, power_law(j, jc, self.materials)
 
     # -- assembly ---------------------------------------------------------------
 
     def assemble(
-        self, w: np.ndarray, w_prev: np.ndarray, dt: float, t: float, excitation: Excitation
+        self, w: np.ndarray, w_prev: np.ndarray, jc: np.ndarray, dt: float, t: float,
+        excitation: Excitation,
     ) -> AssembledSystem:
+        """Residual at ``w`` of the step from ``w_prev``, with the step's lagged ``jc``."""
         layout = self.layout
         nf = layout.n_field_dofs
         if w.shape != (layout.n_dofs,) or w_prev.shape != w.shape:
@@ -309,7 +302,7 @@ class AssemblyContext:
         u, v = w[:nf], w[nf:]
         u_prev = w_prev[:nf]
 
-        x, j, re = self._resistive(w, w_prev)
+        x, j, re = self._resistive(w, jc)
         d_res = re.rho * self.coil_dweight
         d_tan = (re.rho + 2.0 * j**2 * re.drho_dj2) * self.coil_dweight
 
@@ -363,14 +356,15 @@ class AssemblyContext:
         free = np.ones(self.layout.n_field_dofs, dtype=bool)
         free[self.cb.indices] = False
         free[self.layout.basis[self.mesh.cell_edges[self.coil].ravel()].indices] = False
-        # fcm-h-full alone keeps SuperLU's COLAMD defaults (see _ORDER)
-        if self.layout.variant is FormulationVariant.FCM_H_FULL:
-            return Elimination(self, np.flatnonzero(free), {}, {"permc_spec": "NATURAL"})
-        return Elimination(self, np.flatnonzero(free), _ORDER, _IN_ORDER)
+        eliminated = np.flatnonzero(free)
+        # with nothing to eliminate, SuperLU's COLAMD defaults (see _ORDER)
+        if not eliminated.size:
+            return Elimination(self, eliminated, {}, {"permc_spec": "NATURAL"})
+        return Elimination(self, eliminated, _ORDER, _IN_ORDER)
 
-    def dissipation(self, w: np.ndarray, w_prev: np.ndarray) -> float:
-        """Instantaneous resistive power of the half model [W]."""
-        x, _, re = self._resistive(w, w_prev)
+    def dissipation(self, w: np.ndarray, jc: np.ndarray) -> float:
+        """Instantaneous resistive power of the half model at critical density ``jc`` [W]."""
+        x, _, re = self._resistive(w, jc)
         return float(np.sum(re.rho * self.coil_dweight * x ** 2))
 
     def power_balance(self, w: np.ndarray, w_prev: np.ndarray, dt: float) -> dict[str, float]:
@@ -378,13 +372,14 @@ class AssemblyContext:
 
         At a converged step, magnetic energy rate + dissipation + voltage
         coupling power sum to the solver tolerance (Galerkin identity with
-        the solution as test function).
+        the solution as test function), with jc lagged at ``w_prev`` as in the
+        step.
         """
         nf = self.layout.n_field_dofs
         u, v = w[:nf], w[nf:]
         u_prev = w_prev[:nf]
         d_dt = float(u @ (self.mass @ ((u - u_prev) / dt)))
-        diss = self.dissipation(w, w_prev)
+        diss = self.dissipation(w, self.jc_effective(w_prev))
         if self.air_matrix is not None:
             diss += float(u @ (self.air_matrix @ u))
         coupling = float(u @ (self.coupling @ v))

@@ -148,7 +148,9 @@ def read_trace_csv(path: str | Path) -> dict[str, np.ndarray]:
     path = Path(path)
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file, no header")
         if tuple(header) != TRACE_COLUMNS:
             raise ValueError(f"{path}: unexpected columns {header}")
         rows = []

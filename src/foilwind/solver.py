@@ -4,9 +4,9 @@ Every Newton iteration factors its linear system directly, which is robust
 against the power-law's extreme stiffness; no iterative solvers are
 attempted. The context's one elimination leaves out, for every variant, the
 field unknowns that only the mass matrix reaches, the exterior air (none on
-fcm-h-full, which factors the full sparse Jacobian in a COLAMD order
-computed once, bit for bit as with SuperLU's defaults). They follow the
-other field unknowns linearly, so Newton iterates on the rest: each
+fcm-h-full; an elimination of nothing factors the full sparse Jacobian in a
+COLAMD order computed once, bit for bit as with SuperLU's defaults). They
+follow the other field unknowns linearly, so Newton iterates on the rest: each
 iteration factors the elimination's ``matrix`` with its SuperLU
 ``factor_options`` and ``solve`` returns an update that leaves them
 unchanged; the converged state is then ``lift``-ed once. A factorization
@@ -15,7 +15,10 @@ that fails is a Newton failure like any other.
 ``run_transient`` is the one stepping loop: it owns the dt controller, the
 halving of a failed attempt's dt, the landing on t_end, the dt_min floor,
 the linear-solve count of every attempt, and the NonConvergenceError that
-records how far a run got when it gives up.
+records how far a run got when it gives up. It also evaluates the step's
+one input besides the previous state: the critical current density, lagged
+at that state (``jc_effective``) once before the step's first attempt and
+passed to every assembly of the step and to its dissipation.
 
 Convergence is judged on a block-scaled Euclidean residual norm: field rows
 and current-constraint rows carry different units, so each block is
@@ -265,10 +268,12 @@ def run_transient(
         dt = min(dt_ctrl, t_end - t)
         if t_end - (t + dt) < max(config.dt_min, 1e-12 * t_end):
             dt = t_end - t
+        # jc lagged at the step's start: every attempt and the dissipation share it
+        jc = formulation.jc_effective(w)
         while True:  # attempts of this step, each with half the dt of the last
 
-            def system_fn(u, _w=w, _dt=dt, _t=t + dt):
-                return formulation.assemble(u, _w, _dt, _t, excitation)
+            def system_fn(u, _w=w, _jc=jc, _dt=dt, _t=t + dt):
+                return formulation.assemble(u, _w, _jc, _dt, _t, excitation)
 
             try:
                 w_new, stats = newton_solve(system_fn, w, config, scales)
@@ -294,7 +299,7 @@ def run_transient(
         t_new = t_end if dt == t_end - t else t + dt
 
         times.append(t_new)
-        p.append(formulation.mesh.symmetry_factor * formulation.dissipation(w_new, w))
+        p.append(formulation.mesh.symmetry_factor * formulation.dissipation(w_new, jc))
         i_target.append(excitation.current(t_new))
         slices.append(formulation.slice_currents(w_new))
         iters.append(stats.iterations)

@@ -133,7 +133,6 @@ class DofLayout:
     """
 
     mesh: Mesh
-    variant: FormulationVariant
     basis: sp.csr_matrix
     blocks: dict[str, slice]
     cell_slice: np.ndarray  # slice of each winding cell, in ``mesh.coil_cells`` order
@@ -279,8 +278,8 @@ def build_dof_layout(
     vals = np.concatenate([part[2] for part in parts.values()])
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_edges))])
     basis = sp.csr_matrix((vals[order], cols[order], indptr), shape=(n_edges, starts[-1]))
-    return DofLayout(mesh=mesh, variant=variant, basis=basis, blocks=blocks,
-                     cell_slice=cell_slice, mode_means=mode_means, mode_turns=mode_turns)
+    return DofLayout(mesh=mesh, basis=basis, blocks=blocks, cell_slice=cell_slice,
+                     mode_means=mode_means, mode_turns=mode_turns)
 
 
 # --------------------------------------------------------------------------

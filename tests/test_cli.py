@@ -292,8 +292,9 @@ def _edit_last_row(column, value):
         (_edit_last_row(0, lambda rows: "nan"), "finite"),
         (_edit_last_row(0, lambda rows: rows[-2][0]), "increasing"),
         (_edit_last_row(1, lambda rows: "-1e-3"), "non-negative"),
+        (lambda rows: None, "empty file, no header"),
     ],
-    ids=["rows-of-3-fields", "p-NaN", "t-NaN", "t-repeated", "p-negative"],
+    ids=["rows-of-3-fields", "p-NaN", "t-NaN", "t-repeated", "p-negative", "empty-file"],
 )
 def test_compare_rejects_a_malformed_trace_naming_its_directory(finished_run, tmp_path, edit,
                                                                detail):
@@ -302,8 +303,9 @@ def test_compare_rejects_a_malformed_trace_naming_its_directory(finished_run, tm
     bad = tmp_path / "bad"
     bad.mkdir()
     (bad / "summary.json").write_text((out_dir / "summary.json").read_text())
-    rows = edit([line.split(",") for line in lines])
-    (bad / "trace.csv").write_text("\n".join([header, *map(",".join, rows)]) + "\n")
+    rows = edit([line.split(",") for line in lines])  # None: the file is empty
+    text = "" if rows is None else "\n".join([header, *map(",".join, rows)]) + "\n"
+    (bad / "trace.csv").write_text(text)
     for run_dir, ref_dir in ((bad, out_dir), (out_dir, bad)):
         code, _, stderr = run_cli("compare", str(run_dir), str(ref_dir), "--out", str(tmp_path))
         assert code == 2

@@ -185,7 +185,7 @@ def test_uniform_critical_current_density_loss():
                 w[dof] = h * (mesh.z_lines[iz + 1] - mesh.z_lines[iz])
     assert np.allclose(ctx.cell_currents(w), jc_eng, rtol=1e-9)
     # constant jc: the lagging state does not matter
-    p = mesh.symmetry_factor * ctx.dissipation(w, w)
+    p = mesh.symmetry_factor * ctx.dissipation(w, ctx.jc_effective(w))
     expect = mats.e_c * jc_eng * np.pi * (g.outer_radius**2 - g.inner_radius**2) * g.cc_width
     assert p == pytest.approx(expect, rel=1e-9)
     assert p == pytest.approx(3.92071e-2, rel=1e-4)

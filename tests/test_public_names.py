@@ -12,6 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from foilwind.variants import FormulationVariant
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "foilwind"
 
@@ -81,13 +83,16 @@ def test_public_names_without_callers_are_the_oracles():
 
 
 def test_only_the_layout_tells_the_reference_from_the_homogenized_variants():
-    """The reference's per-turn constraints are its indicator voltage modes,
-    which ``spaces.build_dof_layout`` decides; past the layout, no module
-    branches on the reference variant."""
+    """The variant decides the unknown layout, which ``spaces.build_dof_layout``
+    builds: the reference's per-turn constraints are its indicator voltage
+    modes, the air term follows from where the curl basis reaches and the
+    factor recipe from what there is to eliminate. Past the layout, no module
+    branches on a variant member or on ``is_fcm``."""
+    names = {variant.name for variant in FormulationVariant} | {"is_fcm"}
     readers = {
         path.name
         for path in PACKAGE.glob("*.py")
-        if "REF_H_PHI" in _reads(ast.parse(path.read_text()))
+        if names & set(_reads(ast.parse(path.read_text())))
     }
     assert readers <= {"variants.py", "spaces.py", "config.py"}
 

@@ -71,7 +71,7 @@ def test_already_converged_state_takes_no_iterations():
     w0 = np.zeros(ctx.layout.n_dofs)
 
     def system_fn(u):
-        return ctx.assemble(u, w0, 1e-5, 0.0, exc)
+        return ctx.assemble(u, w0, ctx.jc_effective(w0), 1e-5, 0.0, exc)
 
     scales = BlockScales(ctx.layout.n_field_dofs)
     u, stats = newton_solve(system_fn, w0, SolverConfig(), scales)
@@ -86,9 +86,10 @@ def test_restarting_from_a_converged_step_is_cheap():
     dt = trace.times[-1] - trace.times[-2]
     t = trace.times[-1]
     w_prev = trace.states[-2]
+    jc = ctx.jc_effective(w_prev)
 
     def system_fn(u):
-        return ctx.assemble(u, w_prev, dt, t, exc)
+        return ctx.assemble(u, w_prev, jc, dt, t, exc)
 
     scales = BlockScales(ctx.layout.n_field_dofs)
     u, stats = newton_solve(system_fn, trace.states[-1], SolverConfig(), scales)
@@ -102,9 +103,10 @@ def test_newton_residual_history_is_monotone():
     # redo the last accepted step from its starting point
     dt = trace.times[-1] - trace.times[-2]
     w_prev = trace.states[-2]
+    jc = ctx.jc_effective(w_prev)
 
     def system_fn(u):
-        return ctx.assemble(u, w_prev, dt, trace.times[-1], exc)
+        return ctx.assemble(u, w_prev, jc, dt, trace.times[-1], exc)
 
     scales = BlockScales(ctx.layout.n_field_dofs)
     u, stats = newton_solve(system_fn, w_prev, SolverConfig(), scales)
@@ -191,7 +193,10 @@ class _Formulation:
     def slice_currents(self, w):
         return np.zeros(1)
 
-    def dissipation(self, w, w_prev):
+    def jc_effective(self, w):
+        return np.zeros(0)
+
+    def dissipation(self, w, jc):
         return 0.0
 
 
@@ -199,7 +204,7 @@ def test_step_halves_dt_then_gives_up_at_dt_min():
     attempted = []
 
     class StuckFormulation(_Formulation):
-        def assemble(self, u, u_prev, dt, t, excitation):
+        def assemble(self, u, u_prev, jc, dt, t, excitation):
             attempted.append(dt)
             return _stuck_system(u.size)(u)
 
@@ -231,7 +236,7 @@ class _LinearFormulation(_Formulation):
         self.context = _IdentityContext(n, dt_ok)
         self.attempted = []
 
-    def assemble(self, u, u_prev, dt, t, excitation):
+    def assemble(self, u, u_prev, jc, dt, t, excitation):
         if np.array_equal(u, u_prev):
             self.attempted.append(dt)
         return AssembledSystem(
@@ -248,7 +253,7 @@ def test_singular_factorization_counts_as_an_iteration():
     w = np.zeros(4)
     with pytest.raises(SingularMatrixError) as err:
         newton_solve(
-            lambda u: form.assemble(u, w, 2e-5, 0.0, None), w, SolverConfig(), BlockScales(4)
+            lambda u: form.assemble(u, w, None, 2e-5, 0.0, None), w, SolverConfig(), BlockScales(4)
         )
     assert isinstance(err.value, NonConvergenceError)
     assert err.value.stats.iterations == 1
@@ -354,8 +359,8 @@ def test_dt_controller_restarts_from_the_converged_dt_after_a_halving():
     assemble = ctx.assemble
     attempts = []  # (w_prev, dt) of every Newton attempt, in order
 
-    def flaky_assemble(w, w_prev, dt, t, excitation):
-        system = assemble(w, w_prev, dt, t, excitation)
+    def flaky_assemble(w, w_prev, jc, dt, t, excitation):
+        system = assemble(w, w_prev, jc, dt, t, excitation)
         if np.array_equal(w, w_prev):
             attempts.append((w_prev, dt))
         elif 1e-3 <= t <= 2e-3 and dt > 2e-5:
@@ -418,9 +423,9 @@ def test_stepper_properties(periods, dt_init, growth, halvings, max_newton_iters
     last = {}  # end time and dt of the latest assembly
     newton_solve, assemble = solver.newton_solve, ctx.assemble
 
-    def recorded(u, w, dt, t, excitation):
+    def recorded(u, w, jc, dt, t, excitation):
         last.update(t=t, dt=dt)
-        return assemble(u, w, dt, t, excitation)
+        return assemble(u, w, jc, dt, t, excitation)
 
     def counted(*args):
         try:
@@ -567,10 +572,16 @@ def test_kim_jc_is_evaluated_once_per_accepted_step(monkeypatch):
     assert len(evals) == len(trace.times) - 1
     assert int(trace.newton_iters.sum()) > len(evals)
 
-    # the same run with the lagged jc evaluated on every call
+    # the same run with every assembly evaluating the jc lagged at its own
+    # w_prev instead of taking the step's
     fresh = small_context(FormulationVariant.FCM_T_OMEGA, n_turns=2, materials=mats)
-    fresh._lagged_jc = fresh.jc_effective
+    assemble = fresh.assemble
+    fresh.assemble = lambda w, w_prev, jc, *args: assemble(
+        w, w_prev, fresh.jc_effective(w_prev), *args
+    )
+    steps = len(evals)
     ref = run_transient(cfg, fresh, exc)
+    assert len(evals) - steps > int(ref.newton_iters.sum()) + steps  # one per assembly, too
     assert np.array_equal(ref.times, trace.times)
     assert np.array_equal(ref.p, trace.p)
     assert np.array_equal(ref.slice_currents, trace.slice_currents)

@@ -38,8 +38,8 @@ class MeshConfig:
     def __post_init__(self) -> None:
         if self.n_alpha < 1 or self.n_beta < 1:
             raise ValueError("mesh resolutions must be >= 1")
-        if self.grading < 1.0:
-            raise ValueError("grading ratio must be >= 1")
+        if not 1.0 <= self.grading < math.inf:
+            raise ValueError("grading ratio must be finite and >= 1")
 
 
 @dataclass(kw_only=True)

@@ -58,8 +58,8 @@ class Excitation:
     frequency: float
 
     def __post_init__(self) -> None:
-        if not self.frequency > 0:
-            raise ValueError("frequency must be positive")
+        if not (0 < self.frequency < math.inf and math.isfinite(self.amplitude)):
+            raise ValueError("need a finite amplitude and a positive finite frequency")
 
     @property
     def period(self) -> float:
@@ -175,6 +175,16 @@ def _csc_pattern(m: int, *parts: tuple[np.ndarray, np.ndarray]):
     return pattern.indices.astype(np.int32), pattern.indptr.astype(np.int32), pos
 
 
+def _rows(m: sp.csr_matrix, rows: np.ndarray) -> sp.csr_matrix:
+    """The rows ``rows`` of ``m``, each in its stored order, in index arrays of their own."""
+    start = m.indptr[rows]
+    counts = m.indptr[rows + 1] - start
+    indptr = np.zeros(rows.size + 1, dtype=m.indptr.dtype)
+    np.cumsum(counts, out=indptr[1:])
+    gather = np.repeat(start - indptr[:-1], counts) + np.arange(indptr[-1], dtype=start.dtype)
+    return sp.csr_matrix((m.data[gather], m.indices[gather], indptr), shape=(rows.size, m.shape[1]))
+
+
 def _relabelled(indices: np.ndarray, indptr: np.ndarray, rank: np.ndarray):
     """A CSC pattern with row and column i relabelled rank[i].
 
@@ -206,13 +216,14 @@ class AssemblyContext:
         # the edge mass is symmetric to the bit and sorted, so its transpose is
         # the CSC copy SciPy would make of it for this product: same bits
         self.mass: sp.csr_matrix = (layout.basis.T @ mesh.mass_matrix(MU0).T @ layout.basis).tocsr()
-        self.abs_mass: sp.csr_matrix = abs(self.mass)
+        m = self.mass
+        self.abs_mass = sp.csr_matrix((np.abs(m.data), m.indices.copy(), m.indptr.copy()), shape=m.shape)
         self.coil = mesh.coil_cells
         # the rows of cb of the winding cells, and their transpose, both CSR;
         # each row keeps its order, and the transpose lists the winding cells
         # in ascending order, so its products are the sums over all cells less
         # the exact zeros of the cells off the winding
-        cb_coil = self.cb[self.coil]
+        cb_coil = _rows(self.cb, self.coil)
         self.winding_curl = (cb_coil, cb_coil.T.tocsr())
         self.coil_area = mesh.area[self.coil]
         # resistive diagonal weight rho -> rho * volume / area^2, half model
@@ -223,16 +234,27 @@ class AssemblyContext:
         # resistivity keeps stray currents negligible; the scalar potential
         # spaces are curl-free in air by construction, and cb stores no zeros
         self.air_matrix: sp.csr_matrix | None = None
-        if np.diff(self.cb.indptr)[~mesh.coil_mask].any():
+        air = ~mesh.coil_mask
+        if np.diff(self.cb.indptr)[air].any():
+            # cb^T diag(d) cb over the air rows alone: each entry sums its cells
+            # in ascending order and each row is sorted, as through the whole cb
+            cb_air = _rows(self.cb, np.flatnonzero(air))
+            scaled = cb_air.T.tocsr()
             rho = materials.rho_spurious_air
-            d = np.where(mesh.coil_mask, 0.0, rho * 2.0 * np.pi * mesh.rbar / mesh.area)
-            self.air_matrix = (self.cb.T @ sp.diags(d) @ self.cb).tocsr()
+            d = rho * 2.0 * np.pi * mesh.rbar[air] / mesh.area[air]
+            scaled.data *= d[scaled.indices]
+            self.air_matrix = scaled @ cb_air
+            self.air_matrix.sort_indices()
 
         # G = (CB)^T Phi, with Phi the value of each voltage mode on each
-        # winding cell. SciPy's product stores no exact zeros, so the
-        # reference's indicator modes give one unit entry per turn, on its cut
-        phi = sp.csr_matrix(layout.mode_means)[layout.cell_slice]
-        self.coupling: sp.csr_matrix = self.winding_curl[1] @ phi
+        # winding cell, gathered from the nonzeros of each slice's modes.
+        # SciPy's product stores no exact zeros, so the reference's indicator
+        # modes give one unit entry per turn, on its cut
+        means = layout.mode_means
+        slices, modes = np.nonzero(means)
+        bounds = np.searchsorted(slices, np.arange(means.shape[0] + 1))
+        phi = sp.csr_matrix((means[slices, modes], modes, bounds), shape=means.shape)
+        self.coupling: sp.csr_matrix = self.winding_curl[1] @ _rows(phi, layout.cell_slice)
 
     # -- cell quantities ---------------------------------------------------------
     #

@@ -7,6 +7,7 @@ in Ohm*m, current densities in A/m^2, fields in T.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 from typing import Union
 
 import numpy as np
@@ -17,8 +18,8 @@ class JcConstant:
     j_c0: float
 
     def __post_init__(self) -> None:
-        if self.j_c0 <= 0:
-            raise ValueError("j_c0 must be positive")
+        if not 0 < self.j_c0 < inf:
+            raise ValueError("j_c0 must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -33,8 +34,8 @@ class JcKim:
     b_0: float
 
     def __post_init__(self) -> None:
-        if self.j_c0 <= 0 or self.b_0 <= 0:
-            raise ValueError("j_c0 and b_0 must be positive")
+        if not (0 < self.j_c0 < inf and 0 < self.b_0 < inf):
+            raise ValueError("j_c0 and b_0 must be positive and finite")
 
 
 JcModel = Union[JcConstant, JcKim]
@@ -58,14 +59,14 @@ class MaterialParams:
     jc_model: JcModel = field(default_factory=lambda: JcConstant(1e10))
 
     def __post_init__(self) -> None:
-        if self.e_c <= 0:
-            raise ValueError("e_c must be positive")
-        if self.n_exponent < 1:
-            raise ValueError("n_exponent must be >= 1")
+        if not 0 < self.e_c < inf:
+            raise ValueError("e_c must be positive and finite")
+        if not 1 <= self.n_exponent < inf:
+            raise ValueError("n_exponent must be finite and >= 1")
         if not 0 < self.lambda_fill <= 1:
             raise ValueError("lambda_fill must be in (0, 1]")
-        if self.rho_spurious_air <= 0:
-            raise ValueError("rho_spurious_air must be positive")
+        if not 0 < self.rho_spurious_air < inf:
+            raise ValueError("rho_spurious_air must be positive and finite")
 
     def jc_engineering(self, b_parallel=0.0, b_perp=0.0):
         """Critical current density averaged over the full conductor cross-section."""

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import inf
 from typing import ClassVar
 
 import numpy as np
@@ -49,14 +50,14 @@ class CoilGeometry:
     homogenized: bool = False
 
     def __post_init__(self) -> None:
-        if self.inner_radius <= 0:
-            raise ValueError("inner_radius must be positive")
+        if not 0 < self.inner_radius < inf:
+            raise ValueError("inner_radius must be positive and finite")
         if self.n_turns < 1:
             raise ValueError("n_turns must be >= 1")
-        if self.cc_thickness <= 0 or self.cc_width <= 0:
-            raise ValueError("conductor dimensions must be positive")
-        if self.air_radius_factor <= 1:
-            raise ValueError("air_radius_factor must exceed 1")
+        if not (0 < self.cc_thickness < inf and 0 < self.cc_width < inf):
+            raise ValueError("conductor dimensions must be positive and finite")
+        if not 1 < self.air_radius_factor < inf:
+            raise ValueError("air_radius_factor must be finite and exceed 1")
 
     @property
     def radial_build(self) -> float:
@@ -84,8 +85,8 @@ def _graded_sizes(span: float, h_first: float, ratio: float) -> np.ndarray:
     """
     if span <= 0:
         return np.empty(0)
-    if h_first <= 0 or ratio < 1:
-        raise ValueError("need h_first > 0 and ratio >= 1")
+    if not (h_first > 0 and 1 <= ratio < inf):
+        raise ValueError("need h_first > 0 and a finite ratio >= 1")
     sizes = [min(h_first, span)]
     while sum(sizes) < span:
         sizes.append(sizes[-1] * ratio)

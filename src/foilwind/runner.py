@@ -62,14 +62,8 @@ def execute_run(
     mesh = build_mesh(cfg)
     layout = build_dof_layout(mesh, cfg.variant, cfg.voltage_order)
     ctx = AssemblyContext(layout, cfg.materials)
-    log.info(
-        "run: variant=%s mesh=%dx%d cells=%d dofs=%d",
-        cfg.variant.value,
-        mesh.n_r - 1,
-        mesh.n_z - 1,
-        mesh.n_cells,
-        layout.n_dofs,
-    )
+    log.info("run: variant=%s mesh=%dx%d cells=%d dofs=%d",
+             cfg.variant.value, mesh.n_r - 1, mesh.n_z - 1, mesh.n_cells, layout.n_dofs)
     (out / "config.txt").write_text(serialize_config(cfg))
     try:
         trace = run_transient(cfg.solver, ctx, cfg.excitation)
@@ -151,10 +145,7 @@ def _write_snapshots(out, trace, ctx, cfg) -> list[float]:
 
 def _max_normalized_j(trace, ctx) -> float:
     """Largest |j|/jc(b) over the stored states, jc at each state's own field."""
-    peak = 0.0
-    for w in trace.states:
-        peak = max(peak, float(np.max(ctx.j_over_jc(w))))
-    return peak
+    return max(float(np.max(ctx.j_over_jc(w))) for w in trace.states)
 
 
 # the summary fields that compare and sweep read, and their types
@@ -170,6 +161,8 @@ def load_run(run_dir: str | Path) -> tuple[dict, postprocess.LossSeries]:
         problem = _summary_problem(summary)
         if not problem:
             data = postprocess.read_trace_csv(run_dir / TRACE_NAME)
+            if data["t"].size < 2:
+                raise ValueError(f"{TRACE_NAME} holds {data['t'].size} samples, too short for a series")
             frequency = summary["excitation"]["frequency"]
             series = postprocess.LossSeries(data["t"], data["p"], frequency)
     except (OSError, ValueError) as exc:  # ValueError: a malformed JSON or CSV file or series
@@ -215,11 +208,8 @@ def compare_runs(run_dir: str | Path, ref_dir: str | Path) -> dict:
         "rel_err_P": report.rel_err_P,
         "interpolation": report.interpolation,
         "run": {"dir": str(run_dir), "variant": summary["variant"], "n_dofs": summary["n_dofs"]},
-        "reference": {
-            "dir": str(ref_dir),
-            "variant": ref_summary["variant"],
-            "n_dofs": ref_summary["n_dofs"],
-        },
+        "reference": {"dir": str(ref_dir), "variant": ref_summary["variant"],
+                      "n_dofs": ref_summary["n_dofs"]},
     }
 
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
+from math import inf
 
 import numpy as np
 from scipy.sparse.linalg import splu
@@ -88,16 +89,16 @@ class SolverConfig:
     damping: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.newton_tol_rel <= 0 or self.newton_tol_abs <= 0:
-            raise ValueError("Newton tolerances must be positive")
-        if not (0 < self.dt_min <= self.dt_init <= self.dt_max):
-            raise ValueError("need 0 < dt_min <= dt_init <= dt_max")
+        if not (0 < self.newton_tol_rel < inf and 0 < self.newton_tol_abs < inf):
+            raise ValueError("Newton tolerances must be positive and finite")
+        if not (0 < self.dt_min <= self.dt_init <= self.dt_max < inf):
+            raise ValueError("need 0 < dt_min <= dt_init <= dt_max, all finite")
         if self.max_newton_iters < 1:
             raise ValueError("max_newton_iters must be >= 1")
         if not 0 < self.damping < 1:
             raise ValueError("damping must lie in (0, 1)")
-        if self.periods <= 0:
-            raise ValueError("periods must be positive")
+        if not 0 < self.periods < inf:
+            raise ValueError("periods must be positive and finite")
 
 
 @dataclass
@@ -304,29 +305,12 @@ def run_transient(
         slices.append(formulation.slice_currents(w_new))
         iters.append(stats.iterations)
         states.append(w_new.copy())
-        log.info(
-            "step %d: t=%.6e dt=%.3e newton=%d residual=%.3e",
-            len(times) - 1,
-            t_new,
-            t_new - t,
-            stats.iterations,
-            stats.final_residual,
-        )
+        log.info("step %d: t=%.6e dt=%.3e newton=%d residual=%.3e",
+                 len(times) - 1, t_new, t_new - t, stats.iterations, stats.final_residual)
         w, t = w_new, t_new
 
     wall = time.perf_counter() - t0
-    log.info(
-        "run complete: %d steps, %d linear solves, %.2f s wall",
-        len(times) - 1,
-        linsys,
-        wall,
-    )
-    return SolutionTrace(
-        times=np.array(times),
-        p=np.array(p),
-        i_target=np.array(i_target),
-        slice_currents=np.array(slices),
-        newton_iters=np.array(iters),
-        states=states,
-        linsys_count=linsys,
-    )
+    log.info("run complete: %d steps, %d linear solves, %.2f s wall", len(times) - 1, linsys, wall)
+    return SolutionTrace(times=np.array(times), p=np.array(p), i_target=np.array(i_target),
+                         slice_currents=np.array(slices), newton_iters=np.array(iters),
+                         states=states, linsys_count=linsys)

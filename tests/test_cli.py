@@ -293,8 +293,11 @@ def _edit_last_row(column, value):
         (_edit_last_row(0, lambda rows: rows[-2][0]), "increasing"),
         (_edit_last_row(1, lambda rows: "-1e-3"), "non-negative"),
         (lambda rows: None, "empty file, no header"),
+        (lambda rows: [], "too short"),
+        (lambda rows: rows[:1], "too short"),
     ],
-    ids=["rows-of-3-fields", "p-NaN", "t-NaN", "t-repeated", "p-negative", "empty-file"],
+    ids=["rows-of-3-fields", "p-NaN", "t-NaN", "t-repeated", "p-negative", "empty-file",
+         "header-only", "one-row"],
 )
 def test_compare_rejects_a_malformed_trace_naming_its_directory(finished_run, tmp_path, edit,
                                                                detail):

@@ -116,6 +116,13 @@ def test_indivisible_n_alpha_rejected():
         mesh_structured(coil, n_alpha=2, n_beta=8)
 
 
+def test_non_finite_air_grading_rejected():
+    # NaN fails ratio < 1 too; let through, it made NaN mesh lines that the area check passed
+    for ratio in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite ratio"):
+            mesh_structured(pancake_geometry(), n_alpha=4, n_beta=8, air_grading=ratio)
+
+
 def test_single_turn_mesh():
     from foilwind.variants import FormulationVariant
 
@@ -372,6 +379,36 @@ def test_setup_matches_the_hstack_construction_bit_for_bit(case):
     for a, b in ((layout.cell_slice, cell_slice), (layout.mode_means, mode_means),
                  (layout.mode_turns, mode_turns)):
         assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    # the context's winding, coupling and air operators against SciPy's
+    # general-purpose constructions, stored order and sortedness flag included
+    cb = layout.curl_basis
+    arrays = ("data", "indices", "indptr")
+    built = {"abs_mass": ctx.abs_mass, "winding_curl[0]": ctx.winding_curl[0],
+             "winding_curl[1]": ctx.winding_curl[1], "coupling": ctx.coupling}
+    if ctx.air_matrix is not None:
+        built["air_matrix"] = ctx.air_matrix
+    # none may share an index array with mass or cb, which SciPy would sort in place
+    for name, op in built.items():
+        for source in (ctx.mass, cb):
+            assert not any(np.shares_memory(getattr(op, a), getattr(source, b))
+                           for a in arrays for b in arrays), name
+    winding = cb[mesh.coil_cells]
+    reference = {"abs_mass": abs(ctx.mass), "winding_curl[0]": winding,
+                 "winding_curl[1]": winding.T.tocsr(),
+                 "coupling": ctx.winding_curl[1] @ sp.csr_matrix(layout.mode_means)[layout.cell_slice]}
+    rho = cfg.materials.rho_spurious_air
+    d = np.where(mesh.coil_mask, 0.0, rho * 2.0 * np.pi * mesh.rbar / mesh.area)
+    air = (cb.T @ sp.diags(d) @ cb).tocsr()
+    # only the all-edge space has curl in the air
+    assert (ctx.air_matrix is not None) == (cfg.variant is FormulationVariant.FCM_H_FULL)
+    if ctx.air_matrix is not None:
+        reference["air_matrix"] = air
+    else:
+        assert air.nnz == 0
+    for name, op in built.items():
+        assert _same_csr(op, reference[name]), name
+        assert op.has_sorted_indices == reference[name].has_sorted_indices, name
 
 
 def test_boundary_classification():

@@ -170,13 +170,6 @@ def mesh_structured(
     return mesh
 
 
-def _incidence(ends: np.ndarray, signs: list[float], n_cols: int) -> sp.csr_matrix:
-    """CSR matrix with ``signs`` at the column ids ``ends[i]``, ascending, of each row i."""
-    n_rows, per_row = ends.shape
-    indptr = np.arange(0, ends.size + 1, per_row)
-    return sp.csr_matrix((np.tile(signs, n_rows), ends.ravel(), indptr), shape=(n_rows, n_cols))
-
-
 @dataclass(eq=False)
 class Mesh:
     """Rectilinear half-model mesh with region tags and cached incidences.
@@ -368,18 +361,11 @@ class Mesh:
 
         Row pattern (-1, +1, +1, -1) over [bottom, top, left, right]; dividing
         by the cell area gives the piecewise-constant azimuthal current
-        density of the lowest-order edge interpolation.
+        density of the lowest-order edge interpolation; a row's edge ids ascend.
         """
-        return _incidence(self.cell_edges, [-1.0, 1.0, 1.0, -1.0], self.n_edges)
-
-    @property
-    def gradient(self) -> sp.csr_matrix:
-        """Edge-by-node incidence: -1 at the tail, +1 at the head of each edge.
-
-        The companion of ``curl`` (``curl @ gradient`` is zero). Built on
-        each access: a layout reads it once.
-        """
-        return _incidence(self.edge_nodes, [-1.0, 1.0], self.n_nodes)
+        signs = np.tile([-1.0, 1.0, 1.0, -1.0], self.n_cells)
+        indptr = np.arange(0, 4 * self.n_cells + 1, 4)
+        return sp.csr_matrix((signs, self.cell_edges.ravel(), indptr), shape=(self.n_cells, self.n_edges))
 
     def mass_matrix(self, mu: float = MU0) -> sp.csr_matrix:
         """Edge mass matrix with the axisymmetric 2*pi*r weight.

@@ -231,7 +231,8 @@ def run_sweep(
 
     Writes sweep.csv of (value, P, 1-R^2 vs the reference, n_dofs,
     linsys_count) in the given value order. Arguments it could not evaluate,
-    such as runs too short for the comparison, are refused before any run.
+    such as runs too short to compare or a point it cannot mesh or number,
+    are refused before any run.
     """
     if jobs < 1:
         raise ConfigError(f"sweep needs at least one job, got {jobs}")
@@ -247,6 +248,7 @@ def run_sweep(
         )
     out_root = Path(out_root)
     names: dict[str, float] = {}
+    tasks = []
     for value in values:
         name = f"{parameter}_{value:g}"
         if name in names:
@@ -255,10 +257,12 @@ def run_sweep(
                 f"the run directory {name}"
             )
         names[name] = value
-    tasks = [
-        (serialize_config(apply_sweep_value(cfg, parameter, value)), str(out_root / name))
-        for name, value in zip(names, values)
-    ]
+        point = apply_sweep_value(cfg, parameter, value)
+        try:
+            build_dof_layout(build_mesh(point), point.variant, point.voltage_order)
+        except ValueError as exc:
+            raise ConfigError(f"sweep point {parameter} = {value:g} cannot be built: {exc}") from None
+        tasks.append((serialize_config(point), str(out_root / name)))
     out_root.mkdir(parents=True, exist_ok=True)
 
     workers = min(jobs, len(tasks))  # a pool starts all its workers at once

@@ -33,7 +33,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
-from math import inf
+from math import inf, isfinite, sqrt
 
 import numpy as np
 from scipy.sparse.linalg import splu
@@ -135,15 +135,16 @@ class BlockScales:
             self.scale[i] = max(self.scale[i], float(np.linalg.norm(row_scale[sl])))
 
     def norm(self, residual: np.ndarray) -> float:
-        if not np.all(np.isfinite(residual)):
-            return float("inf")
         # floor guards families that never carried signal from roundoff blowup
         floor = max(1e-8 * self.scale.max(initial=0.0), 1e-300)
         acc = 0.0
         for i, sl in enumerate(self.slices):
-            b = float(np.linalg.norm(residual[sl])) / max(self.scale[i], floor)
+            square = float(residual[sl] @ residual[sl])  # np.linalg.norm's own sum
+            if not isfinite(square):  # a NaN or inf entry, or an overflow
+                return inf
+            b = sqrt(square) / max(self.scale[i], floor)
             acc += b * b
-        return float(np.sqrt(acc))
+        return sqrt(acc)
 
 
 def newton_solve(

@@ -6,9 +6,9 @@ Columns are, in block order,
 
 * edge unknowns: columns of the identity, one per edge that carries its own
   circulation,
-* nodal unknowns: columns of the discrete gradient ``Mesh.gradient`` (+1 on
-  edges entering the node, -1 on edges leaving it, in the canonical +r/+z
-  edge orientation), one per free node,
+* nodal unknowns: the discrete gradient of each free node's potential, read
+  off ``Mesh.edge_nodes`` (+1 on edges entering the node, -1 on edges
+  leaving it, in the canonical +r/+z edge orientation),
 * cut unknowns: unit-circulation generators around winding holes, realized
   as radial jump sheets running from the axis into the winding,
 * carrier unknowns (current-potential variant only): voltage-basis-weighted
@@ -179,18 +179,6 @@ def _inside_conductor(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     return edges, nodes.ravel()
 
 
-def _entries(mat: sp.csr_matrix):
-    """A block as its entries (row, column, value) in stored order, and its width."""
-    return np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr)), mat.indices, mat.data, mat.shape[1]
-
-
-def _columns(block, mask: np.ndarray):
-    """The columns of ``block`` (rows, columns, values, width) that ``mask`` picks, renumbered."""
-    rows, cols, vals, _ = block
-    keep = mask[cols]
-    return rows[keep], (np.cumsum(mask) - 1)[cols[keep]], vals[keep], int(np.count_nonzero(mask))
-
-
 def build_dof_layout(
     mesh: Mesh, variant: FormulationVariant, voltage_order: int = 3
 ) -> DofLayout:
@@ -235,37 +223,45 @@ def build_dof_layout(
         mode_means = np.identity(holes.size)
         mode_turns = np.ones(holes.size)
 
-    # each block as its entries (edge, column, value) in row order, and its width
     n_edges = mesh.n_edges
-    identity = (np.arange(n_edges), np.arange(n_edges), np.ones(n_edges), n_edges)
-    parts = {}
     if variant is FormulationVariant.FCM_H_FULL:
-        free_edges = np.ones(n_edges, dtype=bool)
-        free_edges[mesh.constrained_edges] = False
-        parts["edge"] = _columns(identity, free_edges)
+        edge_dofs = np.ones(n_edges, dtype=bool)
+        edge_dofs[mesh.constrained_edges] = False
+        free_nodes = np.zeros(mesh.n_nodes, dtype=bool)  # no scalar potential
     else:
         # edge unknowns inside a conductor, the gradient of a scalar potential
         # wherever they do not own the field
-        inside, inside_nodes = _inside_conductor(mesh)
+        edge_dofs, inside_nodes = _inside_conductor(mesh)
         free_nodes = np.ones(mesh.n_nodes, dtype=bool)
         if variant is FormulationVariant.FCM_T_OMEGA:
-            inside[mesh.n_hedges :] = False  # radial (alpha) edges only
+            edge_dofs[mesh.n_hedges :] = False  # radial (alpha) edges only
         else:
             free_nodes &= ~inside_nodes
         free_nodes[mesh.dirichlet_nodes] = False
-        parts["edge"] = _columns(identity, inside)
-        parts["nodal"] = _columns(_entries(mesh.gradient), free_nodes)
 
-        if variant is FormulationVariant.FCM_T_OMEGA:
-            # modal net-current carriers: per-column sheets contracted with the
-            # voltage basis; the pure radial-edge field carries zero net current
-            # per column, so these close the space at minimal extra cost
-            edges, sheet = _sheets(mesh, mesh.coil_col0 + np.arange(mesh.n_alpha), np.zeros(mesh.n_alpha, int))
-            per_column = sp.csr_matrix((np.ones(edges.size), (edges, sheet)), shape=(n_edges, mesh.n_alpha))
-            parts["carrier"] = _entries(per_column @ sp.csr_matrix(mode_means))
-        else:
-            edges, sheet = _cut_sheets(mesh, holes)
-            parts["cut"] = edges, sheet, np.ones(edges.size), holes.size
+    # each block as its entries (edge, column, value) in row order, and its
+    # width: a unit column per edge unknown; per nodal unknown, -1 on the
+    # edges whose tail and +1 on those whose head it is, the free nodes
+    # numbered by their running count
+    own = np.flatnonzero(edge_dofs)
+    ends = mesh.edge_nodes.ravel()  # tail and head of each edge in turn
+    at = free_nodes[ends]
+    parts = {
+        "edge": (own, np.arange(own.size), np.ones(own.size), own.size),
+        "nodal": (np.repeat(np.arange(n_edges), 2)[at], (np.cumsum(free_nodes) - 1)[ends[at]],
+                  np.tile([-1.0, 1.0], n_edges)[at], int(np.count_nonzero(free_nodes))),
+    }
+    if variant is FormulationVariant.FCM_T_OMEGA:
+        # modal net-current carriers: per-column sheets contracted with the
+        # voltage basis; the pure radial-edge field carries zero net current
+        # per column, so these close the space at minimal extra cost
+        edges, sheet = _sheets(mesh, mesh.coil_col0 + np.arange(mesh.n_alpha), np.zeros(mesh.n_alpha, int))
+        per_column = sp.csr_matrix((np.ones(edges.size), (edges, sheet)), shape=(n_edges, mesh.n_alpha))
+        carrier = (per_column @ sp.csr_matrix(mode_means)).tocoo()  # in stored order
+        parts["carrier"] = carrier.row, carrier.col, carrier.data, carrier.shape[1]
+    elif variant is not FormulationVariant.FCM_H_FULL:
+        edges, sheet = _cut_sheets(mesh, holes)
+        parts["cut"] = edges, sheet, np.ones(edges.size), holes.size
 
     # the blocks side by side, each row's entries block by block and in each
     # block's own order, as sp.hstack lays them out; a block without columns

@@ -369,23 +369,27 @@ def test_sweep_empty_values_exits_2(finished_run, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "param, jobs, values",
-    [("n_alpha", "0", "4"), ("n_alpha", "-1", "4"), ("n_alpha", "1", "4,4.5"),
-     ("rho0", "1", "1e-3,nan")],
-    ids=["jobs0", "jobs-1", "frac", "rho0-nan"],
+    "param, jobs, values, says",
+    [("n_alpha", "0", "4", "job"), ("n_alpha", "-1", "4", "job"), ("n_alpha", "1", "4,4.5", "whole"),
+     ("rho0", "1", "1e-3,nan", "finite"), ("n_alpha", "1", "4,2", "n_alpha = 2 cannot be built"),
+     ("n_turns", "1", "2,3", "n_turns = 3 cannot be built")],
+    ids=["jobs0", "jobs-1", "frac", "rho0-nan", "too-few-columns", "turns-split-columns"],
 )
-def test_sweep_rejects_bad_arguments_before_running(finished_run, tmp_path, param, jobs, values):
+def test_sweep_rejects_bad_arguments_before_running(finished_run, tmp_path, param, jobs, values, says):
     _, _, config_path = finished_run
     if param == "rho0":  # only fcm-h-full has the spurious air resistivity
-        cfg = small_config(FormulationVariant.FCM_H_FULL)
+        cfg = small_config(FormulationVariant.FCM_H_FULL, periods=1.0)  # long enough to compare
         config_path = _write_config(tmp_path / "hfull.cfg", cfg)
+    if param == "n_turns":  # the reference meshes each turn on whole columns of n_alpha = 4
+        cfg = small_config(FormulationVariant.REF_H_PHI, periods=1.0, dt_max=2e-4)
+        config_path = _write_config(tmp_path / "ref.cfg", cfg)
     out = tmp_path / "sweep"
     code, _, stderr = run_cli(
         "sweep", "--config", config_path, "--param", param,
         "--values", values, "--jobs", jobs, "--out", str(out),
     )
     assert code == 2
-    assert stderr.startswith("error: ")
+    assert stderr.startswith("error: ") and says in stderr
     assert not out.exists()
 
 

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from foilwind import formulations
-from foilwind.config import config_from_preset
+from foilwind.config import PRESETS, config_from_preset
 from foilwind.formulations import (
     Elimination,
     Excitation,
@@ -405,10 +405,10 @@ def test_fill_pattern_equals_the_unique_key_construction(variant, monkeypatch):
     monkeypatch.setattr(formulations, "_csc_pattern", recorded)
     ctx = small_context(variant, n_turns=2)
     ctx.elimination, ctx.jacobian(1e-4, np.ones(ctx.coil.size))
-    # the elimination, which the Jacobian reads too, filled again in its
-    # order where it eliminates unknowns; h-full's order is applied by
-    # ``_relabelled``
-    assert len(calls) == (1 if variant is FormulationVariant.FCM_H_FULL else 2)
+    # the elimination, which the Jacobian reads too, fills its pattern once:
+    # in its order where it eliminates unknowns, which comes from the
+    # entries; h-full's order is applied by ``_relabelled``
+    assert len(calls) == 1
     rng = np.random.default_rng(71)
     # repeated entries, empty parts, and empty rows and columns
     rows, cols = rng.integers(0, 30, 200), 2 * rng.integers(0, 20, 200)
@@ -486,6 +486,31 @@ def test_reference_order_is_computed_once_per_elimination(monkeypatch):
     for dt in (1e-5, 2e-4):
         elim.matrix(dt, np.ones(ctx.coil.size))
     assert len(calls) == 2
+
+
+ORDERED_CASES = [v.value for v in ALL_VARIANTS if v is not FormulationVariant.FCM_H_FULL] + [
+    "pancake2d_fcm_tw", "pancake2d_ref"]
+
+
+@pytest.mark.parametrize("case", ORDERED_CASES)
+def test_order_is_the_one_of_the_natural_fill(case):
+    # a 2-turn case of a variant, or a full preset
+    if case not in PRESETS:
+        ctx = small_context(FormulationVariant(case), n_turns=2)
+    else:
+        cfg = config_from_preset(case)
+        layout = build_dof_layout(build_mesh(cfg), cfg.variant, cfg.voltage_order)
+        ctx = formulations.AssemblyContext(layout, cfg.materials)
+    elim = ctx.elimination
+    # the order of the pattern filled in the unknowns' own numbering at dt = 1
+    # and a unit tangent, with every entry stored, and SuperLU's default
+    # diagonal-pivot threshold
+    own = Elimination(ctx, elim.eliminated)
+    data = own.s0 + own.tangent @ np.ones(ctx.coil.size) + own.const
+    natural = sp.csc_matrix((data, own.indices, own.indptr), shape=(own.size,) * 2)
+    perm_c = splu(natural, permc_spec="MMD_AT_PLUS_A", relax=1, options={"SymmetricMode": True}).perm_c
+    assert not np.array_equal(perm_c, np.arange(own.size))
+    assert np.array_equal(elim.unknowns, own.unknowns[np.argsort(perm_c)])
 
 
 def test_reference_order_is_the_same_with_unrelaxed_supernodes(monkeypatch):

@@ -157,15 +157,25 @@ def test_curl_row_gives_enclosed_current():
 
 
 def test_gradient_rows_run_from_tail_to_head_and_have_no_curl():
-    mesh = small_mesh(n_turns=2, n_alpha=4, n_beta=8)
-    g = mesh.gradient
-    assert g.shape == (mesh.n_edges, mesh.n_nodes)
-    assert np.all(np.diff(g.indptr) == 2)
-    rows = np.arange(mesh.n_edges)
-    tail, head = mesh.edge_nodes.T
-    assert np.all(g[rows, tail] == -1.0) and np.all(g[rows, head] == 1.0)
-    # a potential's gradient carries no current: the discrete curl of it is zero
-    assert (mesh.curl @ g).count_nonzero() == 0
+    # the layouts' nodal blocks: the gradient of one free node's potential per column
+    for variant in set(FormulationVariant) - {FormulationVariant.FCM_H_FULL}:
+        mesh = small_mesh(variant, n_turns=2, n_alpha=4, n_beta=8)
+        layout = build_dof_layout(mesh, variant)
+        block = layout.basis[:, layout.blocks["nodal"]]
+        g = block.tocoo()
+        assert np.all(np.abs(g.data) == 1.0)
+        # -1 on an edge leaving the column's node, +1 on one entering it
+        tail, head = mesh.edge_nodes[g.row].T
+        node_of_entry = np.where(g.data < 0, tail, head)
+        nodes = np.zeros(g.shape[1], dtype=int)
+        nodes[g.col] = node_of_entry
+        assert np.array_equal(nodes[g.col], node_of_entry), variant
+        # one column for each free node, in node order, holding every edge at its node
+        assert np.all(np.diff(nodes) > 0) and not np.isin(nodes, mesh.dirichlet_nodes).any()
+        degree = np.bincount(mesh.edge_nodes.ravel(), minlength=mesh.n_nodes)
+        assert np.array_equal(np.bincount(g.col, minlength=g.shape[1]), degree[nodes]), variant
+        # a potential's gradient carries no current: the discrete curl of it is zero
+        assert (mesh.curl @ block).count_nonzero() == 0
 
 
 def test_winding_loop_encloses_exactly_the_coil():
@@ -268,18 +278,17 @@ def test_operators_match_the_coo_construction_bit_for_bit(preset, monkeypatch):
     mesh = build_mesh(cfg)
     layout = build_dof_layout(mesh, cfg.variant, cfg.voltage_order)
     ctx = AssemblyContext(layout, cfg.materials)
-    built = [mesh.curl, mesh.gradient, mesh.mass_matrix(), layout.curl_basis, ctx.mass]
+    built = [mesh.curl, mesh.mass_matrix(), layout.curl_basis, ctx.mass]
     # the same set-up with every mesh operator built from COO triplets
     monkeypatch.setattr(Mesh, "curl", property(_coo_curl))
-    monkeypatch.setattr(Mesh, "gradient", property(_coo_gradient))
     monkeypatch.setattr(Mesh, "mass_matrix", _coo_mass_matrix)
     ref_mesh = build_mesh(cfg)
     ref_layout = build_dof_layout(ref_mesh, cfg.variant, cfg.voltage_order)
     ref_mass = ref_mesh.mass_matrix()
     ref_mass.eliminate_zeros()  # the values stay, only the zeros go
-    reference = [ref_mesh.curl, ref_mesh.gradient, ref_mass, ref_layout.curl_basis,
+    reference = [ref_mesh.curl, ref_mass, ref_layout.curl_basis,
                  AssemblyContext(ref_layout, cfg.materials).mass]
-    names = ("curl", "gradient", "mass_matrix", "curl_basis", "mass")
+    names = ("curl", "mass_matrix", "curl_basis", "mass")
     for name, a, b in zip(names, built, reference):
         assert _same_csr(a, b), name
 
@@ -343,7 +352,7 @@ def _hstack_layout(mesh, variant, order):
         else:
             free_nodes &= ~_ufunc_at_inside(mesh, mesh.quads, 4)
         free_nodes[mesh.dirichlet_nodes] = False
-        columns = [identity[:, inside], mesh.gradient[:, free_nodes]]
+        columns = [identity[:, inside], _coo_gradient(mesh)[:, free_nodes]]
         if variant is FormulationVariant.FCM_T_OMEGA:
             sheets = _sheet_columns(mesh, [(mesh.coil_col0 + j, 0) for j in range(mesh.n_alpha)])
             columns.append((sheets @ sp.csr_matrix(mode_means)).tocsr())

@@ -316,6 +316,28 @@ def test_block_scales_two_unit_families():
     assert scales.norm(np.full(10, np.nan)) == np.inf
 
 
+def test_block_scales_norm_is_the_scaled_two_norm_bit_for_bit():
+    rng = np.random.default_rng(29)
+    for _ in range(400):
+        n_field = int(rng.integers(0, 40))
+        size = n_field + int(rng.integers(1, 6))
+        scales = BlockScales(n_field)
+        scales.absorb(np.abs(rng.standard_normal(size)) * 10.0 ** rng.uniform(-20, 20))
+        r = rng.standard_normal(size) * 10.0 ** rng.uniform(-20, 20, size)
+        # each block's np.linalg.norm over its scale, squared and summed in block order
+        floor = max(1e-8 * scales.scale.max(initial=0.0), 1e-300)
+        acc = 0.0
+        for sl, scale in zip(scales.slices, scales.scale):
+            b = float(np.linalg.norm(r[sl])) / max(scale, floor)
+            acc += b * b
+        assert scales.norm(r) == float(np.sqrt(acc))
+        # a NaN or inf entry in either block gives inf
+        for bad in (np.nan, np.inf, -np.inf):
+            hit = r.copy()
+            hit[rng.integers(size)] = bad
+            assert scales.norm(hit) == np.inf
+
+
 # -- transient runs ----------------------------------------------------------------
 
 
@@ -496,15 +518,16 @@ def test_one_factorization_per_linear_solve(variant, monkeypatch):
     assert (ctx.elimination.size < ctx.layout.n_dofs) == condensed
     # every eliminating variant is renumbered in a minimum-degree order of
     # A^T + A, once, and factored in that order in symmetric mode, with
-    # unrelaxed supernodes and a diagonal-pivot threshold of 1e-3; h-full is
-    # renumbered in SuperLU's default COLAMD order, once, and factored in it
-    # with SuperLU's other defaults
-    symmetric = {"relax": 1, "options": {"SymmetricMode": True}}
+    # unrelaxed supernodes and a diagonal-pivot threshold of 1e-3, the
+    # factorization that computes the order included; h-full is renumbered
+    # in SuperLU's default COLAMD order, once, and factored in it with
+    # SuperLU's other defaults
+    symmetric = {"relax": 1, "diag_pivot_thresh": 1e-3, "options": {"SymmetricMode": True}}
     assert ctx.elimination.order == (
         {"permc_spec": "MMD_AT_PLUS_A", **symmetric} if condensed else {}
     )
     natural = {"permc_spec": "NATURAL"}
-    expected = {**natural, "diag_pivot_thresh": 1e-3, **symmetric} if condensed else natural
+    expected = {**natural, **symmetric} if condensed else natural
     assert ctx.elimination.factor_options == expected
     assert all(kwargs == expected for kwargs in calls["splu"])
 

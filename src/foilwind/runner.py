@@ -93,6 +93,7 @@ def execute_run(
     summary = _write_summary(out, cfg, layout, preset, "ok", {
         "accepted_steps": int(len(trace.times) - 1),
         "linsys_count": int(trace.linsys_count),
+        "counters": trace.counters,
         "wall_time_s": wall,
         "mean_losses_w": mean_p,
         "peak_losses_w": float(trace.p.max(initial=0.0)),

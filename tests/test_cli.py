@@ -150,6 +150,8 @@ def test_failed_run_summary_says_how_far_it_got(tmp_path, monkeypatch, amplitude
     # every factorization, the failing step's rejected attempts included
     assert summary["linsys_count"] == counts["splu"] > 0
     assert summary["accepted_steps"] == counts["accepted"]
+    assert summary["counters"]["newton_iterations"] == summary["linsys_count"]
+    assert summary["counters"]["rejected_attempts"] >= 1
     # every accepted step is dt_max long
     assert summary["last_accepted_time_s"] == pytest.approx(counts["accepted"] * cfg.solver.dt_max)
 

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from foilwind import runner
+from foilwind import runner, solver
 from foilwind.config import PRESET_VERSION, ConfigError, parse_config_text, serialize_config
 from foilwind.formulations import AssemblyContext
 from foilwind.materials import JcKim
@@ -64,6 +64,36 @@ def test_summary_contents(run_pair):
     assert summary["n_dofs"] == sum(summary["dof_blocks"].values())
     # the drive never pushes far beyond the critical current
     assert 0 < summary["max_j_over_jc_eng"] < 2.0
+
+
+def test_summary_counts_every_newton_iteration_and_repeats(tmp_path, monkeypatch):
+    # three Newton iterations per attempt make some attempts fail and retry
+    cfg = small_config(FormulationVariant.FCM_T_OMEGA, amplitude=96.0, periods=1.0,
+                       dt_max=2e-4, max_newton_iters=3)
+    rejected = []  # Newton iterations of every rejected attempt
+    newton_solve = solver.newton_solve
+
+    def counted(*args):
+        try:
+            return newton_solve(*args)
+        except solver.NonConvergenceError as err:
+            rejected.append(err.stats.iterations)
+            raise
+
+    monkeypatch.setattr(solver, "newton_solve", counted)
+    trace, summary = execute_run(cfg, tmp_path / "a")
+    counters = summary["counters"]
+    assert set(counters) == set(solver.COUNTERS)
+    assert summary["linsys_count"] == int(trace.newton_iters.sum()) + sum(rejected)
+    assert counters["newton_iterations"] == summary["linsys_count"]
+    assert counters["rejected_attempts"] == len(rejected) > 0
+    # every iteration evaluates at least its full step; the second period is seeded
+    assert counters["line_search_trials"] >= counters["newton_iterations"]
+    assert counters["mirror_seeds_taken"] > 0
+    assert json.loads((tmp_path / "a" / "summary.json").read_text())["counters"] == counters
+
+    _, again = execute_run(cfg, tmp_path / "b")
+    assert again["counters"] == counters
 
 
 def test_kim_over_jc_figures_use_the_field_dependent_jc(tmp_path):

@@ -15,7 +15,7 @@ from foilwind.config import config_from_preset
 from foilwind.formulations import AssembledSystem, Excitation
 from foilwind.postprocess import LossSeries, mean_losses
 from foilwind.runner import build_mesh
-from foilwind.materials import JcKim
+from foilwind.materials import JcConstant, JcKim
 from foilwind.solver import (
     BlockScales,
     NewtonStats,
@@ -182,6 +182,71 @@ def test_nonfinite_start_residual_raises_instead_of_converging():
     assert np.all(scales.scale == 0.0)  # the stopping test of later attempts is untouched
 
 
+class _DiagonalContext(_IdentityContext):
+    """Elimination of no unknowns whose matrix is diag(d_tan)."""
+
+    def matrix(self, dt, d_tan):
+        return sp.diags(d_tan, format="csc")
+
+
+def _multiple_root_system(m=25):
+    """Residual u**m entrywise: a root of multiplicity m at u = 0, where a
+    Newton step keeps (1 - 1/m)**m, about 0.36, of the residual."""
+    context = _DiagonalContext(3)
+
+    def system_fn(u):
+        return AssembledSystem(
+            residual=u**m,
+            row_scale=np.ones(u.size),
+            dt=1.0,
+            d_tan=m * u ** (m - 1),
+            context=context,
+        )
+
+    return system_fn
+
+
+def test_stride_recovers_linear_convergence_at_a_multiple_root(monkeypatch):
+    cfg = SolverConfig(max_newton_iters=60)
+    u0 = np.array([1.0, 0.9, 0.8])
+    _, stats = newton_solve(_multiple_root_system(), u0, cfg, BlockScales(3))
+    r = stats.residual_norms
+    assert all(b < a for a, b in zip(r, r[1:]))
+    assert r[-1] <= cfg.newton_tol_rel * r[0]
+    # every full step is stretched, 32 times its length: u(1 - 32/m) keeps
+    # 0.28**25, about 1e-14, of the residual
+    assert stats.strides == stats.iterations == 1
+    assert stats.trials == 7  # the full step, then 2, 4, ... 32 kept and 64 refused
+
+    monkeypatch.setattr(solver, "MAX_STRIDE", 1)
+    _, plain = newton_solve(_multiple_root_system(), u0, cfg, BlockScales(3))
+    assert plain.strides == 0 and plain.trials == plain.iterations
+    p = plain.residual_norms
+    assert all(b < a for a, b in zip(p, p[1:]))
+    # Newton alone contracts by about e^-1 per iteration
+    assert p[-1] / p[-2] == pytest.approx((1 - 1 / 25) ** 25, rel=1e-6)
+    assert plain.iterations >= 20
+
+
+def test_stride_leaves_quadratic_convergence_alone(monkeypatch):
+    # gate 6's linear limit: with n = 1 every full step lands on the answer
+    mats = pancake_materials(n_exponent=1.0, jc_model=JcConstant(1e6))
+    exc = Excitation(amplitude=96.0, frequency=50.0)
+    cfg = SolverConfig(periods=0.3)
+    ctx = small_context(FormulationVariant.FCM_T_OMEGA, n_turns=2, materials=mats)
+    strided = run_transient(cfg, ctx, exc)
+    assert strided.counters["strides_taken"] == 0
+    monkeypatch.setattr(solver, "MAX_STRIDE", 1)
+    plain = run_transient(cfg, ctx, exc)
+    assert np.array_equal(plain.times, strided.times)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(plain.states, strided.states))
+    assert plain.counters == strided.counters
+
+
+def _counters(**counts):
+    return {**dict.fromkeys(solver.COUNTERS, 0), **counts}
+
+
 class _Formulation:
     """What run_transient reads of a formulation besides ``assemble``, for n unknowns."""
 
@@ -214,8 +279,12 @@ def test_step_halves_dt_then_gives_up_at_dt_min():
     with pytest.raises(NonConvergenceError, match="dt underflow") as err:
         run_transient(cfg, StuckFormulation(4), exc)
     assert sorted(set(attempted), reverse=True) == [8e-5, 4e-5, 2e-5, 1e-5]
-    # four attempts of two iterations each, none accepted
-    assert err.value.progress == dict(accepted_steps=0, linsys_count=8, last_accepted_time_s=0.0)
+    # four attempts of two iterations each, none accepted, every iteration
+    # through all its backtracks
+    assert err.value.progress == dict(
+        accepted_steps=0, linsys_count=8, last_accepted_time_s=0.0,
+        counters=_counters(newton_iterations=8, rejected_attempts=4, line_search_trials=72),
+    )
 
     # a landing step shorter than 2 dt_min has no split into two steps of at
     # least dt_min, so it fails without a retry
@@ -225,7 +294,10 @@ def test_step_halves_dt_then_gives_up_at_dt_min():
         run_transient(cfg, StuckFormulation(4), exc)
     assert set(attempted) == {cfg.periods * exc.period}
     assert 1e-5 < attempted[0] < 2e-5
-    assert err.value.progress == dict(accepted_steps=0, linsys_count=2, last_accepted_time_s=0.0)
+    assert err.value.progress == dict(
+        accepted_steps=0, linsys_count=2, last_accepted_time_s=0.0,
+        counters=_counters(newton_iterations=2, rejected_attempts=1, line_search_trials=18),
+    )
 
 
 class _LinearFormulation(_Formulation):
@@ -286,8 +358,10 @@ def test_step_retries_a_singular_factorization_with_half_the_dt(monkeypatch):
         run_transient(cfg, form, exc)
     assert isinstance(err.value.__cause__, SingularMatrixError)
     assert form.attempted == [2e-5, 1e-5]
-    assert err.value.progress == dict(accepted_steps=0, linsys_count=len(calls),
-                                      last_accepted_time_s=0.0)
+    assert err.value.progress == dict(
+        accepted_steps=0, linsys_count=len(calls), last_accepted_time_s=0.0,
+        counters=_counters(newton_iterations=2, rejected_attempts=2),
+    )
     assert len(calls) == 2
 
 
@@ -475,6 +549,66 @@ def test_stepper_properties(periods, dt_init, growth, halvings, max_newton_iters
     # roundoff of t + dt - t
     assert np.all(steps >= cfg.dt_min * (1 - 1e-12))
     assert trace.linsys_count == int(trace.newton_iters.sum()) + sum(r[0] for r in rejected)
+
+
+def test_mirror_guess_is_the_negated_interpolation_half_a_period_back():
+    period = 0.02
+    times = [0.0, 0.004, 0.006, 0.016]
+    states = [np.full(2, float(k)) for k in range(4)]
+    # t_new - T/2 = 0.0055 lies three quarters of the way from 0.004 to 0.006
+    assert np.allclose(solver.mirror_guess(times, states, 0.0155, period), -1.75, rtol=1e-12)
+    assert np.array_equal(solver.mirror_guess(times, states, 0.016, period), [-2.0, -2.0])
+    assert solver.mirror_guess(times, states, 0.0149, period) is None  # before 0.75 T
+    # a step longer than half a period reaches past the stored states
+    assert solver.mirror_guess(times, states, 0.0265, period) is None
+
+
+def test_no_mirror_guess_is_evaluated_before_three_quarters_of_a_period(monkeypatch):
+    ctx = small_context(FormulationVariant.FCM_H_PHI, n_turns=2)
+    exc = Excitation(amplitude=96.0, frequency=50.0)
+    guesses = []  # every guess run_transient offers, with its step's end time
+    evaluated = []  # end times of the assemblies at a guess
+    mirror_guess, assemble = solver.mirror_guess, ctx.assemble
+
+    def recorded_guess(times, states, t_new, period):
+        guess = mirror_guess(times, states, t_new, period)
+        guesses.append((t_new, guess))
+        return guess
+
+    def recorded_assemble(u, w_prev, jc, dt, t, excitation):
+        if any(u is g for _, g in guesses):
+            evaluated.append(t)
+        return assemble(u, w_prev, jc, dt, t, excitation)
+
+    monkeypatch.setattr(solver, "mirror_guess", recorded_guess)
+    ctx.assemble = recorded_assemble
+    trace = run_transient(SolverConfig(periods=1.0), ctx, exc)
+    assert len(guesses) == len(trace.times) - 1  # no rejected attempts in this run
+    assert all((g is None) == (t < 0.75 * exc.period) for t, g in guesses)
+    assert evaluated and min(evaluated) >= 0.75 * exc.period
+    assert 0 < trace.counters["mirror_seeds_taken"] <= len(evaluated)
+
+
+def test_refused_mirror_guesses_change_nothing(monkeypatch):
+    ctx = small_context(FormulationVariant.FCM_T_OMEGA, n_turns=2)
+    exc = Excitation(amplitude=96.0, frequency=50.0)
+    cfg = SolverConfig(periods=1.0)
+    mirror_guess = solver.mirror_guess
+    monkeypatch.setattr(solver, "mirror_guess", lambda *args: None)
+    unseeded = run_transient(cfg, ctx, exc)
+
+    def far_off(*args):
+        # the state half a period back, not mirrored, and three times as large
+        guess = mirror_guess(*args)
+        return None if guess is None else -3.0 * guess
+
+    monkeypatch.setattr(solver, "mirror_guess", far_off)
+    refused = run_transient(cfg, ctx, exc)
+    assert refused.counters["mirror_seeds_taken"] == unseeded.counters["mirror_seeds_taken"] == 0
+    assert np.array_equal(refused.times, unseeded.times)
+    assert np.array_equal(refused.p, unseeded.p)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(refused.states, unseeded.states))
+    assert refused.counters == unseeded.counters
 
 
 def test_linear_solve_audit():

@@ -1,7 +1,8 @@
 """Command-line front end: mesh, run, compare, and sweep subcommands.
 
 Exit codes: 0 success, 1 solver failure, 2 configuration/usage errors.
-Verbosity via the FOILWIND_LOG environment variable (DEBUG/INFO/WARNING).
+Verbosity via the FOILWIND_LOG environment variable (DEBUG/INFO/WARNING/ERROR/CRITICAL);
+an unknown level is named on stderr and logging stays at WARNING.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ def _setup_logging() -> None:
     name = os.environ.get("FOILWIND_LOG", "WARNING").upper()
     level = getattr(logging, name, None)
     if not isinstance(level, int):
+        print(f"foilwind: unknown FOILWIND_LOG level {name!r}, logging at WARNING "
+              "(accepted: DEBUG, INFO, WARNING, ERROR, CRITICAL)", file=sys.stderr)
         level = logging.WARNING
     logging.basicConfig(
         level=level, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s"

@@ -220,9 +220,6 @@ class Mesh:
 
     # ---- id helpers (vectorized over numpy index arrays) ------------------
 
-    def node_id(self, ir, iz):
-        return np.asarray(iz) * self.n_r + np.asarray(ir)
-
     def hedge_id(self, ir, iz):
         return np.asarray(iz) * (self.n_r - 1) + np.asarray(ir)
 
@@ -241,16 +238,9 @@ class Mesh:
 
     @cached_property
     def quads(self) -> np.ndarray:
-        """Counterclockwise node connectivity per cell."""
-        ir, iz = self._cell_grid
-        return np.column_stack(
-            [
-                self.node_id(ir, iz),
-                self.node_id(ir + 1, iz),
-                self.node_id(ir + 1, iz + 1),
-                self.node_id(ir, iz + 1),
-            ]
-        )
+        """Counterclockwise node connectivity per cell: the bottom edge, then the top edge reversed."""
+        bottom, top = (self.edge_nodes.take(edges, axis=0) for edges in self.cell_edges[:, :2].T)
+        return np.column_stack([bottom, top[:, ::-1]])
 
     @cached_property
     def _cell_grid(self) -> tuple[np.ndarray, np.ndarray]:
@@ -331,27 +321,16 @@ class Mesh:
     # ---- boundary conditions -------------------------------------------------
 
     @cached_property
-    def constrained_edges(self) -> np.ndarray:
-        """Edges with zero prescribed tangential circulation: midplane, top, outer side.
-
-        The axis edges stay free. The three sets are disjoint and each is
-        ascending, so their concatenation is sorted.
-        """
-        nr, nz = self.n_r, self.n_z
-        ir_h = np.arange(nr - 1)
-        midplane = self.hedge_id(ir_h, 0)
-        top = self.hedge_id(ir_h, nz - 1)
-        side = self.vedge_id(np.full(nz - 1, nr - 1), np.arange(nz - 1))
-        return np.concatenate([midplane, top, side])
-
-    @cached_property
     def dirichlet_nodes(self) -> np.ndarray:
-        """Nodes on the zero-potential boundary: midplane, top, outer side."""
-        nr, nz = self.n_r, self.n_z
-        bottom = self.node_id(np.arange(nr), 0)
-        top = self.node_id(np.arange(nr), nz - 1)
-        side = self.node_id(np.full(nz, nr - 1), np.arange(nz))
-        return np.unique(np.concatenate([bottom, top, side]))
+        """Nodes on the truncation boundary, ascending: midplane, top, outer side.
+
+        The axis r = 0 is not part of it. The edges with zero prescribed
+        tangential circulation are those with both end nodes on it.
+        """
+        on_boundary = np.zeros((self.n_z, self.n_r), dtype=bool)
+        on_boundary[[0, -1]] = True
+        on_boundary[:, -1] = True
+        return np.flatnonzero(on_boundary)
 
     # ---- discrete operators -------------------------------------------------
 

@@ -24,9 +24,9 @@ Convergence is judged on a block-scaled Euclidean residual norm: field rows
 and current-constraint rows carry different units, so each block is
 normalized by the largest leading-assembly magnitude seen so far in the run.
 The scales are touched only by the start point and by the points Newton
-moves to (a trial that lowered the residual, a mirror guess that is taken),
-never by a refused trial, which keeps a diverging iterate from poisoning
-the stopping test.
+moves to that lowered the residual (a trial, or a mirror guess that is
+taken), never by a refused trial or one taken after every halving failed,
+which keeps a diverging iterate from poisoning the stopping test.
 
 Two moves spend fewer factorizations per step. Where a full Newton step
 lowers the residual by less than 10x while the residual is still far above
@@ -64,8 +64,8 @@ MAX_STRIDE = 64
 DT_GROWTH = 1.2
 FAST_STEP_ITERS = 3
 # what run_transient counts of Newton's work; newton_iterations is linsys_count
-COUNTERS = ("newton_iterations", "rejected_attempts", "line_search_trials", "strides_taken",
-            "mirror_seeds_taken")
+COUNTERS = ("newton_iterations", "rejected_attempts", "line_search_trials", "stride_trials",
+            "strides_taken", "backtracks_exhausted", "mirror_guesses_evaluated", "mirror_seeds_taken")
 
 
 class NonConvergenceError(RuntimeError):
@@ -128,12 +128,11 @@ class NewtonStats:
     iterations: int = 0
     residual_norms: list[float] = field(default_factory=list)
     trials: int = 0  # residual evaluations along a Newton direction, strides included
+    stride_trials: int = 0  # trials longer than the Newton step
     strides: int = 0  # iterations that kept a step longer than the Newton step
+    backtracks_exhausted: int = 0  # iterations that took a trial that did not lower the residual
+    mirror_evaluated: bool = False  # evaluated the mirror guess
     mirror_seeded: bool = False  # started from the mirror guess
-
-    @property
-    def final_residual(self) -> float:
-        return self.residual_norms[-1] if self.residual_norms else float("nan")
 
 
 class BlockScales:
@@ -184,13 +183,17 @@ def newton_solve(
     Stops when the scaled residual drops under
     max(newton_tol_abs, newton_tol_rel * |r0|), r0 taken at ``u0``; a
     non-finite r0 raises NonConvergenceError. An unconverged ``u0`` is
-    replaced by ``guess`` when the residual there is lower. A trial point
-    whose residual does not decrease is halved up to MAX_BACKTRACKS times;
-    then the last trial is accepted anyway and the outer iteration continues.
-    A full step that decreases the residual by less than 1/STRIDE_RATIO while
-    it is above STRIDE_FLOOR tolerances is doubled, up to MAX_STRIDE times
-    its length, while the residual keeps falling. The state returned is
-    lifted by the context's elimination.
+    replaced by ``guess`` when the residual there is lower.
+
+    A step's length is one search along the Newton direction du: the full
+    step first. If it decreases the residual by less than 1/STRIDE_RATIO
+    while the residual is above STRIDE_FLOOR tolerances, it is doubled, up
+    to MAX_STRIDE times, and each doubling is kept while the residual keeps
+    falling. Otherwise a step whose residual does not decrease is halved by
+    ``damping`` up to MAX_BACKTRACKS times, and the last one is taken anyway
+    unless its residual is not finite. Only a step that lowered the residual
+    is absorbed into the scales. The state returned is lifted by the
+    context's elimination.
     """
     stats = NewtonStats()
     u = np.asarray(u0, dtype=float).copy()
@@ -204,17 +207,26 @@ def newton_solve(
     tol = max(config.newton_tol_abs, config.newton_tol_rel * r_norm)
     elimination = system.context.elimination
     if r_norm > tol and guess is not None:
+        stats.mirror_evaluated = True
         system_guess = system_fn(guess)
-        r_guess = scales.norm(system_guess.residual)
-        if r_guess < r_norm:
+        if scales.norm(system_guess.residual) < r_norm:
             scales.absorb(system_guess.row_scale)
             u, system, r_norm = guess, system_guess, scales.norm(system_guess.residual)
             stats.mirror_seeded = True
     stats.residual_norms.append(r_norm)
-    if r_norm <= tol:
-        return elimination.lift(u), stats
 
-    for _ in range(config.max_newton_iters):
+    def trial(step):
+        stats.trials += 1
+        system_trial = system_fn(u + step * du)
+        return system_trial, scales.norm(system_trial.residual)
+
+    while r_norm > tol:
+        if stats.iterations == config.max_newton_iters:
+            raise NonConvergenceError(
+                f"no convergence in {config.max_newton_iters} iterations "
+                f"(residual {r_norm:.3e}, tol {tol:.3e})",
+                stats,
+            )
         stats.iterations += 1
         try:
             lu = splu(elimination.matrix(system.dt, system.d_tan), **elimination.factor_options)
@@ -223,44 +235,35 @@ def newton_solve(
         du = elimination.solve(lu, -system.residual)
 
         step = 1.0
-        for _bt in range(MAX_BACKTRACKS + 1):
-            u_trial = u + step * du
-            system_trial = system_fn(u_trial)
-            stats.trials += 1
+        system_trial, r_trial = trial(step)
+        if r_norm > r_trial > STRIDE_RATIO * r_norm and r_norm > STRIDE_FLOOR * tol:
+            # linear convergence far from the tolerance: Newton undershoots
+            # by a constant factor, so go further along du
+            while 2.0 * step <= MAX_STRIDE:
+                stats.stride_trials += 1
+                system_long, r_long = trial(2.0 * step)
+                if not r_long < r_trial:
+                    break
+                step, system_trial, r_trial = 2.0 * step, system_long, r_long
+            stats.strides += step > 1.0
+        else:
+            for _ in range(MAX_BACKTRACKS):
+                if r_trial < r_norm:
+                    break
+                step *= config.damping
+                system_trial, r_trial = trial(step)
+        if r_trial < r_norm:
+            scales.absorb(system_trial.row_scale)
             r_trial = scales.norm(system_trial.residual)
-            if r_trial < r_norm:
-                if step == 1.0 and r_trial > STRIDE_RATIO * r_norm and r_norm > STRIDE_FLOOR * tol:
-                    # linear convergence far from the tolerance: Newton
-                    # undershoots by a constant factor, so go further along du
-                    stride = 2.0
-                    while stride <= MAX_STRIDE:
-                        u_long = u + stride * du
-                        system_long = system_fn(u_long)
-                        stats.trials += 1
-                        r_long = scales.norm(system_long.residual)
-                        if not r_long < r_trial:
-                            break
-                        u_trial, system_trial, r_trial = u_long, system_long, r_long
-                        stride *= 2.0
-                    stats.strides += int(stride > 2.0)
-                scales.absorb(system_trial.row_scale)
-                r_trial = scales.norm(system_trial.residual)
-                break
-            step *= config.damping
-        if not np.isfinite(r_trial):
+        elif isfinite(r_trial):  # taken anyway, without loosening the stopping test
+            stats.backtracks_exhausted += 1
+        else:
             raise NonConvergenceError(
                 f"residual not finite after {MAX_BACKTRACKS} backtracks", stats
             )
-        u, system, r_norm = u_trial, system_trial, r_trial
+        u, system, r_norm = u + step * du, system_trial, r_trial
         stats.residual_norms.append(r_norm)
-        if r_norm <= tol:
-            return elimination.lift(u), stats
-
-    raise NonConvergenceError(
-        f"no convergence in {config.max_newton_iters} iterations "
-        f"(residual {r_norm:.3e}, tol {tol:.3e})",
-        stats,
-    )
+    return elimination.lift(u), stats
 
 
 def mirror_guess(
@@ -341,8 +344,11 @@ def run_transient(
     def tally(stats: NewtonStats) -> None:
         counters["newton_iterations"] += stats.iterations
         counters["line_search_trials"] += stats.trials
+        counters["stride_trials"] += stats.stride_trials
         counters["strides_taken"] += stats.strides
-        counters["mirror_seeds_taken"] += int(stats.mirror_seeded)
+        counters["backtracks_exhausted"] += stats.backtracks_exhausted
+        counters["mirror_guesses_evaluated"] += stats.mirror_evaluated
+        counters["mirror_seeds_taken"] += stats.mirror_seeded
 
     # dt control: grow by DT_GROWTH after a step of at most FAST_STEP_ITERS
     # Newton iterations, up to dt_max; after a halving, restart from the dt
@@ -393,7 +399,7 @@ def run_transient(
         iters.append(stats.iterations)
         states.append(w_new.copy())
         log.info("step %d: t=%.6e dt=%.3e newton=%d residual=%.3e",
-                 len(times) - 1, t_new, t_new - t, stats.iterations, stats.final_residual)
+                 len(times) - 1, t_new, t_new - t, stats.iterations, stats.residual_norms[-1])
         w, t = w_new, t_new
 
     wall = time.perf_counter() - t0

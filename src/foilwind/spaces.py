@@ -190,7 +190,8 @@ def build_dof_layout(
       belongs to one and the same turn, nodal unknowns elsewhere (air,
       inter-turn and interface nodes), one cut per turn; one indicator
       voltage mode per turn.
-    * h-full: edge unknowns on every unconstrained edge, nothing else.
+    * h-full: edge unknowns on every edge not on the truncation boundary
+      (both end nodes Dirichlet), nothing else.
     * h-phi: edge unknowns strictly inside the bulk winding, nodal in air
       and on the interface, one cut for the winding.
     * t-omega: nodal unknowns everywhere, radial-edge unknowns strictly
@@ -224,27 +225,28 @@ def build_dof_layout(
         mode_turns = np.ones(holes.size)
 
     n_edges = mesh.n_edges
+    ends = mesh.edge_nodes.ravel()  # tail and head of each edge in turn
+    free_nodes = np.ones(mesh.n_nodes, dtype=bool)
+    free_nodes[mesh.dirichlet_nodes] = False
     if variant is FormulationVariant.FCM_H_FULL:
-        edge_dofs = np.ones(n_edges, dtype=bool)
-        edge_dofs[mesh.constrained_edges] = False
-        free_nodes = np.zeros(mesh.n_nodes, dtype=bool)  # no scalar potential
+        # an edge with both ends on the truncation boundary lies on it
+        free_ends = free_nodes[ends]
+        edge_dofs = free_ends[0::2] | free_ends[1::2]
+        free_nodes[:] = False  # no scalar potential
     else:
         # edge unknowns inside a conductor, the gradient of a scalar potential
         # wherever they do not own the field
         edge_dofs, inside_nodes = _inside_conductor(mesh)
-        free_nodes = np.ones(mesh.n_nodes, dtype=bool)
         if variant is FormulationVariant.FCM_T_OMEGA:
             edge_dofs[mesh.n_hedges :] = False  # radial (alpha) edges only
         else:
             free_nodes &= ~inside_nodes
-        free_nodes[mesh.dirichlet_nodes] = False
 
     # each block as its entries (edge, column, value) in row order, and its
     # width: a unit column per edge unknown; per nodal unknown, -1 on the
     # edges whose tail and +1 on those whose head it is, the free nodes
     # numbered by their running count
     own = np.flatnonzero(edge_dofs)
-    ends = mesh.edge_nodes.ravel()  # tail and head of each edge in turn
     at = free_nodes[ends]
     parts = {
         "edge": (own, np.arange(own.size), np.ones(own.size), own.size),

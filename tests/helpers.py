@@ -60,6 +60,14 @@ def small_layout(
     return mesh, build_dof_layout(mesh, variant, voltage_order=voltage_order)
 
 
+def truncation_edges(mesh: Mesh) -> np.ndarray:
+    """Ids of the midplane, top and outer-side edges, ascending; the axis edges are not among them."""
+    nr, nz = mesh.n_r, mesh.n_z
+    ir = np.arange(nr - 1)
+    side = mesh.vedge_id(np.full(nz - 1, nr - 1), np.arange(nz - 1))
+    return np.concatenate([mesh.hedge_id(ir, 0), mesh.hedge_id(ir, nz - 1), side])
+
+
 def small_context(
     variant: FormulationVariant, voltage_order: int = 3, materials=None, **mesh_kw
 ) -> AssemblyContext:

@@ -425,7 +425,7 @@ def test_unknown_sweep_param_rejected(finished_run):
     assert exc.value.code == 2
 
 
-def test_log_level_env(monkeypatch):
+def test_log_level_env(monkeypatch, capsys):
     root = logging.getLogger()
     saved_handlers = root.handlers[:]
     saved_level = root.level
@@ -436,6 +436,13 @@ def test_log_level_env(monkeypatch):
             monkeypatch.setenv("FOILWIND_LOG", case)
             cli._setup_logging()
             assert root.level == expected
+            err = capsys.readouterr().err
+            if case == "debug":
+                assert err == ""
+            else:
+                # one line that names the unknown level and the accepted ones
+                assert err.count("\n") == 1 and "'CHATTY'" in err
+                assert all(name in err for name in ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"))
     finally:
         for h in root.handlers[:]:
             root.removeHandler(h)

@@ -18,7 +18,7 @@ from foilwind.runner import build_mesh
 from foilwind.spaces import build_dof_layout
 from foilwind.variants import FormulationVariant
 
-from helpers import pancake_geometry, small_config, small_mesh
+from helpers import pancake_geometry, small_config, small_mesh, truncation_edges
 
 
 def test_turn_radii_arithmetic():
@@ -342,7 +342,7 @@ def _hstack_layout(mesh, variant, order):
     identity = sp.identity(mesh.n_edges, format="csr")
     if variant is FormulationVariant.FCM_H_FULL:
         free_edges = np.ones(mesh.n_edges, dtype=bool)
-        free_edges[mesh.constrained_edges] = False
+        free_edges[truncation_edges(mesh)] = False
         columns = [identity[:, free_edges]]
     else:
         inside = _ufunc_at_inside(mesh, mesh.cell_edges, 2)
@@ -429,15 +429,18 @@ def test_boundary_classification():
         r, z = points[:, 0], points[:, 1]
         return (z == 0.0) | (z == mesh.z_lines[-1]) | (r == mesh.r_lines[-1])
 
-    ce = mesh.constrained_edges
+    dn = mesh.dirichlet_nodes
+    assert dn.size == 2 * nr + nz - 2
+    assert np.array_equal(dn, np.flatnonzero(on_boundary(mesh.nodes)))
+    # the edges on it, by id and by midpoint, are those without an h-full unknown
+    ce = truncation_edges(mesh)
     assert ce.size == 2 * (nr - 1) + (nz - 1)
     midpoints = mesh.nodes[mesh.edge_nodes].mean(axis=1)
     assert np.array_equal(ce, np.flatnonzero(on_boundary(midpoints)))
     axis = mesh.vedge_id(np.zeros(nz - 1, dtype=int), np.arange(nz - 1))
     assert np.intersect1d(ce, axis).size == 0
-    dn = mesh.dirichlet_nodes
-    assert dn.size == 2 * nr + nz - 2
-    assert np.array_equal(dn, np.flatnonzero(on_boundary(mesh.nodes)))
+    own = build_dof_layout(mesh, FormulationVariant.FCM_H_FULL).basis.tocsc().indices
+    assert np.array_equal(own, np.setdiff1d(np.arange(mesh.n_edges), ce))
 
 
 def test_alpha_beta_indexing():

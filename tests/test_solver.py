@@ -182,6 +182,96 @@ def test_nonfinite_start_residual_raises_instead_of_converging():
     assert np.all(scales.scale == 0.0)  # the stopping test of later attempts is untouched
 
 
+def _scripted_system(residual_at, scale_at=lambda step: 1.0):
+    """One unknown with residual ``residual_at(step)`` at u = -step, identity tangent.
+
+    From u = 0, where the residual must be 1, the Newton direction is -1, so
+    each evaluation reads off the step length of its trial point exactly;
+    ``steps`` lists them, the start point's 0 first. The scaled norm of the
+    residual is |residual_at(step)| while the scale stays the start point's 1.
+    """
+    steps = []
+    context = _IdentityContext(1)
+
+    def system_fn(u):
+        step = -u[0]
+        steps.append(step)
+        return AssembledSystem(
+            residual=np.array([residual_at(step)]),
+            row_scale=np.array([scale_at(step)]),
+            dt=1.0,
+            d_tan=np.zeros(0),
+            context=context,
+        )
+
+    return system_fn, steps
+
+
+def _one_newton_iteration(system_fn):
+    """Run newton_solve from u = 0 for one iteration that does not converge."""
+    scales = BlockScales(1)
+    with pytest.raises(NonConvergenceError) as err:
+        newton_solve(system_fn, np.zeros(1), SolverConfig(max_newton_iters=1), scales)
+    return err.value, scales
+
+
+HALVINGS = [0.5**k for k in range(solver.MAX_BACKTRACKS + 1)]
+
+
+def test_a_damped_step_halves_until_the_residual_falls():
+    # the full step and its first two halvings raise the residual
+    system_fn, steps = _scripted_system(lambda s: 1.0 if s == 0 else (2.0 if s > 0.2 else 0.95))
+    err, _ = _one_newton_iteration(system_fn)
+    assert steps == [0.0] + HALVINGS[:4]
+    assert err.stats.residual_norms == [1.0, 0.95]
+    assert err.stats.trials == 4 and err.stats.strides == err.stats.stride_trials == 0
+    assert err.stats.backtracks_exhausted == 0
+
+
+def test_a_step_that_never_lowers_the_residual_is_taken_at_the_last_halving():
+    # every trial raises the residual, by its step length, and shows larger row scales
+    system_fn, steps = _scripted_system(lambda s: 1.0 + s, scale_at=lambda s: 1.0 + 100.0 * s)
+    err, scales = _one_newton_iteration(system_fn)
+    assert steps == [0.0] + HALVINGS
+    assert err.stats.residual_norms == [1.0, 1.0 + HALVINGS[-1]]
+    assert err.stats.trials == solver.MAX_BACKTRACKS + 1
+    assert err.stats.backtracks_exhausted == 1
+    # none of the trials lowered the residual, so none loosened the stopping test
+    assert np.array_equal(scales.scale, [1.0, 0.0])
+
+
+def test_a_nonfinite_residual_after_the_last_halving_raises():
+    system_fn, steps = _scripted_system(lambda s: 1.0 if s == 0 else np.nan)
+    err, scales = _one_newton_iteration(system_fn)
+    assert "not finite" in str(err)
+    assert steps == [0.0] + HALVINGS
+    assert err.stats.iterations == 1 and err.stats.residual_norms == [1.0]
+    assert np.array_equal(scales.scale, [1.0, 0.0])
+
+
+def test_a_stretched_step_doubles_and_keeps_the_last_decrease():
+    # the full step keeps half the residual; the doubled steps lower it
+    # further up to 4, and 8 raises it again
+    residual = {0.0: 1.0, 1.0: 0.5, 2.0: 0.4, 4.0: 0.3, 8.0: 0.35}
+    scale = {1.0: 5.0, 4.0: 2.0}  # the kept trial's scales, not the full step's, are absorbed
+    system_fn, steps = _scripted_system(residual.get, scale_at=lambda s: scale.get(s, 1.0))
+    err, scales = _one_newton_iteration(system_fn)
+    assert steps == [0.0, 1.0, 2.0, 4.0, 8.0]
+    assert np.array_equal(scales.scale, [2.0, 0.0])
+    assert err.stats.residual_norms == [1.0, 0.3 / 2.0]
+    assert err.stats.trials == 4 and err.stats.stride_trials == 3 and err.stats.strides == 1
+    assert err.stats.backtracks_exhausted == 0
+
+
+def test_a_damped_step_is_never_stretched():
+    # the half step keeps 90 % of the residual, far above the tolerance
+    system_fn, steps = _scripted_system(lambda s: {0.0: 1.0, 0.5: 0.9}.get(s, 2.0))
+    err, _ = _one_newton_iteration(system_fn)
+    assert steps == [0.0, 1.0, 0.5]
+    assert err.stats.residual_norms == [1.0, 0.9]
+    assert err.stats.strides == err.stats.stride_trials == 0
+
+
 class _DiagonalContext(_IdentityContext):
     """Elimination of no unknowns whose matrix is diag(d_tan)."""
 
@@ -217,6 +307,7 @@ def test_stride_recovers_linear_convergence_at_a_multiple_root(monkeypatch):
     # 0.28**25, about 1e-14, of the residual
     assert stats.strides == stats.iterations == 1
     assert stats.trials == 7  # the full step, then 2, 4, ... 32 kept and 64 refused
+    assert stats.stride_trials == 6 and stats.backtracks_exhausted == 0
 
     monkeypatch.setattr(solver, "MAX_STRIDE", 1)
     _, plain = newton_solve(_multiple_root_system(), u0, cfg, BlockScales(3))
@@ -283,7 +374,8 @@ def test_step_halves_dt_then_gives_up_at_dt_min():
     # through all its backtracks
     assert err.value.progress == dict(
         accepted_steps=0, linsys_count=8, last_accepted_time_s=0.0,
-        counters=_counters(newton_iterations=8, rejected_attempts=4, line_search_trials=72),
+        counters=_counters(newton_iterations=8, rejected_attempts=4, line_search_trials=72,
+                           backtracks_exhausted=8),
     )
 
     # a landing step shorter than 2 dt_min has no split into two steps of at
@@ -296,7 +388,8 @@ def test_step_halves_dt_then_gives_up_at_dt_min():
     assert 1e-5 < attempted[0] < 2e-5
     assert err.value.progress == dict(
         accepted_steps=0, linsys_count=2, last_accepted_time_s=0.0,
-        counters=_counters(newton_iterations=2, rejected_attempts=1, line_search_trials=18),
+        counters=_counters(newton_iterations=2, rejected_attempts=1, line_search_trials=18,
+                           backtracks_exhausted=2),
     )
 
 
@@ -596,10 +689,12 @@ def test_refused_mirror_guesses_change_nothing(monkeypatch):
     mirror_guess = solver.mirror_guess
     monkeypatch.setattr(solver, "mirror_guess", lambda *args: None)
     unseeded = run_transient(cfg, ctx, exc)
+    offered = []
 
     def far_off(*args):
         # the state half a period back, not mirrored, and three times as large
         guess = mirror_guess(*args)
+        offered.append(guess is not None)
         return None if guess is None else -3.0 * guess
 
     monkeypatch.setattr(solver, "mirror_guess", far_off)
@@ -608,6 +703,10 @@ def test_refused_mirror_guesses_change_nothing(monkeypatch):
     assert np.array_equal(refused.times, unseeded.times)
     assert np.array_equal(refused.p, unseeded.p)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(refused.states, unseeded.states))
+    # every guess offered is evaluated, and refused; the rest of Newton's work is the same
+    evaluated = refused.counters.pop("mirror_guesses_evaluated")
+    assert evaluated == sum(offered) > 0
+    assert unseeded.counters.pop("mirror_guesses_evaluated") == 0
     assert refused.counters == unseeded.counters
 
 

@@ -561,6 +561,16 @@ class Elimination:
         )
         self._matrix.has_canonical_format = True
 
+    @property
+    def reusable(self) -> bool:
+        """Whether a factorization of ``matrix`` may also solve at later iterates.
+
+        Not in the reproduction of SuperLU's default order (``order`` {}):
+        that run's step sequence follows roundoff, so it keeps one solve per
+        factorization.
+        """
+        return self.order != {}
+
     def matrix(self, dt: float, d_tan: np.ndarray) -> sp.csc_matrix:
         """The tangent left after the elimination, at step ``dt`` and tangent weights ``d_tan``.
 

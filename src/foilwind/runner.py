@@ -30,7 +30,7 @@ from .formulations import AssemblyContext
 from .mesh import Mesh, mesh_structured
 from .solver import NonConvergenceError, SolutionTrace, run_transient
 from .spaces import build_dof_layout
-from .vtk_io import snapshot_fields, write_vtk
+from .vtk_io import snapshot_fields, vtk_geometry, write_vtk
 
 log = logging.getLogger(__name__)
 
@@ -132,6 +132,7 @@ def _write_snapshots(out, trace, ctx, cfg) -> list[float]:
     t_peak = trace.times[-1] - 0.75 * period
     picks = {int(np.argmin(np.abs(trace.times - t_peak))), len(trace.times) - 1}
     times = []
+    geometry = vtk_geometry(ctx.mesh)  # the snapshots share it
     for rank, idx in enumerate(sorted(picks)):
         fields = snapshot_fields(ctx, trace.states[idx])
         write_vtk(
@@ -139,6 +140,7 @@ def _write_snapshots(out, trace, ctx, cfg) -> list[float]:
             ctx.mesh,
             fields,
             title=f"foilwind {cfg.variant.value} t={trace.times[idx]:.8e} s",
+            geometry=geometry,
         )
         times.append(float(trace.times[idx]))
     return times

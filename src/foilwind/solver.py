@@ -14,7 +14,8 @@ that fails is a Newton failure like any other.
 
 ``run_transient`` is the one stepping loop: it owns the dt controller, the
 halving of a failed attempt's dt, the landing on t_end, the dt_min floor,
-the linear-solve count of every attempt, and the NonConvergenceError that
+the count of every attempt's factorizations (Newton iterations,
+``linsys_count``), and the NonConvergenceError that
 records how far a run got when it gives up. It also evaluates the step's
 one input besides the previous state: the critical current density, lagged
 at that state (``jc_effective``) once before the step's first attempt and
@@ -24,20 +25,28 @@ Convergence is judged on a block-scaled Euclidean residual norm: field rows
 and current-constraint rows carry different units, so each block is
 normalized by the largest leading-assembly magnitude seen so far in the run.
 The scales are touched only by the start point and by the points Newton
-moves to that lowered the residual (a trial, or a mirror guess that is
-taken), never by a refused trial or one taken after every halving failed,
-which keeps a diverging iterate from poisoning the stopping test.
+moves to that lowered the residual (a trial, a chord step, or a mirror guess
+that is taken), never by a refused trial or one taken after every halving
+failed, which keeps a diverging iterate from poisoning the stopping test.
 
-Two moves spend fewer factorizations per step. Where a full Newton step
+Three moves spend fewer factorizations per step. Where a full Newton step
 lowers the residual by less than 10x while the residual is still far above
 the tolerance, convergence has turned linear: the n = 25 power law in cells
 that unload from about jc behaves as a root of high multiplicity, where
 Newton undershoots by a constant factor (Griewank, SIAM Review 27(4), 1985).
 Such a step is then stretched to 2, 4, ... MAX_STRIDE times its length for as
 long as the residual keeps falling; each stretch costs one assembly and no
-factorization. From 0.75 T on, ``run_transient`` also offers each attempt the
-half-wave mirror of the state half a period back (``mirror_guess``), which
-Newton starts from when its residual is below the previous state's.
+factorization. Such an iteration then takes up to MAX_CHORDS chord steps on
+its own factorization (the Shamanskii method; Kelley, *Solving Nonlinear
+Equations with Newton's Method*, SIAM 2003), each a triangular solve of the
+current residual and one assembly, kept while the residual keeps falling.
+A chord step is not a Newton iteration: every iteration makes exactly one
+factorization. Only an elimination whose factorizations are ``reusable``
+takes them; fcm-h-full's COLAMD reproduction is not, because that run's
+step sequence follows roundoff. From 0.75 T on, ``run_transient`` also
+offers each attempt the half-wave mirror of the state half a period back
+(``mirror_guess``), which Newton starts from when its residual is below the
+previous state's.
 """
 
 from __future__ import annotations
@@ -61,18 +70,23 @@ MAX_BACKTRACKS = 8
 STRIDE_RATIO = 0.1
 STRIDE_FLOOR = 100.0
 MAX_STRIDE = 64
+# chord steps on the factor of an iteration in that linear regime
+MAX_CHORDS = 3
 DT_GROWTH = 1.2
 FAST_STEP_ITERS = 3
-# what run_transient counts of Newton's work; newton_iterations is linsys_count
+# what run_transient counts of Newton's work; newton_iterations is linsys_count,
+# the factorizations
 COUNTERS = ("newton_iterations", "rejected_attempts", "line_search_trials", "stride_trials",
-            "strides_taken", "backtracks_exhausted", "mirror_guesses_evaluated", "mirror_seeds_taken")
+            "strides_taken", "chord_trials", "chord_steps", "backtracks_exhausted",
+            "mirror_guesses_evaluated", "mirror_seeds_taken")
 
 
 class NonConvergenceError(RuntimeError):
     """Newton failed to reach tolerance; run_transient may retry with smaller dt.
 
     ``progress`` says how far the run got when it gave up: its accepted steps,
-    its linear solves (rejected attempts included), its last accepted time and
+    its factorizations (``linsys_count``: Newton iterations, rejected attempts
+    included), its last accepted time and
     its Newton ``counters``.
     """
 
@@ -125,11 +139,14 @@ class SolverConfig:
 
 @dataclass
 class NewtonStats:
-    iterations: int = 0
+    iterations: int = 0  # factorizations
+    # at the start point and at every point Newton moved to, chord steps included
     residual_norms: list[float] = field(default_factory=list)
-    trials: int = 0  # residual evaluations along a Newton direction, strides included
+    trials: int = 0  # residual evaluations along a Newton direction, strides and chords included
     stride_trials: int = 0  # trials longer than the Newton step
     strides: int = 0  # iterations that kept a step longer than the Newton step
+    chord_trials: int = 0  # chord steps evaluated
+    chord_steps: int = 0  # chord steps kept
     backtracks_exhausted: int = 0  # iterations that took a trial that did not lower the residual
     mirror_evaluated: bool = False  # evaluated the mirror guess
     mirror_seeded: bool = False  # started from the mirror guess
@@ -192,8 +209,11 @@ def newton_solve(
     falling. Otherwise a step whose residual does not decrease is halved by
     ``damping`` up to MAX_BACKTRACKS times, and the last one is taken anyway
     unless its residual is not finite. Only a step that lowered the residual
-    is absorbed into the scales. The state returned is lifted by the
-    context's elimination.
+    is absorbed into the scales. After a step searched by doubling, up to
+    MAX_CHORDS chord steps solve the new residual with the same
+    factorization, if the elimination is ``reusable``; each is kept, and
+    absorbed, only when it lowers the residual, and the first that does not
+    ends them. The state returned is lifted by the context's elimination.
     """
     stats = NewtonStats()
     u = np.asarray(u0, dtype=float).copy()
@@ -236,7 +256,8 @@ def newton_solve(
 
         step = 1.0
         system_trial, r_trial = trial(step)
-        if r_norm > r_trial > STRIDE_RATIO * r_norm and r_norm > STRIDE_FLOOR * tol:
+        linear = r_norm > r_trial > STRIDE_RATIO * r_norm and r_norm > STRIDE_FLOOR * tol
+        if linear:
             # linear convergence far from the tolerance: Newton undershoots
             # by a constant factor, so go further along du
             while 2.0 * step <= MAX_STRIDE:
@@ -263,6 +284,23 @@ def newton_solve(
             )
         u, system, r_norm = u + step * du, system_trial, r_trial
         stats.residual_norms.append(r_norm)
+        if linear and elimination.reusable:
+            # still linear: chord steps on this iteration's factor cost a
+            # triangular solve and an assembly each, not a factorization;
+            # neither the state nor the scales see a refused one
+            for _ in range(MAX_CHORDS):
+                if not r_norm > tol:
+                    break
+                stats.trials += 1
+                stats.chord_trials += 1
+                u_chord = u + elimination.solve(lu, -system.residual)
+                system_chord = system_fn(u_chord)
+                if not scales.norm(system_chord.residual) < r_norm:
+                    break
+                scales.absorb(system_chord.row_scale)
+                u, system, r_norm = u_chord, system_chord, scales.norm(system_chord.residual)
+                stats.chord_steps += 1
+                stats.residual_norms.append(r_norm)
     return elimination.lift(u), stats
 
 
@@ -296,7 +334,7 @@ class SolutionTrace:
     slice_currents: np.ndarray  # (n_samples, n_slices)
     newton_iters: np.ndarray
     states: list[np.ndarray]
-    linsys_count: int
+    linsys_count: int  # factorizations (Newton iterations), rejected attempts included
     # Newton's work over every attempt, rejected ones included (COUNTERS)
     counters: dict[str, int] = field(default_factory=dict)
 
@@ -319,9 +357,10 @@ def run_transient(
     NonConvergenceError carrying its progress when a failed attempt is at
     dt_min, or lands on t_end and is shorter than 2 dt_min: no split of it
     keeps both parts at least dt_min long. ``linsys_count`` counts the
-    linear solves of every attempt, rejected ones included, and ``counters``
-    the rest of Newton's work (COUNTERS). From 0.75 T on, each attempt offers
-    Newton the ``mirror_guess`` of the stored states.
+    factorizations (Newton iterations) of every attempt, rejected ones
+    included, and ``counters`` the rest of Newton's work (COUNTERS). From
+    0.75 T on, each attempt offers Newton the ``mirror_guess`` of the stored
+    states.
     """
     layout = formulation.layout
     t_end = config.periods * excitation.period
@@ -346,6 +385,8 @@ def run_transient(
         counters["line_search_trials"] += stats.trials
         counters["stride_trials"] += stats.stride_trials
         counters["strides_taken"] += stats.strides
+        counters["chord_trials"] += stats.chord_trials
+        counters["chord_steps"] += stats.chord_steps
         counters["backtracks_exhausted"] += stats.backtracks_exhausted
         counters["mirror_guesses_evaluated"] += stats.mirror_evaluated
         counters["mirror_seeds_taken"] += stats.mirror_seeded
@@ -404,7 +445,8 @@ def run_transient(
 
     wall = time.perf_counter() - t0
     linsys = counters["newton_iterations"]
-    log.info("run complete: %d steps, %d linear solves, %.2f s wall", len(times) - 1, linsys, wall)
+    log.info("run complete: %d steps, %d factorizations, %d chord steps, %.2f s wall",
+             len(times) - 1, linsys, counters["chord_steps"], wall)
     return SolutionTrace(times=np.array(times), p=np.array(p), i_target=np.array(i_target),
                          slice_currents=np.array(slices), newton_iters=np.array(iters),
                          states=states, linsys_count=linsys, counters=counters)

@@ -15,7 +15,7 @@ from foilwind.materials import JcKim
 from foilwind.runner import build_mesh, compare_runs, execute_run, load_run, run_sweep
 from foilwind.spaces import build_dof_layout
 from foilwind.variants import FormulationVariant
-from foilwind.vtk_io import snapshot_fields
+from foilwind.vtk_io import snapshot_fields, write_vtk
 
 from helpers import small_config, with_materials
 
@@ -46,6 +46,21 @@ def test_artifact_files(run_pair):
     assert (out / "fields_1.vtk").is_file()
     assert len(summary["snapshot_times"]) == 2
     assert summary["snapshot_times"][1] == pytest.approx(trace.times[-1])
+
+
+def test_snapshots_are_the_files_of_their_states_alone(run_pair, tmp_path):
+    # the snapshots share one formatted geometry; each file is still the one
+    # write_vtk makes of its own state
+    out, trace, summary = run_pair[FormulationVariant.FCM_T_OMEGA]
+    cfg = _fast(FormulationVariant.FCM_T_OMEGA)
+    ctx = AssemblyContext(build_dof_layout(build_mesh(cfg), cfg.variant, cfg.voltage_order),
+                          cfg.materials)
+    for rank, t in enumerate(summary["snapshot_times"]):
+        idx = int(np.flatnonzero(trace.times == t)[0])
+        alone = write_vtk(tmp_path / f"alone_{rank}.vtk", ctx.mesh,
+                          snapshot_fields(ctx, trace.states[idx]),
+                          title=f"foilwind {cfg.variant.value} t={t:.8e} s")
+        assert (out / f"fields_{rank}.vtk").read_bytes() == alone.read_bytes()
 
 
 def test_summary_contents(run_pair):

@@ -120,10 +120,12 @@ class _IdentityContext:
 
     Its matrix is the identity; above ``dt_ok`` the last diagonal entry is
     zero, so that it is singular. With no unknowns eliminated, a lift changes
-    nothing.
+    nothing. Its factorizations are not ``reusable``, so Newton takes no
+    chord step on them.
     """
 
     factor_options = {}
+    reusable = False
 
     def __init__(self, n, dt_ok=np.inf):
         self.n = n
@@ -182,16 +184,17 @@ def test_nonfinite_start_residual_raises_instead_of_converging():
     assert np.all(scales.scale == 0.0)  # the stopping test of later attempts is untouched
 
 
-def _scripted_system(residual_at, scale_at=lambda step: 1.0):
+def _scripted_system(residual_at, scale_at=lambda step: 1.0, context=None):
     """One unknown with residual ``residual_at(step)`` at u = -step, identity tangent.
 
     From u = 0, where the residual must be 1, the Newton direction is -1, so
     each evaluation reads off the step length of its trial point exactly;
     ``steps`` lists them, the start point's 0 first. The scaled norm of the
     residual is |residual_at(step)| while the scale stays the start point's 1.
+    A chord step from u moves to u - residual, one residual further along.
     """
     steps = []
-    context = _IdentityContext(1)
+    context = context or _IdentityContext(1)
 
     def system_fn(u):
         step = -u[0]
@@ -207,11 +210,11 @@ def _scripted_system(residual_at, scale_at=lambda step: 1.0):
     return system_fn, steps
 
 
-def _one_newton_iteration(system_fn):
-    """Run newton_solve from u = 0 for one iteration that does not converge."""
+def _one_newton_iteration(system_fn, iterations=1):
+    """Run newton_solve from u = 0 for ``iterations`` iterations that do not converge."""
     scales = BlockScales(1)
     with pytest.raises(NonConvergenceError) as err:
-        newton_solve(system_fn, np.zeros(1), SolverConfig(max_newton_iters=1), scales)
+        newton_solve(system_fn, np.zeros(1), SolverConfig(max_newton_iters=iterations), scales)
     return err.value, scales
 
 
@@ -272,6 +275,54 @@ def test_a_damped_step_is_never_stretched():
     assert err.stats.strides == err.stats.stride_trials == 0
 
 
+class _ReusableContext(_IdentityContext):
+    """``_IdentityContext`` whose factorizations may serve chord steps."""
+
+    reusable = True
+
+
+def test_a_chord_that_lowers_the_residual_is_kept_and_absorbed():
+    # the full step keeps half the residual and its double raises it; three
+    # chords on the iteration's factor halve it again each
+    residual = {0.0: 1.0, 1.0: 0.5, 2.0: 0.75, 1.5: 0.25, 1.75: 0.125, 1.875: 0.0625}
+    system_fn, steps = _scripted_system(
+        residual.get, scale_at=lambda s: 4.0 if s == 1.75 else 1.0, context=_ReusableContext(1)
+    )
+    err, scales = _one_newton_iteration(system_fn)
+    assert steps == [0.0, 1.0, 2.0, 1.5, 1.75, 1.875]
+    # the chord to 1.75 shows larger row scales, which the next norms divide by
+    assert np.array_equal(scales.scale, [4.0, 0.0])
+    assert err.stats.residual_norms == [1.0, 0.5, 0.25, 0.125 / 4.0, 0.0625 / 4.0]
+    assert err.stats.chord_trials == err.stats.chord_steps == solver.MAX_CHORDS == 3
+    assert err.stats.trials == 2 + 3  # the full step, one stride trial and the chords
+    assert err.stats.iterations == 1
+
+
+def test_a_chord_that_does_not_lower_the_residual_changes_nothing():
+    # the chord to 1.5 keeps the residual at 0.5 and shows larger row scales
+    residual = {0.0: 1.0, 1.0: 0.5, 2.0: 0.75, 1.5: 0.5}
+    system_fn, steps = _scripted_system(
+        lambda s: residual.get(s, 2.0),
+        scale_at=lambda s: 100.0 if s == 1.5 else 1.0,
+        context=_ReusableContext(1),
+    )
+    err, scales = _one_newton_iteration(system_fn, iterations=2)
+    # the second iteration starts where the first one's stride search left
+    # it: its full step is 1 + 0.5, not 1.5 + 0.5
+    assert steps[:6] == [0.0, 1.0, 2.0, 1.5, 1.5, 1.25]
+    assert err.stats.residual_norms[:2] == [1.0, 0.5]
+    assert err.stats.chord_trials == 1 and err.stats.chord_steps == 0
+    assert np.array_equal(scales.scale, [1.0, 0.0])
+
+
+def test_no_chord_on_a_factorization_that_is_not_reusable():
+    residual = {0.0: 1.0, 1.0: 0.5, 2.0: 0.75, 1.5: 0.25}
+    system_fn, steps = _scripted_system(residual.get)
+    err, _ = _one_newton_iteration(system_fn)
+    assert steps == [0.0, 1.0, 2.0]
+    assert err.stats.chord_trials == err.stats.chord_steps == 0
+
+
 class _DiagonalContext(_IdentityContext):
     """Elimination of no unknowns whose matrix is diag(d_tan)."""
 
@@ -279,10 +330,14 @@ class _DiagonalContext(_IdentityContext):
         return sp.diags(d_tan, format="csc")
 
 
-def _multiple_root_system(m=25):
+class _ReusableDiagonalContext(_DiagonalContext):
+    reusable = True
+
+
+def _multiple_root_system(m=25, context=None):
     """Residual u**m entrywise: a root of multiplicity m at u = 0, where a
     Newton step keeps (1 - 1/m)**m, about 0.36, of the residual."""
-    context = _DiagonalContext(3)
+    context = context or _DiagonalContext(3)
 
     def system_fn(u):
         return AssembledSystem(
@@ -319,14 +374,42 @@ def test_stride_recovers_linear_convergence_at_a_multiple_root(monkeypatch):
     assert plain.iterations >= 20
 
 
+def test_chord_steps_reuse_the_iteration_factor(monkeypatch):
+    calls = []
+    splu = solver.splu
+    monkeypatch.setattr(solver, "splu", lambda *a, **kw: calls.append(a) or splu(*a, **kw))
+    # short strides leave the multiple root linear for several iterations
+    monkeypatch.setattr(solver, "MAX_STRIDE", 2)
+    cfg = SolverConfig(max_newton_iters=60)
+    u0 = np.array([1.0, 0.9, 0.8])
+    system_fn = _multiple_root_system(context=_ReusableDiagonalContext(3))
+    _, stats = newton_solve(system_fn, u0, cfg, BlockScales(3))
+    assert stats.chord_steps > 0
+    assert len(calls) == stats.iterations
+    r = stats.residual_norms
+    assert len(r) == 1 + stats.iterations + stats.chord_steps
+    assert all(b < a for a, b in zip(r, r[1:]))
+    assert r[-1] <= cfg.newton_tol_rel * r[0]
+    # no backtrack: every trial is a full step, a stride trial or a chord
+    assert stats.trials == stats.iterations + stats.stride_trials + stats.chord_trials
+
+    calls.clear()
+    monkeypatch.setattr(solver, "MAX_CHORDS", 0)
+    _, plain = newton_solve(system_fn, u0, cfg, BlockScales(3))
+    assert plain.chord_trials == 0
+    assert len(calls) == plain.iterations > stats.iterations
+
+
 def test_stride_leaves_quadratic_convergence_alone(monkeypatch):
     # gate 6's linear limit: with n = 1 every full step lands on the answer
     mats = pancake_materials(n_exponent=1.0, jc_model=JcConstant(1e6))
     exc = Excitation(amplitude=96.0, frequency=50.0)
     cfg = SolverConfig(periods=0.3)
     ctx = small_context(FormulationVariant.FCM_T_OMEGA, n_turns=2, materials=mats)
+    assert ctx.elimination.reusable
     strided = run_transient(cfg, ctx, exc)
     assert strided.counters["strides_taken"] == 0
+    assert strided.counters["chord_trials"] == strided.counters["chord_steps"] == 0
     monkeypatch.setattr(solver, "MAX_STRIDE", 1)
     plain = run_transient(cfg, ctx, exc)
     assert np.array_equal(plain.times, strided.times)
@@ -763,11 +846,13 @@ def test_one_factorization_per_linear_solve(variant, monkeypatch):
     expected = {**natural, **symmetric} if condensed else natural
     assert ctx.elimination.factor_options == expected
     assert all(kwargs == expected for kwargs in calls["splu"])
+    # chord steps reuse the ordered factorizations only
+    assert ctx.elimination.reusable == condensed
 
 
 @pytest.mark.parametrize(
     "preset, periods",
-    [("pancake2d_fcm_hphi", 0.1), ("pancake2d_fcm_tw", 0.1), ("pancake2d_ref", 0.0125)],
+    [("pancake2d_fcm_hphi", 0.1), ("pancake2d_fcm_tw", 0.1), ("pancake2d_ref", 0.016)],
 )
 def test_newton_factorizations_are_backward_stable(preset, periods, monkeypatch):
     # a diagonal-pivot threshold of 1e-3 accepts small diagonal pivots, and
@@ -841,6 +926,23 @@ def test_kim_jc_is_evaluated_once_per_accepted_step(monkeypatch):
     assert np.array_equal(ref.times, trace.times)
     assert np.array_equal(ref.p, trace.p)
     assert np.array_equal(ref.slice_currents, trace.slice_currents)
+
+
+def test_fcm_h_full_takes_no_chord_step(monkeypatch):
+    # h-full's COLAMD reproduction keeps one solve per factorization, so its
+    # runs are bit for bit those without chord steps
+    ctx = small_context(FormulationVariant.FCM_H_FULL, n_turns=2)
+    assert not ctx.elimination.reusable
+    exc = Excitation(amplitude=96.0, frequency=50.0)
+    cfg = SolverConfig(periods=0.01)
+    a = run_transient(cfg, ctx, exc)
+    assert a.counters["chord_trials"] == a.counters["chord_steps"] == 0
+    monkeypatch.setattr(solver, "MAX_CHORDS", 0)
+    b = run_transient(cfg, ctx, exc)
+    assert a.times.tobytes() == b.times.tobytes()
+    assert a.p.tobytes() == b.p.tobytes()
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(a.states, b.states))
+    assert a.counters == b.counters
 
 
 def test_runs_are_deterministic():

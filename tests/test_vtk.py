@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from foilwind.variants import FormulationVariant
-from foilwind.vtk_io import snapshot_fields, write_vtk
+from foilwind.vtk_io import snapshot_fields, vtk_geometry, write_vtk
 
 from helpers import small_context, small_mesh
 
@@ -117,3 +117,6 @@ def test_snapshot_bytes_equal_the_line_by_line_text(tmp_path):
     title = "%s %d {} " + "t" * 300
     path = write_vtk(tmp_path / "out.vtk", mesh, data, title=title)
     assert path.read_bytes() == _line_by_line_vtk(mesh, data, title)
+    # the geometry formatted once for several snapshots writes the same bytes
+    shared = write_vtk(tmp_path / "shared.vtk", mesh, data, title=title, geometry=vtk_geometry(mesh))
+    assert shared.read_bytes() == path.read_bytes()
